@@ -272,16 +272,16 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
             ),
         )
         advect_kwargs = {"substeps": int(section.get("substeps", 4))}
-        rho_final = decompose(source.states[-1], params, args.backend).rho
     else:
         source = psi
         advect_kwargs = {
             "duration": float(section["time"]),
             "rk_steps": int(section.get("rk_steps", 200)),
         }
-        rho_final = decompose(psi, params, args.backend).rho
 
     rho0 = decompose(psi, params, args.backend).rho
+    # a static source ends where it starts
+    rho_final = rho0 if source is psi else decompose(source.states[-1], params, args.backend).rho
     seeds = trajectories.sample_initial(rho0, int(section["n"]), seed)
     traj = trajectories.advect(
         seeds,

@@ -20,8 +20,6 @@ import numpy as np
 
 from .fields import ComplexField, PhysicalParams, RealField, laplacian, overlap
 
-DEFAULT_PARAMS = PhysicalParams()
-
 
 @dataclass(frozen=True)
 class EvolutionConfig:

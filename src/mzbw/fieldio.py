@@ -17,8 +17,13 @@ Snapshot series: a directory of psi_NNNNNN.mzbw files plus manifest.json with
 times, the conserved-quantity log, and an echo of the run configuration.
 
 Trajectories: CSV with one row per (particle, time): particle, t, x, y, z,
-mode, frozen.  The binary variant mirrors the field header idea with magic
-b"MZBWT".  All JSON is dumped with sorted keys so reruns are byte-identical.
+mode, frozen, every float as %.17g.  The writer formats one %-template of
+all kept rows per particle (times pre-formatted once) and writes each
+particle's block in one call.  The binary variant mirrors the field header
+idea: magic b"MZBWT", mode code (0 drift, 1 total), n, nt and seed, then
+times, paths, seeds and frozen flags; like field files it is rejected on a
+bad header, an unknown mode code, a wrong size or trailing bytes.  All JSON
+is dumped with sorted keys so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .trajectories import TrajectorySet
 
 MAGIC = b"MZBW1"
 TRAJ_MAGIC = b"MZBWT"
+_TRAJ_MODES = {0: "drift", 1: "total"}
 
 _KIND_REAL, _KIND_COMPLEX, _KIND_VECTOR, _KIND_SPINOR = 0, 1, 2, 3
 _KINDS = {
@@ -83,6 +89,8 @@ def read_field(path: str):
         raw = fh.read()
     if raw[:5] != MAGIC:
         raise ValueError(f"{path}: not a field file (bad magic {raw[:5]!r})")
+    if len(raw) < 6:
+        raise ValueError(f"{path}: truncated header")
     dims = raw[5]
     if not 1 <= dims <= 3:
         raise ValueError(f"{path}: bad dims {dims}")
@@ -168,15 +176,15 @@ def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 
     keep = list(range(0, len(traj.times), record_stride))
     if keep[-1] != len(traj.times) - 1:
         keep.append(len(traj.times) - 1)  # always keep the endpoint
+    # one %-template per particle block: "\0" stands for the particle index
+    # and "\1" for the ",mode,frozen" tail, both spliced in after formatting
+    block = "".join(f"\0,{traj.times[i]:.17g},%.17g,%.17g,%.17g\1" for i in keep)
     with open(path, "w") as fh:
         fh.write("particle,t,x,y,z,mode,frozen\n")
         for p in range(traj.paths.shape[0]):
-            frozen = int(traj.frozen[p])
-            for i in keep:
-                x, y, z = traj.paths[p, i]
-                fh.write(
-                    f"{p},{traj.times[i]:.17g},{x:.17g},{y:.17g},{z:.17g},{traj.mode},{frozen}\n"
-                )
+            rows = block % tuple(traj.paths[p, keep].ravel().tolist())
+            tail = f",{traj.mode},{int(traj.frozen[p])}\n"
+            fh.write(rows.replace("\0", str(p)).replace("\1", tail))
 
 
 def write_trajectories_binary(path: str, traj: TrajectorySet) -> None:
@@ -196,10 +204,17 @@ def read_trajectories_binary(path: str) -> TrajectorySet:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:5] != TRAJ_MAGIC:
-        raise ValueError(f"{path}: not a trajectory file")
+        raise ValueError(f"{path}: not a trajectory file (bad magic {raw[:5]!r})")
     head_fmt = "<5sBIIq"
     head = struct.calcsize(head_fmt)
+    if len(raw) < head:
+        raise ValueError(f"{path}: truncated header")
     _, mode_code, n, nt, seed = struct.unpack_from(head_fmt, raw)
+    if mode_code not in _TRAJ_MODES:
+        raise ValueError(f"{path}: unknown mode code {mode_code}")
+    expected = head + 8 * (nt + 3 * n * nt + 3 * n) + n
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
     offset = head
     times = np.frombuffer(raw, dtype="<f8", count=nt, offset=offset).copy()
     offset += nt * 8
@@ -207,12 +222,14 @@ def read_trajectories_binary(path: str) -> TrajectorySet:
     offset += n * nt * 3 * 8
     seeds = np.frombuffer(raw, dtype="<f8", count=n * 3, offset=offset).reshape(n, 3).copy()
     offset += n * 3 * 8
-    frozen = np.frombuffer(raw, dtype="<u1", count=n, offset=offset).astype(bool)
+    frozen = np.frombuffer(raw, dtype="<u1", count=n, offset=offset)
+    if np.any(frozen > 1):
+        raise ValueError(f"{path}: frozen flags must be 0 or 1")
     return TrajectorySet(
         seeds=seeds,
         times=times,
         paths=paths,
-        mode="drift" if mode_code == 0 else "total",
-        frozen=frozen,
+        mode=_TRAJ_MODES[mode_code],
+        frozen=frozen.astype(bool),
         rng_seed=None if seed == -1 else int(seed),
     )

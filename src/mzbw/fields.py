@@ -194,10 +194,6 @@ class SpinorField:
         )
 
 
-# External static potentials are plain real fields on the same grid.
-ExternalPotential = RealField
-
-
 # ---------------------------------------------------------------------------
 # raw-array derivative cores
 

@@ -55,7 +55,7 @@ def sample_initial(rho0: RealField, n: int, seed: int) -> np.ndarray:
     peak = np.max(values)
     lows = np.array([ax[0] - h / 2.0 for ax, h in zip(grid.axes, grid.spacing)])
     spans = np.array(grid.extents)
-    table = values[np.newaxis]
+    table = values.reshape(1, -1)
     accepted = []
     remaining = n
     while remaining > 0:
@@ -69,63 +69,88 @@ def sample_initial(rho0: RealField, n: int, seed: int) -> np.ndarray:
     return np.concatenate(accepted)[:n]
 
 
-def _interp_components(grid, stacked: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Periodic multilinear interpolation of (C, *grid.shape) data at (n, 3)
-    positions; returns (C, n)."""
+def _interp_components(grid, flat: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Periodic multilinear interpolation of (C, grid.size) data at (n, 3)
+    positions; returns (C, n).
+
+    The table is the row-major flattening of (C, *grid.shape) data.  Each of
+    the 2^dims corners gets one linear index and one weight, and all C
+    components are gathered at once with ``np.take`` along the flat axis.
+    Corners accumulate in a fixed order onto zeros, so results are
+    bit-identical to per-axis fancy indexing of the unflattened table."""
     dims = grid.dims
-    base_idx = []
+    strides = [int(np.prod(grid.points[axis + 1 :])) for axis in range(dims)]
+    offsets = []
     weights = []
     for axis in range(dims):
         n_axis = grid.points[axis]
         f = (positions[:, axis] - grid.axes[axis][0]) / grid.spacing[axis]
         i0 = np.floor(f).astype(np.int64)
         w = f - i0
-        base_idx.append(np.stack([i0 % n_axis, (i0 + 1) % n_axis]))
-        weights.append(np.stack([1.0 - w, w]))
-    out = np.zeros((stacked.shape[0], positions.shape[0]))
+        offsets.append(((i0 % n_axis) * strides[axis], ((i0 + 1) % n_axis) * strides[axis]))
+        weights.append((1.0 - w, w))
+    out = np.zeros((flat.shape[0], positions.shape[0]))
     for corner in itertools.product((0, 1), repeat=dims):
-        idx = tuple(base_idx[a][c] for a, c in enumerate(corner))
-        w = weights[0][corner[0]].copy()
+        lin = offsets[0][corner[0]]
+        w = weights[0][corner[0]]
         for a in range(1, dims):
-            w *= weights[a][corner[a]]
-        out += stacked[(slice(None),) + idx] * w
+            lin = lin + offsets[a][corner[a]]
+            w = w * weights[a][corner[a]]
+        out += np.take(flat, lin, axis=1) * w
     return out
 
 
 class _VelocityTable:
-    """Velocity and density samples at a sequence of times, evaluable anywhere."""
+    """Velocity and density samples at a sequence of times, evaluable anywhere.
+
+    Only the live velocity components, those nonzero somewhere in the series,
+    are interpolated; the rest are exact zeros on the grid and evaluate to
+    0.0 (a 1D drift table interpolates one component, not three).  Each
+    adjacent snapshot pair is pre-stacked into one flat table, [v_j; v_j+1]
+    and [rho_j; rho_j+1], and an evaluation between snapshots is a single
+    `_interp_components` call whose halves are blended (1-theta) a + theta b.
+    A single-snapshot table holds just that snapshot."""
 
     def __init__(self, grid, times, velocities, densities):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
-        self.velocities = velocities  # list of (3, *grid.shape)
-        self.densities = densities  # list of (*grid.shape,)
+        self.live = [c for c in range(3) if any(np.any(v[c] != 0) for v in velocities)]
+        nt, size = len(self.times), grid.size
+        vel = np.stack([v[self.live] for v in velocities]).reshape(nt, len(self.live), size)
+        rho = np.stack(densities).reshape(nt, 1, size)
+        # rows [j; j+1] of a stacked series are contiguous, so each pair is a view
+        pairs = range(max(nt - 1, 1))
+        self.vel_pairs = [vel[j : j + 2].reshape(-1, size) for j in pairs]
+        self.rho_pairs = [rho[j : j + 2].reshape(-1, size) for j in pairs]
         self.thresholds = [NODE_EPS * np.max(d) for d in densities]
 
     def _bracket(self, t: float):
         if len(self.times) == 1:
-            return 0, 0, 0.0
-        j = int(np.clip(np.searchsorted(self.times, t) - 1, 0, len(self.times) - 2))
+            return 0, 0.0
+        j = min(max(int(np.searchsorted(self.times, t)) - 1, 0), len(self.times) - 2)
         span = self.times[j + 1] - self.times[j]
-        theta = float(np.clip((t - self.times[j]) / span, 0.0, 1.0))
-        return j, j + 1, theta
+        theta = min(max(float((t - self.times[j]) / span), 0.0), 1.0)
+        return j, theta
+
+    def _blend(self, pairs, width, j, theta, positions):
+        """The `width` rows of snapshot j at theta == 0, else the theta-blend of j and j+1."""
+        if theta == 0.0:
+            return _interp_components(self.grid, pairs[j][:width], positions)
+        both = _interp_components(self.grid, pairs[j], positions)
+        return (1.0 - theta) * both[:width] + theta * both[width:]
 
     def velocity(self, positions: np.ndarray, t: float) -> np.ndarray:
-        j0, j1, theta = self._bracket(t)
-        v0 = _interp_components(self.grid, self.velocities[j0], positions)
-        if theta == 0.0:
-            return v0.T
-        v1 = _interp_components(self.grid, self.velocities[j1], positions)
-        return ((1.0 - theta) * v0 + theta * v1).T
+        j, theta = self._bracket(t)
+        out = np.zeros((3, positions.shape[0]))
+        out[self.live] = self._blend(self.vel_pairs, len(self.live), j, theta, positions)
+        return out.T
 
     def density(self, positions: np.ndarray, t: float):
-        j0, j1, theta = self._bracket(t)
-        d0 = _interp_components(self.grid, self.densities[j0][np.newaxis], positions)[0]
+        j, theta = self._bracket(t)
+        rho = self._blend(self.rho_pairs, 1, j, theta, positions)[0]
         if theta == 0.0:
-            return d0, self.thresholds[j0]
-        d1 = _interp_components(self.grid, self.densities[j1][np.newaxis], positions)[0]
-        thr = (1.0 - theta) * self.thresholds[j0] + theta * self.thresholds[j1]
-        return (1.0 - theta) * d0 + theta * d1, thr
+            return rho, self.thresholds[j]
+        return rho, (1.0 - theta) * self.thresholds[j] + theta * self.thresholds[j + 1]
 
 
 def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, np.ndarray]:

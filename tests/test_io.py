@@ -5,8 +5,12 @@ corrupt headers must be loud, and repeated writes of the same data must be
 byte-identical so reruns can be diffed.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzbw import (
     ComplexField,
@@ -14,6 +18,7 @@ from mzbw import (
     Grid,
     RealField,
     SpinorField,
+    TrajectorySet,
     VectorField,
     advect,
     gaussian,
@@ -181,3 +186,128 @@ class TestTrajectories:
         write_trajectories_csv(str(a), traj)
         write_trajectories_csv(str(b), traj)
         assert a.read_bytes() == b.read_bytes()
+
+
+def row_csv_reference(path, traj, record_stride=1):
+    """Reference writer: one f-string per row, the layout the per-particle
+    template writer replaced.  The template writer must match it byte for
+    byte."""
+    keep = list(range(0, len(traj.times), record_stride))
+    if keep[-1] != len(traj.times) - 1:
+        keep.append(len(traj.times) - 1)
+    with open(path, "w") as fh:
+        fh.write("particle,t,x,y,z,mode,frozen\n")
+        for p in range(traj.paths.shape[0]):
+            frozen = int(traj.frozen[p])
+            for i in keep:
+                x, y, z = traj.paths[p, i]
+                fh.write(
+                    f"{p},{traj.times[i]:.17g},{x:.17g},{y:.17g},{z:.17g},{traj.mode},{frozen}\n"
+                )
+
+
+def awkward_trajectories(mode):
+    """Paths that exercise every float spelling: nan, +-inf, -0.0,
+    subnormals, huge and tiny magnitudes, and integers; mixed frozen flags."""
+    rng = np.random.default_rng(19)
+    n, nt = 12, 9
+    paths = rng.standard_normal((n, nt, 3)) * 10.0 ** rng.integers(-300, 300, (n, nt, 3))
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308, 3.0, -1.0 / 3.0]
+    paths.flat[: 7 * len(specials) : 7] = specials
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 0.3, nt - 1))])
+    times[3] = 1e-320
+    frozen = np.arange(n) % 3 == 0
+    return TrajectorySet(
+        seeds=paths[:, 0].copy(), times=times, paths=paths, mode=mode, frozen=frozen
+    )
+
+
+class TestCsvTemplateWriter:
+    @pytest.mark.parametrize("mode", ["drift", "total"])
+    @pytest.mark.parametrize("stride", [1, 4, 50])
+    def test_matches_row_writer(self, mode, stride, tmp_path):
+        traj = awkward_trajectories(mode)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectories_csv(str(got), traj, record_stride=stride)
+        row_csv_reference(str(want), traj, record_stride=stride)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_matches_row_writer_on_advected_node_state(self, tmp_path):
+        # a real node-crossing run: particle 0 starts in the node and freezes
+        grid = Grid((64,), (20.0,))
+        x = grid.axes[0]
+        values = x * np.exp(-x * x / 4.0 + 0.8j * x)
+        values /= np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_volume)
+        psi = ComplexField(grid, values)
+        traj = advect(np.array([[0.0], [1.5], [-2.0]]), psi, mode="drift", duration=0.5, rk_steps=6)
+        assert traj.frozen[0]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectories_csv(str(got), traj, record_stride=4)
+        row_csv_reference(str(want), traj, record_stride=4)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def small_trajectory_file(tmp_path):
+    grid = Grid((32,), (16.0,))
+    traj = advect(np.array([[0.5], [-1.0]]), gaussian(grid), mode="drift", duration=0.2, rk_steps=2)
+    path = tmp_path / "traj.bin"
+    write_trajectories_binary(str(path), traj)
+    return path
+
+
+def small_field_file(tmp_path):
+    path = tmp_path / "field.mzbw"
+    write_field(str(path), RealField(Grid((4,), (1.0,)), np.arange(4.0)))
+    return path
+
+
+class TestTrajectoryBinaryValidation:
+    def test_bad_magic_rejected(self, tmp_path):
+        path = small_trajectory_file(tmp_path)
+        path.write_bytes(b"MZBW1" + path.read_bytes()[5:])
+        with pytest.raises(ValueError, match="magic"):
+            read_trajectories_binary(str(path))
+
+    def test_unknown_mode_code_rejected(self, tmp_path):
+        path = small_trajectory_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[5] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="mode code 7"):
+            read_trajectories_binary(str(path))
+
+    def test_bad_frozen_flag_rejected(self, tmp_path):
+        path = small_trajectory_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[-1] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="frozen"):
+            read_trajectories_binary(str(path))
+
+    @pytest.mark.parametrize(
+        "make,read",
+        [(small_field_file, read_field), (small_trajectory_file, read_trajectories_binary)],
+        ids=["field", "traj"],
+    )
+    def test_every_truncation_rejected(self, make, read, tmp_path):
+        path = make(tmp_path)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                read(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.sampled_from(["field", "traj"]), data=st.data())
+    def test_resized_files_rejected(self, tmp_path_factory, which, data):
+        make, read = {
+            "field": (small_field_file, read_field),
+            "traj": (small_trajectory_file, read_trajectories_binary),
+        }[which]
+        path = make(tmp_path_factory.mktemp("resize"))
+        raw = path.read_bytes()
+        # truncate at any offset, or extend by up to 64 arbitrary bytes
+        size = data.draw(st.integers(0, len(raw) + 64).filter(lambda k: k != len(raw)))
+        path.write_bytes((raw + data.draw(st.binary(min_size=64, max_size=64)))[:size])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read(str(path))

@@ -7,6 +7,7 @@ closed circular orbits of period 4 pi.  Transported ensembles must stay
 distributed like |psi|^2 (equivariance), and 1D flow lines never cross.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,8 @@ from mzbw import (
     sample_initial,
     spin_vector,
 )
-from mzbw.trajectories import KS_COEFF_1PCT
+from mzbw.spinhydro import zbw_velocity_uniform
+from mzbw.trajectories import KS_COEFF_1PCT, _interp_components, _VelocityTable
 
 
 def node_state(grid):
@@ -199,3 +201,114 @@ class TestAdvectValidation:
     def test_source_type_checked(self):
         with pytest.raises(TypeError, match="source"):
             advect(np.array([[0.0]]), object(), mode="drift")
+
+
+def fancy_index_interp(grid, stacked, positions):
+    """Reference interpolator: per-corner fancy indexing of (C, *grid.shape)
+    data, the layout the flat gather replaced.  The flat gather must match it
+    bit for bit."""
+    dims = grid.dims
+    base_idx = []
+    weights = []
+    for axis in range(dims):
+        n_axis = grid.points[axis]
+        f = (positions[:, axis] - grid.axes[axis][0]) / grid.spacing[axis]
+        i0 = np.floor(f).astype(np.int64)
+        w = f - i0
+        base_idx.append(np.stack([i0 % n_axis, (i0 + 1) % n_axis]))
+        weights.append(np.stack([1.0 - w, w]))
+    out = np.zeros((stacked.shape[0], positions.shape[0]))
+    for corner in itertools.product((0, 1), repeat=dims):
+        idx = tuple(base_idx[a][c] for a, c in enumerate(corner))
+        w = weights[0][corner[0]].copy()
+        for a in range(1, dims):
+            w *= weights[a][corner[a]]
+        out += stacked[(slice(None),) + idx] * w
+    return out
+
+
+def unwrapped_positions(grid, n, seed):
+    """Positions up to three box lengths outside the box on every present
+    axis, plus exact grid nodes and cell midpoints; zeros on absent axes."""
+    rng = np.random.default_rng(seed)
+    pos = np.zeros((n + 2, 3))
+    for axis in range(grid.dims):
+        span = grid.extents[axis]
+        pos[:n, axis] = rng.uniform(-3.0 * span, 3.0 * span, n)
+        pos[n, axis] = grid.axes[axis][1]
+        pos[n + 1, axis] = grid.axes[axis][-1] + 0.5 * grid.spacing[axis]
+    return pos
+
+
+GATHER_GRIDS = [((16,), (5.0,)), ((8, 12), (3.0, 4.5)), ((6, 8, 10), (2.0, 3.0, 4.0))]
+
+
+class TestFlatGather:
+    @pytest.mark.parametrize("points,extents", GATHER_GRIDS, ids=["1d", "2d", "3d"])
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    def test_matches_fancy_index_bitwise(self, points, extents, ncomp):
+        grid = Grid(points, extents)
+        data = np.random.default_rng(7).standard_normal((ncomp,) + grid.shape)
+        data[0].flat[::5] = 0.0
+        data[0].flat[1::5] = -0.0
+        if ncomp == 3:
+            data[1] = 0.0  # an exact-zero component, like an absent axis
+            data[2].flat[::2] = -0.0
+        pos = unwrapped_positions(grid, 500, seed=len(points))
+        flat = data.reshape(ncomp, -1)
+        got = _interp_components(grid, flat, pos)
+        assert got.tobytes() == fancy_index_interp(grid, data, pos).tobytes()
+
+    def test_negative_zero_cross_product_component(self, params):
+        # 1D grad(rho) has exact-zero y and z components, so with s_z < 0 the
+        # x component of grad(rho) x s is 0*s_z - 0*s_y = -0.0 everywhere
+        grid = Grid((32,), (10.0,))
+        rho = decompose(gaussian(grid), params).rho
+        zbw = zbw_velocity_uniform(rho, np.array([0.0, 0.6, -0.8]), params).values
+        assert np.all(zbw[0] == 0.0) and np.all(np.signbit(zbw[0]))
+        pos = unwrapped_positions(grid, 300, seed=3)
+        got = _interp_components(grid, zbw.reshape(3, -1), pos)
+        assert got.tobytes() == fancy_index_interp(grid, zbw, pos).tobytes()
+
+
+class TestVelocityTable:
+    def test_live_components_and_pairs_match_full_blend(self):
+        # a y-only velocity: x and z are dead and must evaluate to exact 0.0,
+        # and the live blend must equal interpolating all three components
+        grid = Grid((8, 12), (3.0, 4.5))
+        rng = np.random.default_rng(5)
+        times = np.array([0.0, 0.5, 1.25])
+        velocities = [np.zeros((3,) + grid.shape) for _ in times]
+        for v in velocities:
+            v[1] = rng.standard_normal(grid.shape)
+        densities = [rng.uniform(0.5, 1.0, grid.shape) for _ in times]
+        table = _VelocityTable(grid, times, velocities, densities)
+        assert table.live == [1]
+        pos = unwrapped_positions(grid, 200, seed=11)
+        for t in (0.0, 0.2, 0.5, 0.9, 1.25, 2.0):
+            j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
+            theta = float(np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0))
+            v0 = fancy_index_interp(grid, velocities[j], pos)
+            d0 = fancy_index_interp(grid, densities[j][np.newaxis], pos)[0]
+            if theta == 0.0:
+                want_v, want_d = v0.T, d0
+            else:
+                v1 = fancy_index_interp(grid, velocities[j + 1], pos)
+                d1 = fancy_index_interp(grid, densities[j + 1][np.newaxis], pos)[0]
+                want_v = ((1.0 - theta) * v0 + theta * v1).T
+                want_d = (1.0 - theta) * d0 + theta * d1
+            got_v = table.velocity(pos, t)
+            assert got_v.tobytes() == np.ascontiguousarray(want_v).tobytes()
+            assert not np.any(np.signbit(got_v[:, [0, 2]]))
+            assert table.density(pos, t)[0].tobytes() == want_d.tobytes()
+
+    def test_all_dead_static_table(self, params):
+        # no live component: nothing is interpolated and velocity is all 0.0
+        grid = Grid((64,), (20.0,))
+        rho = decompose(gaussian(grid), params).rho.values
+        table = _VelocityTable(grid, [0.0], [np.zeros((3,) + grid.shape)], [rho])
+        assert table.live == []
+        pos = np.array([[0.3, 0.0, 0.0], [-27.0, 0.0, 0.0]])
+        assert table.velocity(pos, 0.0).tobytes() == np.zeros((2, 3)).tobytes()
+        got_rho = table.density(pos, 0.0)[0]
+        assert got_rho.tobytes() == fancy_index_interp(grid, rho[np.newaxis], pos)[0].tobytes()
