@@ -28,9 +28,9 @@ import numpy as np
 from . import config as cfgmod
 from . import fieldio, trajectories, verify
 from .config import ConfigError
-from .evolve import EvolutionConfig, propagate
+from .evolve import propagate
 from .fields import integrate
-from .madelung import continuity_residual, decompose, hj_residual, quantum_potential
+from .madelung import _Jet, continuity_residual, decompose, hj_residual, quantum_potential
 from .spinhydro import (
     hestenes_residual,
     koenig_energy,
@@ -103,9 +103,10 @@ def _cmd_decompose(cfg: dict, out_dir: str, args) -> int:
     psi = cfgmod.build_state(cfg, grid, params)
     potential = cfgmod.build_potential(cfg, grid, params)
 
-    md = decompose(psi, params, args.backend)
-    qp = quantum_potential(md.rho, params, args.backend)
-    budget = koenig_energy(psi, potential, params, chi=cfgmod.build_spinor(cfg), backend=args.backend)
+    jet = _Jet(psi, params, args.backend)
+    md = decompose(jet, params, args.backend)
+    qp = quantum_potential(jet, params, args.backend)
+    budget = koenig_energy(jet, potential, params, chi=cfgmod.build_spinor(cfg), backend=args.backend)
 
     os.makedirs(out_dir, exist_ok=True)
     outputs = {
@@ -143,10 +144,10 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
     chi = cfgmod.build_spinor(cfg)
     vector_potential = cfgmod.build_vector_potential(cfg, grid)
 
-    spinor = attach_spinor(psi, chi)
-    sv = spin_density(spinor, params)
-    current = pauli_current(spinor, params, vector_potential, args.backend)
-    decomp = velocity_decomposition(spinor, params, vector_potential, args.backend)
+    jet = _Jet(attach_spinor(psi, chi), params, args.backend)
+    sv = spin_density(jet, params)
+    current = pauli_current(jet, params, vector_potential, args.backend)
+    decomp = velocity_decomposition(jet, params, vector_potential, args.backend)
     hest = hestenes_residual(sv.rho, sv.s, args.backend)
     consistency = float(
         np.max(np.abs(rho_total_current(decomp, sv.rho).values - current.total.values))
@@ -197,20 +198,8 @@ def _cmd_evolve(cfg: dict, out_dir: str, args) -> int:
     grid = cfgmod.build_grid(cfg)
     params = cfgmod.build_params(cfg)
     psi = cfgmod.build_state(cfg, grid, params)
-    potential = cfgmod.build_potential(cfg, grid, params)
-    if "evolution" not in cfg:
-        raise ConfigError("evolve requires an evolution section")
-    evo = cfg["evolution"]
-    series = propagate(
-        psi,
-        EvolutionConfig(
-            dt=float(evo["dt"]),
-            steps=int(evo["steps"]),
-            snapshot_stride=int(evo.get("snapshot_stride", 1)),
-            potential=potential,
-            params=params,
-        ),
-    )
+    evolution = cfgmod.build_evolution(cfg, grid, params)
+    series = propagate(psi, evolution)
 
     os.makedirs(out_dir, exist_ok=True)
     snap_dir = os.path.join(out_dir, "snapshots")
@@ -225,15 +214,16 @@ def _cmd_evolve(cfg: dict, out_dir: str, args) -> int:
         "norm_drift_max": float(np.max(np.abs(series.norms - series.norms[0]))),
         "energy_drift_max": float(np.max(np.abs(series.energies - series.energies[0]))),
     }
-    if evo.get("residuals", False) and len(series.states) >= 3:
-        # equation residuals on the interior snapshots, sup over the region
-        # where rho >= 1e-6 max so tail roundoff does not dominate
+    if cfg["evolution"].get("residuals", False) and len(series.states) >= 3:
+        # equation residuals on the interior snapshots, sup over rho >= 1e-6 max
+        # so tail roundoff does not dominate; both share the middle snapshot's jet
         hj_sup, ct_sup = [], []
         for i in range(1, len(series.states) - 1):
-            triple, dt = series.triple(i)
-            rho = np.abs(triple[1].values) ** 2
+            (prev, mid, nxt), dt = series.triple(i)
+            triple = (prev, _Jet(mid, params, args.backend), nxt)
+            rho = np.abs(mid.values) ** 2
             keep = rho >= verify.REGION_EPS * rho.max()
-            hj = hj_residual(triple, dt, potential, params, args.backend)
+            hj = hj_residual(triple, dt, evolution.potential, params, args.backend)
             ct = continuity_residual(triple, dt, params, args.backend)
             hj_sup.append(float(np.max(np.abs(hj.values.values[keep]))))
             ct_sup.append(float(np.max(np.abs(ct.values.values[keep]))))
@@ -259,18 +249,7 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
     spin = spin_vector(cfgmod.build_spinor(cfg), params) if mode == "total" else None
 
     if source_kind == "evolve":
-        evo = cfg["evolution"]
-        potential = cfgmod.build_potential(cfg, grid, params)
-        source = propagate(
-            psi,
-            EvolutionConfig(
-                dt=float(evo["dt"]),
-                steps=int(evo["steps"]),
-                snapshot_stride=int(evo.get("snapshot_stride", 1)),
-                potential=potential,
-                params=params,
-            ),
-        )
+        source = propagate(psi, cfgmod.build_evolution(cfg, grid, params))
         advect_kwargs = {"substeps": int(section.get("substeps", 4))}
     else:
         source = psi

@@ -26,6 +26,7 @@ import os
 import numpy as np
 
 from . import fieldio, states
+from .evolve import EvolutionConfig
 from .fields import ComplexField, Grid, PhysicalParams, RealField, VectorField
 
 
@@ -303,6 +304,19 @@ def build_state(cfg: dict, grid: Grid, params: PhysicalParams) -> ComplexField:
     if field.grid != grid:
         raise ConfigError("state.path grid does not match the grid section")
     return field
+
+
+def build_evolution(cfg: dict, grid: Grid, params: PhysicalParams) -> EvolutionConfig:
+    if "evolution" not in cfg:
+        raise ConfigError("this command requires an evolution section")
+    evo = cfg["evolution"]
+    return EvolutionConfig(
+        dt=float(evo["dt"]),
+        steps=int(evo["steps"]),
+        snapshot_stride=int(evo.get("snapshot_stride", 1)),
+        potential=build_potential(cfg, grid, params),
+        params=params,
+    )
 
 
 def build_spinor(cfg: dict) -> np.ndarray:

@@ -156,7 +156,10 @@ def stationary_residual(
     psi: ComplexField, energy: float, params: PhysicalParams, backend: str = "spectral"
 ) -> RealField:
     """| -(hbar^2/2m) lap(psi) - E psi |, the free stationary-equation residual."""
-    coeff = params.hbar * params.hbar / (2.0 * params.mass)
+    return _stationary_residual(psi, energy, params.hbar * params.hbar / (2.0 * params.mass), backend)
+
+
+def _stationary_residual(psi: ComplexField, energy: float, coeff: float, backend: str) -> RealField:
     res = -coeff * laplacian(psi, backend).values - energy * psi.values
     return RealField(psi.grid, np.abs(res))
 

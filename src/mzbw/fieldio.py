@@ -153,21 +153,30 @@ def write_snapshot_series(directory: str, series: SnapshotSeries, config_echo: d
 
 
 def read_snapshot_series(directory: str) -> SnapshotSeries:
-    manifest = read_json(os.path.join(directory, "manifest.json"))
-    if manifest.get("format") != "mzbw-snapshots":
-        raise ValueError(f"{directory}: not a snapshot series")
+    try:
+        manifest = read_json(os.path.join(directory, "manifest.json"))
+        if not isinstance(manifest, dict) or manifest.get("format") != "mzbw-snapshots":
+            raise ValueError("not a snapshot series")
+        files, conserved = manifest["files"], manifest["conserved"]
+        logs = [np.asarray(v, dtype=float) for v in (manifest["times"], conserved["norm"], conserved["energy"])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{directory}: malformed manifest ({type(exc).__name__}: {exc})") from None
+    if not (isinstance(files, list) and files and all(isinstance(name, str) for name in files)):
+        raise ValueError(f"{directory}: manifest files must be a non-empty list of names")
+    if any(log.shape != (len(files),) for log in logs):
+        raise ValueError(f"{directory}: times, norm and energy need one entry per file ({len(files)})")
+    times, norms, energies = logs
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+        raise ValueError(f"{directory}: snapshot times must be finite and increasing")
     states = []
-    for name in manifest["files"]:
+    for name in files:
         state = read_field(os.path.join(directory, name))
         if not isinstance(state, ComplexField):
             raise ValueError(f"{directory}/{name}: snapshot is not a complex field")
+        if states and state.grid != states[0].grid:
+            raise ValueError(f"{directory}/{name}: snapshot grid differs from the first snapshot's")
         states.append(state)
-    return SnapshotSeries(
-        times=np.asarray(manifest["times"], dtype=float),
-        states=states,
-        norms=np.asarray(manifest["conserved"]["norm"], dtype=float),
-        energies=np.asarray(manifest["conserved"]["energy"], dtype=float),
-    )
+    return SnapshotSeries(times=times, states=states, norms=norms, energies=energies)
 
 
 def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 1) -> None:

@@ -198,23 +198,15 @@ class SpinorField:
 # raw-array derivative cores
 
 
-def _spectral_axis_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    k = grid.wavenumbers()[axis].copy()
-    k[k.size // 2] = 0.0  # unpaired Nyquist mode carries no sign; drop it in odd derivatives
-    fhat = np.fft.fft(values, axis=axis)
-    out = np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
-    return out if np.iscomplexobj(values) else out.real
-
-
-def _fd2_axis_derivative(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
-    h = grid.spacing[axis]
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
-
-
 def _axis_derivative(values: np.ndarray, grid: Grid, axis: int, backend: str) -> np.ndarray:
     if backend == "spectral":
-        return _spectral_axis_derivative(values, grid, axis)
-    return _fd2_axis_derivative(values, grid, axis)
+        k = grid.wavenumbers()[axis].copy()
+        k[k.size // 2] = 0.0  # unpaired Nyquist mode carries no sign; drop it in odd derivatives
+        fhat = np.fft.fft(values, axis=axis)
+        out = np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
+        return out if np.iscomplexobj(values) else out.real
+    h = grid.spacing[axis]
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
 def _laplacian_values(values: np.ndarray, grid: Grid, backend: str) -> np.ndarray:

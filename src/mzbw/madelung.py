@@ -15,12 +15,20 @@ potential comes in two algebraically equal forms,
 and both are computed so they can be checked against each other.  Points with
 rho <= NODE_EPS * max(rho) are node points: every divided quantity is set to
 zero there and reported through a boolean mask.
+
+Everything here and in `spinhydro` derives from intermediates of one state,
+held by a private `_Jet` that computes each on first use: the current
+j_a = hbar Im(psi^dag d_a psi) = rho p_a, grad(rho), lap(rho), lap(sqrt(rho)).
+Public functions accept a jet wherever they accept the field it was built
+from.  Sharing never re-associates arithmetic, so results are bit-identical
+to computing each quantity alone.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,10 +36,14 @@ from .fields import (
     ComplexField,
     PhysicalParams,
     RealField,
+    SpinorField,
     VectorField,
     _axis_derivative,
     _check_backend,
     _laplacian_values,
+    curl,
+    divergence,
+    gradient,
 )
 
 NODE_EPS = 1e-12
@@ -40,6 +52,91 @@ NODE_EPS = 1e-12
 def node_mask(rho_values: np.ndarray) -> np.ndarray:
     """True where the density is too small to divide by."""
     return rho_values <= NODE_EPS * np.max(rho_values)
+
+
+class _Jet:
+    """A ComplexField, SpinorField or bare density RealField and its real
+    intermediates, each computed on first use and kept (never complex grad psi)."""
+
+    def __init__(self, state, params: PhysicalParams | None, backend: str | None):
+        self.state = state
+        self.grid = state.grid
+        self.params = params
+        self.backend = backend
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        v = self.state.values
+        if isinstance(self.state, RealField):
+            return v
+        if isinstance(self.state, SpinorField):
+            # psi^dag psi by einsum; it rounds differently from |up|^2 + |down|^2
+            return np.einsum("c...,c...->...", np.conj(v), v).real
+        return v.real**2 + v.imag**2
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        return node_mask(self.rho)
+
+    @cached_property
+    def safe(self) -> np.ndarray:
+        return np.where(self.mask, 1.0, self.rho)
+
+    @cached_property
+    def current(self) -> np.ndarray:
+        """j_a = hbar Im(psi^dag d_a psi) = rho p_a, smooth through nodes."""
+        spinor = isinstance(self.state, SpinorField)
+        comps = self.state.values if spinor else (self.state.values,)
+        out = np.zeros((3,) + self.grid.shape)
+        for axis in range(self.grid.dims):
+            parts = [(np.conj(c) * _axis_derivative(c, self.grid, axis, self.backend)).imag for c in comps]
+            # spinor components are summed onto zero; a scalar's one part is used as is
+            out[axis] = self.params.hbar * (sum(parts) if spinor else parts[0])
+        return out
+
+    @cached_property
+    def grad_rho(self) -> VectorField:
+        return gradient(RealField(self.grid, self.rho), self.backend)
+
+    def grad_sq(self, safe: np.ndarray | None = None) -> np.ndarray:
+        """sum_a (d_a rho)^2, or sum_a (d_a rho / safe)^2, added axis by axis onto zero."""
+        total = np.zeros(self.grid.shape)
+        for d in self.grad_rho.values[: self.grid.dims]:
+            total = total + (d * d if safe is None else (d / safe) ** 2)
+        return total
+
+    @cached_property
+    def lap_rho(self) -> np.ndarray:
+        return _laplacian_values(self.rho, self.grid, self.backend)
+
+    @cached_property
+    def lap_sqrt_rho(self) -> np.ndarray:
+        return _laplacian_values(np.sqrt(self.rho), self.grid, self.backend)
+
+    @cached_property
+    def rho_s(self) -> np.ndarray:
+        """rho * s = (hbar/2) psi^dag sigma psi of a spinor, without dividing by rho."""
+        up, down = self.state.values[0], self.state.values[1]
+        mixed = np.conj(up) * down
+        out = np.empty((3,) + self.grid.shape)
+        out[0] = 2.0 * mixed.real
+        out[1] = 2.0 * mixed.imag
+        out[2] = (up.real**2 + up.imag**2) - (down.real**2 + down.imag**2)
+        return (self.params.hbar / 2.0) * out
+
+    @cached_property
+    def spin_current(self) -> np.ndarray:
+        """curl(rho s)/m, the divergence-free magnetization current of a spinor."""
+        return curl(VectorField(self.grid, self.rho_s), self.backend).values / self.params.mass
+
+
+def _jet(state, params: PhysicalParams | None = None, backend: str | None = None) -> _Jet:
+    """`state` if it is a jet with these settings (None matches any), else a new jet of its field."""
+    if isinstance(state, _Jet):
+        if backend in (None, state.backend) and params in (None, state.params):
+            return state
+        state = state.state
+    return _Jet(state, params, backend)
 
 
 @dataclass(frozen=True)
@@ -67,26 +164,23 @@ def decompose(
     psi: ComplexField, params: PhysicalParams, backend: str = "spectral"
 ) -> MadelungFields:
     _check_backend(backend)
-    grid = psi.grid
-    rho = (psi.values.real**2 + psi.values.imag**2)
+    jet = _jet(psi, params, backend)
+    grid = jet.grid
+    rho = jet.rho
     if np.max(rho) == 0.0:
         raise ValueError("wavefunction is identically zero")
     norm = float(np.sum(rho) * grid.cell_volume)
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"wavefunction norm is {norm:.8g}, not 1", RuntimeWarning, stacklevel=2)
-    mask = node_mask(rho)
-    safe = np.where(mask, 1.0, rho)
     momentum = np.zeros((3,) + grid.shape)
     for axis in range(grid.dims):
-        dpsi = _axis_derivative(psi.values, grid, axis, backend)
-        bilinear = (np.conj(psi.values) * dpsi).imag
-        momentum[axis] = np.where(mask, 0.0, params.hbar * bilinear / safe)
-    phase = params.hbar * np.angle(psi.values)
+        momentum[axis] = np.where(jet.mask, 0.0, jet.current[axis] / jet.safe)
+    phase = params.hbar * np.angle(jet.state.values)
     return MadelungFields(
         rho=RealField(grid, rho),
         phase=RealField(grid, phase),
         momentum=VectorField(grid, momentum),
-        node_mask=mask,
+        node_mask=jet.mask,
     )
 
 
@@ -94,40 +188,31 @@ def quantum_potential(
     rho: RealField, params: PhysicalParams, backend: str = "spectral"
 ) -> QuantumPotential:
     _check_backend(backend)
-    grid = rho.grid
-    if np.min(rho.values) < 0.0:
+    jet = _jet(rho, params, backend)
+    if np.min(jet.rho) < 0.0:
         raise ValueError("density must be non-negative")
-    if np.max(rho.values) == 0.0:
+    if np.max(jet.rho) == 0.0:
         raise ValueError("density is identically zero")
-    mask = node_mask(rho.values)
-    safe = np.where(mask, 1.0, rho.values)
 
-    sqrt_rho = np.sqrt(rho.values)
-    safe_sqrt = np.where(mask, 1.0, sqrt_rho)
-    lap_sqrt = _laplacian_values(sqrt_rho, grid, backend)
-    q_sqrt = np.where(mask, 0.0, -(params.hbar**2 / (2.0 * params.mass)) * lap_sqrt / safe_sqrt)
+    safe_sqrt = np.where(jet.mask, 1.0, np.sqrt(jet.rho))
+    q_sqrt = np.where(
+        jet.mask, 0.0, -(params.hbar**2 / (2.0 * params.mass)) * jet.lap_sqrt_rho / safe_sqrt
+    )
 
-    bracket = _log_form_bracket(rho.values, safe, grid, backend)
+    bracket = _log_form_bracket(jet, jet.safe)
     coeff = (params.hbar * params.hbar) / (4.0 * params.mass)
-    q_log = np.where(mask, 0.0, coeff * bracket)
+    q_log = np.where(jet.mask, 0.0, coeff * bracket)
 
     return QuantumPotential(
-        q=RealField(grid, q_sqrt),
-        q_log_form=RealField(grid, q_log),
-        node_mask=mask,
+        q=RealField(jet.grid, q_sqrt),
+        q_log_form=RealField(jet.grid, q_log),
+        node_mask=jet.mask,
     )
 
 
-def _log_form_bracket(
-    rho_values: np.ndarray, safe_rho: np.ndarray, grid, backend: str
-) -> np.ndarray:
+def _log_form_bracket(jet: _Jet, safe_rho: np.ndarray) -> np.ndarray:
     """(grad rho / rho)^2 / 2 - lap(rho)/rho, with safe division."""
-    grad_sq = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        d = _axis_derivative(rho_values, grid, axis, backend)
-        grad_sq = grad_sq + (d / safe_rho) ** 2
-    lap = _laplacian_values(rho_values, grid, backend)
-    return 0.5 * grad_sq - lap / safe_rho
+    return 0.5 * jet.grad_sq(safe_rho) - jet.lap_rho / safe_rho
 
 
 def internal_kinetic_density(
@@ -136,29 +221,17 @@ def internal_kinetic_density(
     """(hbar^2 / 8m) (grad rho / rho)^2, the kinetic energy density of the
     internal (Zitterbewegung) motion.  Equal to m * zbw_speed^2 / 2 pointwise."""
     _check_backend(backend)
-    grid = rho.grid
-    mask = node_mask(rho.values)
-    safe = np.where(mask, 1.0, rho.values)
-    grad_sq = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        d = _axis_derivative(rho.values, grid, axis, backend)
-        grad_sq = grad_sq + (d / safe) ** 2
+    jet = _jet(rho, params, backend)
     coeff = params.hbar * params.hbar / (8.0 * params.mass)
-    return RealField(grid, np.where(mask, 0.0, coeff * grad_sq))
+    return RealField(jet.grid, np.where(jet.mask, 0.0, coeff * jet.grad_sq(jet.safe)))
 
 
 def zbw_speed(rho: RealField, params: PhysicalParams, backend: str = "spectral") -> RealField:
     """|V| = (hbar/2) |grad rho| / (m rho)."""
     _check_backend(backend)
-    grid = rho.grid
-    mask = node_mask(rho.values)
-    safe = np.where(mask, 1.0, rho.values)
-    grad_sq = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        d = _axis_derivative(rho.values, grid, axis, backend)
-        grad_sq = grad_sq + d * d
-    speed = 0.5 * params.hbar * np.sqrt(grad_sq) / (params.mass * safe)
-    return RealField(grid, np.where(mask, 0.0, speed))
+    jet = _jet(rho, params, backend)
+    speed = 0.5 * params.hbar * np.sqrt(jet.grad_sq()) / (params.mass * jet.safe)
+    return RealField(jet.grid, np.where(jet.mask, 0.0, speed))
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +256,16 @@ def _phase_rate(
     return hbar * (d_plus + d_minus) / (2.0 * dt)
 
 
-def _snapshot_triple(snapshots) -> tuple[ComplexField, ComplexField, ComplexField]:
+def _triple_jet(snapshots, dt: float, params: PhysicalParams, backend: str) -> tuple:
+    """(prev, jet of the middle snapshot, next); the middle one may already be
+    a jet, so the residuals of one triple share its derivatives."""
+    _check_backend(backend)
+    if dt <= 0:
+        raise ValueError(f"snapshot spacing must be positive, got {dt}")
     prev, mid, nxt = snapshots
     if not (prev.grid == mid.grid == nxt.grid):
         raise ValueError("snapshots must share a grid")
-    return prev, mid, nxt
+    return prev, _jet(mid, params, backend), nxt
 
 
 def hj_terms(
@@ -200,29 +278,28 @@ def hj_terms(
     """Shared pieces of the phase-evolution residual: (dphi_dt, kinetic,
     bracket, u, mask) evaluated at the middle snapshot.  The bracket is the
     log-derivative quantum-potential form without its hbar^2/4m coefficient."""
-    _check_backend(backend)
-    if dt <= 0:
-        raise ValueError(f"snapshot spacing must be positive, got {dt}")
-    prev, mid, nxt = _snapshot_triple(snapshots)
-    grid = mid.grid
-    rho = mid.values.real**2 + mid.values.imag**2
-    mask = node_mask(rho) | node_mask(prev.values.real**2 + prev.values.imag**2) | node_mask(
-        nxt.values.real**2 + nxt.values.imag**2
-    )
-    safe = np.where(mask, 1.0, rho)
+    prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
+    mask = jet.mask | node_mask(_jet(prev).rho) | node_mask(_jet(nxt).rho)
+    safe = np.where(mask, 1.0, jet.rho)
 
-    dphi_dt = _phase_rate(prev, mid, nxt, dt, mask, params.hbar)
+    dphi_dt = _phase_rate(prev, jet.state, nxt, dt, mask, params.hbar)
 
-    kinetic = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        dpsi = _axis_derivative(mid.values, grid, axis, backend)
-        p_axis = params.hbar * (np.conj(mid.values) * dpsi).imag / safe
+    kinetic = np.zeros(jet.grid.shape)
+    for j_axis in jet.current[: jet.grid.dims]:
+        p_axis = j_axis / safe
         kinetic = kinetic + p_axis * p_axis
     kinetic = kinetic / (2.0 * params.mass)
 
-    bracket = _log_form_bracket(rho, safe, grid, backend)
-    u = np.zeros(grid.shape) if potential is None else potential.values
+    bracket = _log_form_bracket(jet, safe)
+    u = np.zeros(jet.grid.shape) if potential is None else potential.values
     return dphi_dt, kinetic, bracket, u, mask
+
+
+def _hj_residual(snapshots, dt, potential, params, backend, coeff: float) -> ResidualField:
+    """d(phi)/dt + kinetic + coeff * bracket + U, zero on the node mask."""
+    dphi_dt, kinetic, bracket, u, mask = hj_terms(snapshots, dt, potential, params, backend)
+    residual = np.where(mask, 0.0, dphi_dt + kinetic + coeff * bracket + u)
+    return ResidualField(values=RealField(snapshots[1].grid, residual), node_mask=mask)
 
 
 def hj_residual(
@@ -234,11 +311,8 @@ def hj_residual(
 ) -> ResidualField:
     """d(phi)/dt + (grad phi)^2/2m + Q + U at the middle snapshot, Q in the
     log-derivative form.  Zero (to discretization error) along solutions."""
-    dphi_dt, kinetic, bracket, u, mask = hj_terms(snapshots, dt, potential, params, backend)
     coeff = (params.hbar * params.hbar) / (4.0 * params.mass)
-    residual = np.where(mask, 0.0, dphi_dt + kinetic + coeff * bracket + u)
-    grid = snapshots[1].grid
-    return ResidualField(values=RealField(grid, residual), node_mask=mask)
+    return _hj_residual(snapshots, dt, potential, params, backend, coeff)
 
 
 def continuity_residual(
@@ -247,19 +321,10 @@ def continuity_residual(
     """d(rho)/dt + div(rho grad(phi)/m) at the middle snapshot.  The flux is the
     probability current hbar Im(conj(psi) grad psi)/m, which is smooth through
     nodes, so the residual carries no masked-out points."""
-    _check_backend(backend)
-    if dt <= 0:
-        raise ValueError(f"snapshot spacing must be positive, got {dt}")
-    prev, mid, nxt = _snapshot_triple(snapshots)
-    grid = mid.grid
-    rho_prev = prev.values.real**2 + prev.values.imag**2
-    rho_next = nxt.values.real**2 + nxt.values.imag**2
-    drho_dt = (rho_next - rho_prev) / (2.0 * dt)
-    div_flux = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        dpsi = _axis_derivative(mid.values, grid, axis, backend)
-        flux = params.hbar * (np.conj(mid.values) * dpsi).imag / params.mass
-        div_flux = div_flux + _axis_derivative(flux, grid, axis, backend)
+    prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
+    grid = jet.grid
+    drho_dt = (_jet(nxt).rho - _jet(prev).rho) / (2.0 * dt)
+    div_flux = divergence(VectorField(grid, jet.current / params.mass), backend).values
     values = RealField(grid, drho_dt + div_flux)
     return ResidualField(values=values, node_mask=np.zeros(grid.shape, dtype=bool))
 
@@ -282,15 +347,10 @@ def lagrangian_density(
     forms.  Vanishes pointwise for on-shell plane waves; for general on-shell
     states only its integral vanishes (the internal term differs from Q by a
     total divergence)."""
-    dphi_dt, kinetic, bracket, u, mask = hj_terms(snapshots, dt, potential, params, backend)
-    grid = snapshots[1].grid
-    rho = snapshots[1].values.real**2 + snapshots[1].values.imag**2
-    safe = np.where(mask, 1.0, rho)
-
-    grad_sq = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        d = _axis_derivative(rho, grid, axis, backend)
-        grad_sq = grad_sq + (d / safe) ** 2
+    prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
+    dphi_dt, kinetic, bracket, u, mask = hj_terms((prev, jet, nxt), dt, potential, params, backend)
+    rho = jet.rho
+    grad_sq = jet.grad_sq(np.where(mask, 1.0, rho))
     internal = (params.hbar * params.hbar / (8.0 * params.mass)) * grad_sq
 
     speed = 0.5 * params.hbar * np.sqrt(grad_sq) / params.mass
@@ -300,7 +360,7 @@ def lagrangian_density(
     base = np.where(mask, 0.0, -(common + internal) * rho)
     koenig = np.where(mask, 0.0, -(common + internal_koenig) * rho)
     return LagrangianDensity(
-        density=RealField(grid, base),
-        density_koenig=RealField(grid, koenig),
+        density=RealField(jet.grid, base),
+        density_koenig=RealField(jet.grid, koenig),
         node_mask=mask,
     )

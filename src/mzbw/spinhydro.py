@@ -12,7 +12,10 @@ V = grad(rho) x s / (m rho), and |V| = (hbar/2) |grad rho| / (m rho): the
 Zitterbewegung speed of the scalar theory.
 
 Quadratic identities, constraint residuals, and the kinetic-energy split are
-provided as measured fields so each one can be gated and reported.
+provided as measured fields so each one can be gated and reported.  They read
+the spinor's density, current hbar Im(psi^dag grad psi), rho s and curl(rho s)
+from the jet of `madelung`, so `pauli_current` and `velocity_decomposition`
+given one jet compute those once, in the same arithmetic order as alone.
 """
 
 from __future__ import annotations
@@ -21,20 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolve import _stationary_residual
 from .fields import (
     ComplexField,
     PhysicalParams,
     RealField,
     SpinorField,
     VectorField,
-    _axis_derivative,
     _check_backend,
-    curl,
+    cross,
+    divergence,
     dot,
-    gradient,
-    laplacian,
 )
-from .madelung import ResidualField, hj_terms, node_mask
+from .madelung import ResidualField, _hj_residual, _jet
 from .states import spin_vector
 
 
@@ -92,44 +94,22 @@ class EnergyBudget:
 
 
 def density(psi: SpinorField) -> RealField:
-    rho = np.einsum("c...,c...->...", np.conj(psi.values), psi.values).real
-    return RealField(psi.grid, rho)
+    return RealField(psi.grid, _jet(psi).rho)
 
 
-def _spin_bilinear(psi: SpinorField, hbar: float) -> np.ndarray:
-    """rho * s = (hbar/2) psi^dag sigma psi, computed without dividing by rho."""
-    up, down = psi.values[0], psi.values[1]
-    mixed = np.conj(up) * down
-    out = np.empty((3,) + psi.grid.shape)
-    out[0] = 2.0 * mixed.real
-    out[1] = 2.0 * mixed.imag
-    out[2] = (up.real**2 + up.imag**2) - (down.real**2 + down.imag**2)
-    return (hbar / 2.0) * out
+def _uniform(grid, s: np.ndarray) -> VectorField:
+    """The constant vector s at every grid point, as a read-only broadcast view."""
+    return VectorField(grid, np.broadcast_to(s.reshape((3,) + (1,) * grid.dims), (3,) + grid.shape))
 
 
 def spin_density(psi: SpinorField, params: PhysicalParams) -> SpinVector:
     """Local spin vector s = psi^dag s_op psi / rho; zero on the node mask."""
-    rho = density(psi)
-    if np.max(rho.values) == 0.0:
+    jet = _jet(psi, params)
+    if np.max(jet.rho) == 0.0:
         raise ValueError("spinor wavefunction is identically zero")
-    mask = node_mask(rho.values)
-    safe = np.where(mask, 1.0, rho.values)
-    s = _spin_bilinear(psi, params.hbar) / safe
-    s[:, mask] = 0.0
-    return SpinVector(s=VectorField(psi.grid, s), rho=rho, node_mask=mask)
-
-
-def _convective_bilinear(psi: SpinorField, params: PhysicalParams, backend: str) -> np.ndarray:
-    """hbar Im(psi^dag grad psi), i.e. rho * p, smooth through nodes."""
-    grid = psi.grid
-    out = np.zeros((3,) + grid.shape)
-    for axis in range(grid.dims):
-        acc = np.zeros(grid.shape)
-        for c in range(2):
-            dpsi = _axis_derivative(psi.values[c], grid, axis, backend)
-            acc = acc + (np.conj(psi.values[c]) * dpsi).imag
-        out[axis] = params.hbar * acc
-    return out
+    s = jet.rho_s / jet.safe
+    s[:, jet.mask] = 0.0
+    return SpinVector(s=VectorField(jet.grid, s), rho=RealField(jet.grid, jet.rho), node_mask=jet.mask)
 
 
 def pauli_current(
@@ -140,22 +120,21 @@ def pauli_current(
 ) -> PauliCurrent:
     """j = (hbar/m) Im(psi^dag grad psi) - (e A / m) rho + curl(rho s)/m."""
     _check_backend(backend)
-    grid = psi.grid
-    rho = density(psi).values
-    convective = _convective_bilinear(psi, params, backend) / params.mass
+    jet = _jet(psi, params, backend)
+    grid = jet.grid
+    convective = jet.current / params.mass
     if vector_potential is None:
         diamagnetic = np.zeros((3,) + grid.shape)
     else:
         if vector_potential.grid != grid:
             raise ValueError("vector potential must live on the wavefunction grid")
-        diamagnetic = -(params.charge / params.mass) * vector_potential.values * rho
-    spin_term = curl(VectorField(grid, _spin_bilinear(psi, params.hbar)), backend).values / params.mass
-    total = convective + diamagnetic + spin_term
+        diamagnetic = -(params.charge / params.mass) * vector_potential.values * jet.rho
+    total = convective + diamagnetic + jet.spin_current
     return PauliCurrent(
         total=VectorField(grid, total),
         convective=VectorField(grid, convective),
         diamagnetic=VectorField(grid, diamagnetic),
-        spin=VectorField(grid, spin_term),
+        spin=VectorField(grid, jet.spin_current),
     )
 
 
@@ -168,15 +147,13 @@ def velocity_decomposition(
     """Split the local velocity into drift (p - eA)/m and internal circulation
     curl(rho s)/(m rho).  rho * total reproduces the Pauli current."""
     _check_backend(backend)
-    grid = psi.grid
-    rho = density(psi).values
-    if np.max(rho) == 0.0:
+    jet = _jet(psi, params, backend)
+    grid = jet.grid
+    if np.max(jet.rho) == 0.0:
         raise ValueError("spinor wavefunction is identically zero")
-    mask = node_mask(rho)
-    safe = np.where(mask, 1.0, rho)
+    mask, safe = jet.mask, jet.safe
 
-    rho_p = _convective_bilinear(psi, params, backend)
-    momentum = rho_p / safe
+    momentum = jet.current / safe
     momentum[:, mask] = 0.0
 
     if vector_potential is None:
@@ -187,8 +164,7 @@ def velocity_decomposition(
         drift = (momentum - params.charge * vector_potential.values) / params.mass
         drift[:, mask] = 0.0
 
-    spin_current = curl(VectorField(grid, _spin_bilinear(psi, params.hbar)), backend).values / params.mass
-    zbw = spin_current / safe
+    zbw = jet.spin_current / safe
     zbw[:, mask] = 0.0
 
     return VelocityDecomposition(
@@ -196,7 +172,7 @@ def velocity_decomposition(
         zbw=VectorField(grid, zbw),
         total=VectorField(grid, drift + zbw),
         momentum=VectorField(grid, momentum),
-        spin_current=VectorField(grid, spin_current),
+        spin_current=VectorField(grid, jet.spin_current),
         node_mask=mask,
     )
 
@@ -211,17 +187,11 @@ def zbw_velocity_uniform(
     s = np.asarray(s, dtype=float)
     if s.shape != (3,):
         raise ValueError(f"constant spin vector must have shape (3,), got {s.shape}")
-    grid = rho.grid
-    mask = node_mask(rho.values)
-    safe = np.where(mask, 1.0, rho.values)
-    grad_rho = gradient(rho, backend).values
-    out = np.empty((3,) + grid.shape)
-    out[0] = grad_rho[1] * s[2] - grad_rho[2] * s[1]
-    out[1] = grad_rho[2] * s[0] - grad_rho[0] * s[2]
-    out[2] = grad_rho[0] * s[1] - grad_rho[1] * s[0]
-    out /= params.mass * safe
-    out[:, mask] = 0.0
-    return VectorField(grid, out)
+    jet = _jet(rho, params, backend)
+    out = cross(jet.grad_rho, _uniform(jet.grid, s)).values
+    out /= params.mass * jet.safe
+    out[:, jet.mask] = 0.0
+    return VectorField(jet.grid, out)
 
 
 def hestenes_residual(
@@ -233,16 +203,13 @@ def hestenes_residual(
     _check_backend(backend)
     if rho.grid != s.grid:
         raise ValueError("rho and s must share a grid")
-    grid = rho.grid
-    rho_s = VectorField(grid, rho.values * s.values)
-    div_vals = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        div_vals = div_vals + _axis_derivative(rho_s.values[axis], grid, axis, backend)
-    grad_rho = gradient(rho, backend)
-    dot_vals = dot(grad_rho, s).values
+    jet = _jet(rho, backend=backend)
+    grid = jet.grid
+    div_vals = divergence(VectorField(grid, jet.rho * s.values), backend).values
+    dot_vals = dot(jet.grad_rho, s).values
 
     def weighted(res: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(rho.values * res * res) * grid.cell_volume))
+        return float(np.sqrt(np.sum(jet.rho * res * res) * grid.cell_volume))
 
     return HestenesResidual(
         div_rho_s=RealField(grid, div_vals),
@@ -271,20 +238,18 @@ def vsq_from_spin(
     _check_backend(backend)
     if rho.grid != s.grid:
         raise ValueError("rho and s must share a grid")
-    grid = rho.grid
-    mask = node_mask(rho.values)
-    safe = np.where(mask, 1.0, rho.values)
-    grad_rho = gradient(rho, backend)
-    grad_sq = dot(grad_rho, grad_rho).values
+    jet = _jet(rho, params, backend)
+    mask = jet.mask
+    grad_sq = dot(jet.grad_rho, jet.grad_rho).values
     s_sq = dot(s, s).values
-    dot_term = dot(grad_rho, s).values
-    denom = (params.mass * safe) ** 2
+    dot_term = dot(jet.grad_rho, s).values
+    denom = (params.mass * jet.safe) ** 2
     full = np.where(mask, 0.0, (grad_sq * s_sq - dot_term**2) / denom)
     reduced = np.where(mask, 0.0, s_sq * grad_sq / denom)
     gate = float(np.max(np.abs(dot_term)))
     return VsqForms(
-        full=RealField(grid, full),
-        reduced=RealField(grid, reduced),
+        full=RealField(jet.grid, full),
+        reduced=RealField(jet.grid, reduced),
         reduced_valid=bool(gate <= gate_tol),
         gate_residual=gate,
         node_mask=mask,
@@ -306,45 +271,27 @@ def koenig_energy(
     constant spinor chi (default spin-up) via the uniform-s form, for a full
     spinor field from curl(rho s)/(m rho)."""
     _check_backend(backend)
-    grid = psi.grid
-    if isinstance(psi, SpinorField):
-        rho = density(psi).values
-        rho_p = _convective_bilinear(psi, params, backend)
-        rho_s = _spin_bilinear(psi, params.hbar)
-        spin_cur = curl(VectorField(grid, rho_s), backend).values / params.mass
+    jet = _jet(psi, params, backend)
+    grid = jet.grid
+    rho = jet.rho
+    if np.max(rho) == 0.0:
+        raise ValueError("wavefunction is identically zero")
+    if isinstance(jet.state, SpinorField):
+        spin_cur = jet.spin_current
     else:
-        rho = psi.values.real**2 + psi.values.imag**2
-        rho_p = np.zeros((3,) + grid.shape)
-        for axis in range(grid.dims):
-            dpsi = _axis_derivative(psi.values, grid, axis, backend)
-            rho_p[axis] = params.hbar * (np.conj(psi.values) * dpsi).imag
         if chi is None:
             s_const = np.array([0.0, 0.0, params.hbar / 2.0])
         else:
             s_const = spin_vector(np.asarray(chi), params)
-        grad_rho = np.zeros((3,) + grid.shape)
-        for axis in range(grid.dims):
-            grad_rho[axis] = _axis_derivative(rho, grid, axis, backend)
-        spin_cur = np.empty((3,) + grid.shape)
-        spin_cur[0] = grad_rho[1] * s_const[2] - grad_rho[2] * s_const[1]
-        spin_cur[1] = grad_rho[2] * s_const[0] - grad_rho[0] * s_const[2]
-        spin_cur[2] = grad_rho[0] * s_const[1] - grad_rho[1] * s_const[0]
-        spin_cur /= params.mass
+        spin_cur = cross(jet.grad_rho, _uniform(grid, s_const)).values / params.mass
 
-    if np.max(rho) == 0.0:
-        raise ValueError("wavefunction is identically zero")
-    mask = node_mask(rho)
-    safe = np.where(mask, 1.0, rho)
+    mask, safe = jet.mask, jet.safe
     vol = grid.cell_volume
 
-    p_sq_rho = np.einsum("c...,c...->...", rho_p, rho_p) / safe
+    p_sq_rho = np.einsum("c...,c...->...", jet.current, jet.current) / safe
     translational = float(np.sum(np.where(mask, 0.0, p_sq_rho)) * vol / (2.0 * params.mass))
 
-    grad_rho_sq = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        d = _axis_derivative(rho, grid, axis, backend)
-        grad_rho_sq = grad_rho_sq + d * d
-    internal_density = np.where(mask, 0.0, grad_rho_sq / safe)
+    internal_density = np.where(mask, 0.0, jet.grad_sq() / safe)
     internal = float(
         np.sum(internal_density) * vol * params.hbar * params.hbar / (8.0 * params.mass)
     )
@@ -377,13 +324,9 @@ def spin_schrodinger_residual(
 ) -> RealField:
     """| -(2 s^2 / m) lap(psi) - E psi |.  With 2|s| = hbar the coefficient is
     hbar^2/2m and this is the free stationary Schroedinger residual."""
-    _check_backend(backend)
     if s_mag is None:
         s_mag = params.hbar / 2.0
-    coeff = 2.0 * s_mag * s_mag / params.mass
-    lap = laplacian(psi, backend).values
-    res = -coeff * lap - energy * psi.values
-    return RealField(psi.grid, np.abs(res))
+    return _stationary_residual(psi, energy, 2.0 * s_mag * s_mag / params.mass, backend)
 
 
 def spin_hj_residual(
@@ -399,11 +342,7 @@ def spin_hj_residual(
     the plain Madelung residual."""
     if s_mag is None:
         s_mag = params.hbar / 2.0
-    dphi_dt, kinetic, bracket, u, mask = hj_terms(snapshots, dt, potential, params, backend)
-    coeff = (s_mag * s_mag) / params.mass
-    residual = np.where(mask, 0.0, dphi_dt + kinetic + coeff * bracket + u)
-    grid = snapshots[1].grid
-    return ResidualField(values=RealField(grid, residual), node_mask=mask)
+    return _hj_residual(snapshots, dt, potential, params, backend, (s_mag * s_mag) / params.mass)
 
 
 def rho_total_current(decomp: VelocityDecomposition, rho: RealField) -> VectorField:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .evolve import SnapshotSeries
 from .fields import ComplexField, PhysicalParams, RealField
-from .madelung import NODE_EPS, decompose
+from .madelung import NODE_EPS, _Jet, decompose
 from .spinhydro import zbw_velocity_uniform
 
 KS_COEFF_1PCT = 1.63  # asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level
@@ -170,10 +170,11 @@ def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, n
     velocities = []
     densities = []
     for state in states:
-        md = decompose(state, params, backend)
+        jet = _Jet(state, params, backend)
+        md = decompose(jet, params, backend)
         v = md.momentum.values / params.mass
         if mode == "total":
-            v = v + zbw_velocity_uniform(md.rho, spin, params, backend).values
+            v = v + zbw_velocity_uniform(jet, spin, params, backend).values
         velocities.append(v)
         densities.append(md.rho.values)
     return _VelocityTable(grid, times, velocities, densities), times

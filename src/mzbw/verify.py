@@ -47,10 +47,9 @@ from .fields import (
     cross,
     divergence,
     dot,
-    gradient,
     magnitude,
 )
-from .madelung import decompose, hj_residual, quantum_potential, zbw_speed
+from .madelung import _Jet, decompose, hj_residual, quantum_potential, zbw_speed
 from .spinhydro import (
     hestenes_residual,
     koenig_energy,
@@ -194,12 +193,14 @@ def _check_entry(
             }
         )
 
-    md = decompose(entry.psi, params, backend)
+    # every scalar quantity below reads the derivatives of this one jet
+    jet = _Jet(entry.psi, params, backend)
+    md = decompose(jet, params, backend)
     rho = md.rho
     rho_max = float(np.max(rho.values))
-    qp = quantum_potential(rho, params, backend)
+    qp = quantum_potential(jet, params, backend)
     region = rho.values >= REGION_EPS * rho_max
-    grad_rho = gradient(rho, backend)
+    grad_rho = jet.grad_rho
 
     q_vals = qp.q.values
     if fault == "flip_q_sign":
@@ -215,10 +216,11 @@ def _check_entry(
         tol=tolerance("quantum_potential_two_forms", backend, h, k_edge=k_edge),
     )
 
-    spinor = states.attach_spinor(entry.psi, entry.chi)
+    spinor = _Jet(states.attach_spinor(entry.psi, entry.chi), params, backend)
     sv = spin_density(spinor, params)
     current = pauli_current(spinor, params, backend=backend)
     decomp = velocity_decomposition(spinor, params, backend=backend)
+    del spinor  # frees its current and rho s; the 128^3 fd2 level sets peak memory
     hest = hestenes_residual(sv.rho, sv.s, backend)
 
     record(
@@ -255,7 +257,7 @@ def _check_entry(
             float(np.max(np.abs(decomp.spin_current.values - flux_cross))) / flux_scale,
         )
 
-        speed = zbw_speed(rho, params, backend)
+        speed = zbw_speed(jet, params, backend)
         rho_speed = rho.values * speed.values
         rho_vmag = rho.values * magnitude(decomp.zbw).values
         record(
@@ -263,7 +265,7 @@ def _check_entry(
             float(np.max(np.abs(rho_vmag - rho_speed))) / max(float(np.max(rho_speed)), flux_floor),
         )
 
-        vsq = vsq_from_spin(rho, sv.s, params, backend)
+        vsq = vsq_from_spin(jet, sv.s, params, backend)
         grad_sq = dot(grad_rho, grad_rho).values
         dot_term = dot(grad_rho, sv.s).values
         reduced_flux_sq = dot(sv.s, sv.s).values * grad_sq / params.mass**2
@@ -285,7 +287,7 @@ def _check_entry(
             float(np.max(np.abs(full_flux_sq - flux_sq))) / flux_sq_scale,
         )
 
-        budget = koenig_energy(entry.psi, None, params, chi=entry.chi, backend=backend)
+        budget = koenig_energy(jet, None, params, chi=entry.chi, backend=backend)
         scale = max(abs(budget.internal), abs(budget.total), 1e-300)
         record("internal_energy_two_forms", abs(budget.internal - budget.internal_zbw) / scale)
     else:
@@ -299,7 +301,7 @@ def _check_entry(
     phase = np.exp(-1j * e0 * dt / params.hbar)
     triple = (
         ComplexField(grid, entry.psi.values / phase),
-        entry.psi,
+        jet,
         ComplexField(grid, entry.psi.values * phase),
     )
     spin_hj = spin_hj_residual(triple, dt, None, params, backend=backend)

@@ -12,9 +12,10 @@ import struct
 import numpy as np
 import pytest
 
-from mzbw import Grid, PhysicalParams, cli, gaussian
+from mzbw import ComplexField, Grid, PhysicalParams, cli, gaussian
 from mzbw.config import (
     ConfigError,
+    build_evolution,
     build_potential,
     build_state,
     build_vector_potential,
@@ -144,6 +145,20 @@ class TestBuilders:
         assert np.all(a.values[0] == 0.1)
         assert np.all(a.values[1] == -0.2)
 
+    def test_evolution_built_with_potential(self):
+        grid = Grid((64,), (16.0,))
+        params = PhysicalParams(hbar=0.5)
+        cfg = {
+            "potential": {"family": "harmonic", "omega": 2.0},
+            "evolution": {"dt": 1e-3, "steps": 20, "snapshot_stride": 5, "residuals": True},
+        }
+        evo = build_evolution(cfg, grid, params)
+        assert (evo.dt, evo.steps, evo.snapshot_stride, evo.params) == (1e-3, 20, 5, params)
+        assert np.array_equal(evo.potential.values, build_potential(cfg, grid, params).values)
+        assert build_evolution({"evolution": {"dt": 0.1, "steps": 3}}, grid, params).potential is None
+        with pytest.raises(ConfigError, match="evolution"):
+            build_evolution({}, grid, params)
+
     def test_scalar_broadcast_in_state(self):
         grid = Grid((64, 64), (20.0, 20.0))
         cfg = {"state": {"family": "gaussian", "sigma": 1.5, "boost": [0.2, -0.1]}}
@@ -190,6 +205,35 @@ class TestCliExitCodes:
         )
         assert cli.main(["decompose", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decompose", "spin"])
+    def test_zero_state_file_exits_2(self, tmp_path, capsys, command):
+        grid = Grid((16,), (4.0,))
+        path = tmp_path / "state.mzbw"
+        write_field(str(path), ComplexField(grid, np.zeros(16, dtype=complex)))
+        cfg_path = write_config(
+            tmp_path / "run.json",
+            {
+                "grid": {"points": [16], "extent": [4.0]},
+                "state": {"family": "file", "path": str(path)},
+            },
+        )
+        assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "zero" in err
+
+    def test_aliased_snapshot_spacing_exits_2(self, tmp_path, capsys):
+        # the k = 1 plane wave turns its phase by E * 20 dt = (1/2)(2 pi) = pi
+        # between snapshots, so the residual's phase increment is ambiguous
+        cfg = {
+            "grid": {"points": [8], "extent": [2.0 * np.pi]},
+            "state": {"family": "plane_wave", "k": [1.0]},
+            "evolution": {"dt": np.pi / 10.0, "steps": 40, "snapshot_stride": 20, "residuals": True},
+        }
+        cfg_path = write_config(tmp_path / "run.json", cfg)
+        assert cli.main(["evolve", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "phase jump" in err
 
     def test_spin_planar_passes(self, tmp_path):
         cfg = {

@@ -5,6 +5,7 @@ corrupt headers must be loud, and repeated writes of the same data must be
 byte-identical so reruns can be diffed.
 """
 
+import json
 import re
 
 import numpy as np
@@ -140,6 +141,76 @@ class TestSnapshotSeries:
         assert len(manifest["files"]) == 3
         assert manifest["config"] == {"grid": {"points": [64]}}
         assert len(manifest["conserved"]["norm"]) == 3
+
+    @staticmethod
+    def _corrupt(manifest, key, change):
+        """Apply `change` to manifest[key] (key "a.b" reaches into a nested
+        object); a change of None deletes the key."""
+        *path, last = key.split(".")
+        target = manifest
+        for part in path:
+            target = target[part]
+        if change is None:
+            del target[last]
+        else:
+            target[last] = change(target[last])
+
+    @pytest.mark.parametrize(
+        "key, change",
+        [
+            ("files", None),
+            ("times", None),
+            ("conserved", None),
+            ("conserved.norm", None),
+            ("conserved.energy", None),
+            ("files", lambda v: v[:-1]),
+            ("files", lambda v: v + ["psi_000009.mzbw"]),
+            ("files", lambda v: "psi_000000.mzbw"),
+            ("files", lambda v: []),
+            ("files", lambda v: [0] + v[1:]),
+            ("times", lambda v: v[:-1]),
+            ("times", lambda v: v + [1.0]),
+            ("times", lambda v: ["t"] + v[1:]),
+            ("times", lambda v: [[t] for t in v]),
+            ("times", lambda v: v[::-1]),
+            ("times", lambda v: [v[0]] * len(v)),
+            ("times", lambda v: None),
+            ("conserved", lambda v: [v["norm"], v["energy"]]),
+            ("conserved.norm", lambda v: v[:-1]),
+            ("conserved.norm", lambda v: {"values": v}),
+            ("conserved.energy", lambda v: v + [0.0]),
+            ("conserved.energy", lambda v: "high"),
+        ],
+    )
+    def test_corrupt_manifest_rejected(self, tmp_path, key, change):
+        grid = Grid((16,), (12.0,))
+        series = propagate(gaussian(grid), EvolutionConfig(dt=1e-3, steps=4, snapshot_stride=2))
+        out = tmp_path / "snaps"
+        write_snapshot_series(str(out), series)
+        manifest = read_json(str(out / "manifest.json"))
+        self._corrupt(manifest, key, change)
+        write_json(str(out / "manifest.json"), manifest)
+        with pytest.raises(ValueError, match=re.escape(str(out))):
+            read_snapshot_series(str(out))
+
+    @pytest.mark.parametrize(
+        "text", [json.dumps([]), json.dumps("mzbw-snapshots"), json.dumps({"format": "other"}), "{not json"]
+    )
+    def test_non_series_manifest_rejected(self, tmp_path, text):
+        out = tmp_path / "snaps"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(out))):
+            read_snapshot_series(str(out))
+
+    def test_snapshot_on_another_grid_rejected(self, tmp_path):
+        grid = Grid((16,), (12.0,))
+        series = propagate(gaussian(grid), EvolutionConfig(dt=1e-3, steps=4, snapshot_stride=2))
+        out = tmp_path / "snaps"
+        write_snapshot_series(str(out), series)
+        write_field(str(out / "psi_000001.mzbw"), gaussian(Grid((16,), (14.0,))))
+        with pytest.raises(ValueError, match="grid"):
+            read_snapshot_series(str(out))
 
 
 class TestTrajectories:

@@ -1,0 +1,619 @@
+"""Shared derivative intermediates: bit-identical to per-function derivation.
+
+The Madelung and spin layers read the current bilinear, grad(rho), lap(rho)
+and lap(sqrt(rho)) of a state from one per-state jet instead of deriving
+them in each function.  The reference implementations below derive every
+quantity function by function, with its own loops, in the arithmetic order
+the shared version must keep; every output is compared through `tobytes()`,
+so a re-associated sum or a different density formula shows as a failure
+even where it stays within rounding.
+
+The FFT-count tests pin how many transforms the CLI commands make on a small
+3D grid, which is what sharing the intermediates buys.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from mzbw import (
+    ComplexField,
+    Grid,
+    PhysicalParams,
+    RealField,
+    SpinorField,
+    VectorField,
+    attach_spinor,
+    cli,
+    constant_spinor,
+    continuity_residual,
+    curl,
+    decompose,
+    dot,
+    hestenes_residual,
+    hj_residual,
+    internal_kinetic_density,
+    koenig_energy,
+    lagrangian_density,
+    pauli_current,
+    quantum_potential,
+    random_smooth_state,
+    random_spinor_field,
+    spin_density,
+    spin_hj_residual,
+    spin_schrodinger_residual,
+    spin_vector,
+    stationary_residual,
+    velocity_decomposition,
+    vsq_from_spin,
+    zbw_speed,
+    zbw_velocity_uniform,
+)
+from mzbw.madelung import _Jet, node_mask
+
+PARAMS = PhysicalParams(hbar=0.7, mass=1.3, charge=0.45)
+GRIDS = {
+    1: Grid((48,), (12.0,)),
+    2: Grid((24, 20), (9.0, 8.0)),
+    3: Grid((12, 10, 8), (7.0, 6.0, 5.0)),
+}
+S_CONST = np.array([0.2, -0.25, 0.15])  # |s| != hbar/2 on purpose
+
+
+# ---------------------------------------------------------------------------
+# reference: every quantity derived in its own function, as one loop per axis
+
+
+def ref_axis_derivative(values, grid, axis, backend):
+    if backend == "spectral":
+        k = grid.wavenumbers()[axis].copy()
+        k[k.size // 2] = 0.0
+        fhat = np.fft.fft(values, axis=axis)
+        out = np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
+        return out if np.iscomplexobj(values) else out.real
+    h = grid.spacing[axis]
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+
+
+def ref_laplacian(values, grid, backend):
+    if backend == "spectral":
+        out = np.fft.ifftn(-grid.k_squared() * np.fft.fftn(values))
+        return out if np.iscomplexobj(values) else out.real
+    out = np.zeros_like(values)
+    for axis in range(grid.dims):
+        h = grid.spacing[axis]
+        out = out + (
+            np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)
+        ) / (h * h)
+    return out
+
+
+def ref_grad_rho(rho, grid, backend):
+    out = np.zeros((3,) + grid.shape)
+    for axis in range(grid.dims):
+        out[axis] = ref_axis_derivative(rho, grid, axis, backend)
+    return out
+
+
+def ref_bracket(rho, safe, grid, backend):
+    grad_sq = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        d = ref_axis_derivative(rho, grid, axis, backend)
+        grad_sq = grad_sq + (d / safe) ** 2
+    lap = ref_laplacian(rho, grid, backend)
+    return 0.5 * grad_sq - lap / safe
+
+
+def ref_decompose(psi, p, backend):
+    grid = psi.grid
+    rho = psi.values.real**2 + psi.values.imag**2
+    mask = node_mask(rho)
+    safe = np.where(mask, 1.0, rho)
+    momentum = np.zeros((3,) + grid.shape)
+    for axis in range(grid.dims):
+        dpsi = ref_axis_derivative(psi.values, grid, axis, backend)
+        bilinear = (np.conj(psi.values) * dpsi).imag
+        momentum[axis] = np.where(mask, 0.0, p.hbar * bilinear / safe)
+    return rho, p.hbar * np.angle(psi.values), momentum, mask
+
+
+def ref_quantum_potential(rho, p, backend):
+    grid = rho.grid
+    mask = node_mask(rho.values)
+    safe = np.where(mask, 1.0, rho.values)
+    sqrt_rho = np.sqrt(rho.values)
+    safe_sqrt = np.where(mask, 1.0, sqrt_rho)
+    lap_sqrt = ref_laplacian(sqrt_rho, grid, backend)
+    q_sqrt = np.where(mask, 0.0, -(p.hbar**2 / (2.0 * p.mass)) * lap_sqrt / safe_sqrt)
+    coeff = (p.hbar * p.hbar) / (4.0 * p.mass)
+    q_log = np.where(mask, 0.0, coeff * ref_bracket(rho.values, safe, grid, backend))
+    return q_sqrt, q_log
+
+
+def ref_internal_kinetic_density(rho, p, backend):
+    grid = rho.grid
+    mask = node_mask(rho.values)
+    safe = np.where(mask, 1.0, rho.values)
+    grad_sq = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        d = ref_axis_derivative(rho.values, grid, axis, backend)
+        grad_sq = grad_sq + (d / safe) ** 2
+    return np.where(mask, 0.0, p.hbar * p.hbar / (8.0 * p.mass) * grad_sq)
+
+
+def ref_zbw_speed(rho, p, backend):
+    grid = rho.grid
+    mask = node_mask(rho.values)
+    safe = np.where(mask, 1.0, rho.values)
+    grad_sq = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        d = ref_axis_derivative(rho.values, grid, axis, backend)
+        grad_sq = grad_sq + d * d
+    return np.where(mask, 0.0, 0.5 * p.hbar * np.sqrt(grad_sq) / (p.mass * safe))
+
+
+def ref_hj_terms(triple, dt, potential, p, backend):
+    prev, mid, nxt = triple
+    grid = mid.grid
+    rho = mid.values.real**2 + mid.values.imag**2
+    mask = (
+        node_mask(rho)
+        | node_mask(prev.values.real**2 + prev.values.imag**2)
+        | node_mask(nxt.values.real**2 + nxt.values.imag**2)
+    )
+    safe = np.where(mask, 1.0, rho)
+    d_plus = np.angle(nxt.values * np.conj(mid.values))
+    d_minus = np.angle(mid.values * np.conj(prev.values))
+    dphi_dt = p.hbar * (d_plus + d_minus) / (2.0 * dt)
+    kinetic = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        dpsi = ref_axis_derivative(mid.values, grid, axis, backend)
+        p_axis = p.hbar * (np.conj(mid.values) * dpsi).imag / safe
+        kinetic = kinetic + p_axis * p_axis
+    kinetic = kinetic / (2.0 * p.mass)
+    bracket = ref_bracket(rho, safe, grid, backend)
+    u = np.zeros(grid.shape) if potential is None else potential.values
+    return dphi_dt, kinetic, bracket, u, mask
+
+
+def ref_hj_residual(triple, dt, potential, p, backend, coeff):
+    dphi_dt, kinetic, bracket, u, mask = ref_hj_terms(triple, dt, potential, p, backend)
+    return np.where(mask, 0.0, dphi_dt + kinetic + coeff * bracket + u)
+
+
+def ref_continuity_residual(triple, dt, p, backend):
+    prev, mid, nxt = triple
+    grid = mid.grid
+    drho_dt = (
+        (nxt.values.real**2 + nxt.values.imag**2) - (prev.values.real**2 + prev.values.imag**2)
+    ) / (2.0 * dt)
+    div_flux = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        dpsi = ref_axis_derivative(mid.values, grid, axis, backend)
+        flux = p.hbar * (np.conj(mid.values) * dpsi).imag / p.mass
+        div_flux = div_flux + ref_axis_derivative(flux, grid, axis, backend)
+    return drho_dt + div_flux
+
+
+def ref_lagrangian_density(triple, dt, potential, p, backend):
+    dphi_dt, kinetic, _, u, mask = ref_hj_terms(triple, dt, potential, p, backend)
+    grid = triple[1].grid
+    rho = triple[1].values.real**2 + triple[1].values.imag**2
+    safe = np.where(mask, 1.0, rho)
+    grad_sq = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        d = ref_axis_derivative(rho, grid, axis, backend)
+        grad_sq = grad_sq + (d / safe) ** 2
+    internal = (p.hbar * p.hbar / (8.0 * p.mass)) * grad_sq
+    speed = 0.5 * p.hbar * np.sqrt(grad_sq) / p.mass
+    internal_koenig = 0.5 * p.mass * speed * speed
+    common = dphi_dt + kinetic + u
+    return (
+        np.where(mask, 0.0, -(common + internal) * rho),
+        np.where(mask, 0.0, -(common + internal_koenig) * rho),
+    )
+
+
+def ref_spinor_density(psi):
+    return np.einsum("c...,c...->...", np.conj(psi.values), psi.values).real
+
+
+def ref_spin_bilinear(psi, hbar):
+    up, down = psi.values[0], psi.values[1]
+    mixed = np.conj(up) * down
+    out = np.empty((3,) + psi.grid.shape)
+    out[0] = 2.0 * mixed.real
+    out[1] = 2.0 * mixed.imag
+    out[2] = (up.real**2 + up.imag**2) - (down.real**2 + down.imag**2)
+    return (hbar / 2.0) * out
+
+
+def ref_convective_bilinear(psi, p, backend):
+    grid = psi.grid
+    out = np.zeros((3,) + grid.shape)
+    for axis in range(grid.dims):
+        acc = np.zeros(grid.shape)
+        for c in range(2):
+            dpsi = ref_axis_derivative(psi.values[c], grid, axis, backend)
+            acc = acc + (np.conj(psi.values[c]) * dpsi).imag
+        out[axis] = p.hbar * acc
+    return out
+
+
+def ref_spin_current(psi, p, backend):
+    return curl(VectorField(psi.grid, ref_spin_bilinear(psi, p.hbar)), backend).values / p.mass
+
+
+def ref_spin_density(psi, p):
+    rho = ref_spinor_density(psi)
+    mask = node_mask(rho)
+    s = ref_spin_bilinear(psi, p.hbar) / np.where(mask, 1.0, rho)
+    s[:, mask] = 0.0
+    return s, rho, mask
+
+
+def ref_pauli_current(psi, p, a, backend):
+    rho = ref_spinor_density(psi)
+    convective = ref_convective_bilinear(psi, p, backend) / p.mass
+    if a is None:
+        diamagnetic = np.zeros((3,) + psi.grid.shape)
+    else:
+        diamagnetic = -(p.charge / p.mass) * a.values * rho
+    spin = ref_spin_current(psi, p, backend)
+    return convective + diamagnetic + spin, convective, diamagnetic, spin
+
+
+def ref_velocity_decomposition(psi, p, a, backend):
+    rho = ref_spinor_density(psi)
+    mask = node_mask(rho)
+    safe = np.where(mask, 1.0, rho)
+    momentum = ref_convective_bilinear(psi, p, backend) / safe
+    momentum[:, mask] = 0.0
+    if a is None:
+        drift = momentum / p.mass
+    else:
+        drift = (momentum - p.charge * a.values) / p.mass
+        drift[:, mask] = 0.0
+    spin_current = ref_spin_current(psi, p, backend)
+    zbw = spin_current / safe
+    zbw[:, mask] = 0.0
+    return drift, zbw, drift + zbw, momentum, spin_current, mask
+
+
+def ref_zbw_velocity_uniform(rho, s, p, backend):
+    grid = rho.grid
+    mask = node_mask(rho.values)
+    safe = np.where(mask, 1.0, rho.values)
+    grad_rho = ref_grad_rho(rho.values, grid, backend)
+    out = np.empty((3,) + grid.shape)
+    out[0] = grad_rho[1] * s[2] - grad_rho[2] * s[1]
+    out[1] = grad_rho[2] * s[0] - grad_rho[0] * s[2]
+    out[2] = grad_rho[0] * s[1] - grad_rho[1] * s[0]
+    out /= p.mass * safe
+    out[:, mask] = 0.0
+    return out
+
+
+def ref_hestenes_residual(rho, s, backend):
+    grid = rho.grid
+    rho_s = rho.values * s.values
+    div_vals = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        div_vals = div_vals + ref_axis_derivative(rho_s[axis], grid, axis, backend)
+    grad_rho = VectorField(grid, ref_grad_rho(rho.values, grid, backend))
+    dot_vals = dot(grad_rho, s).values
+
+    def weighted(res):
+        return float(np.sqrt(np.sum(rho.values * res * res) * grid.cell_volume))
+
+    return div_vals, dot_vals, weighted(div_vals), weighted(dot_vals)
+
+
+def ref_vsq_from_spin(rho, s, p, backend):
+    grid = rho.grid
+    mask = node_mask(rho.values)
+    safe = np.where(mask, 1.0, rho.values)
+    grad_rho = VectorField(grid, ref_grad_rho(rho.values, grid, backend))
+    grad_sq = dot(grad_rho, grad_rho).values
+    s_sq = dot(s, s).values
+    dot_term = dot(grad_rho, s).values
+    denom = (p.mass * safe) ** 2
+    full = np.where(mask, 0.0, (grad_sq * s_sq - dot_term**2) / denom)
+    reduced = np.where(mask, 0.0, s_sq * grad_sq / denom)
+    return full, reduced, float(np.max(np.abs(dot_term)))
+
+
+def ref_koenig_energy(psi, potential, p, chi, backend):
+    grid = psi.grid
+    if isinstance(psi, SpinorField):
+        rho = ref_spinor_density(psi)
+        rho_p = ref_convective_bilinear(psi, p, backend)
+        spin_cur = ref_spin_current(psi, p, backend)
+    else:
+        rho = psi.values.real**2 + psi.values.imag**2
+        rho_p = np.zeros((3,) + grid.shape)
+        for axis in range(grid.dims):
+            dpsi = ref_axis_derivative(psi.values, grid, axis, backend)
+            rho_p[axis] = p.hbar * (np.conj(psi.values) * dpsi).imag
+        s_const = np.array([0.0, 0.0, p.hbar / 2.0]) if chi is None else spin_vector(chi, p)
+        grad_rho = ref_grad_rho(rho, grid, backend)
+        spin_cur = np.empty((3,) + grid.shape)
+        spin_cur[0] = grad_rho[1] * s_const[2] - grad_rho[2] * s_const[1]
+        spin_cur[1] = grad_rho[2] * s_const[0] - grad_rho[0] * s_const[2]
+        spin_cur[2] = grad_rho[0] * s_const[1] - grad_rho[1] * s_const[0]
+        spin_cur /= p.mass
+    mask = node_mask(rho)
+    safe = np.where(mask, 1.0, rho)
+    vol = grid.cell_volume
+    p_sq_rho = np.einsum("c...,c...->...", rho_p, rho_p) / safe
+    translational = float(np.sum(np.where(mask, 0.0, p_sq_rho)) * vol / (2.0 * p.mass))
+    grad_rho_sq = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        d = ref_axis_derivative(rho, grid, axis, backend)
+        grad_rho_sq = grad_rho_sq + d * d
+    internal = float(
+        np.sum(np.where(mask, 0.0, grad_rho_sq / safe)) * vol * p.hbar * p.hbar / (8.0 * p.mass)
+    )
+    zbw_density = np.einsum("c...,c...->...", spin_cur, spin_cur) / safe
+    internal_zbw = float(np.sum(np.where(mask, 0.0, zbw_density)) * vol * p.mass / 2.0)
+    pot = 0.0 if potential is None else float(np.sum(rho * potential.values) * vol)
+    return translational, internal, pot, translational + internal + pot, internal_zbw
+
+
+def ref_stationary(psi, energy, coeff, backend):
+    return np.abs(-coeff * ref_laplacian(psi.values, psi.grid, backend) - energy * psi.values)
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def scalar_state(dims: int, nodes: bool) -> ComplexField:
+    psi = random_smooth_state(GRIDS[dims], 3 + dims)
+    if not nodes:
+        return psi
+    values = psi.values.copy()
+    n = values.shape[0]
+    values[n // 4 : n // 4 + max(n // 6, 2)] = 0.0
+    return ComplexField(psi.grid, values)
+
+
+def spinor_state(dims: int, nodes: bool) -> SpinorField:
+    psi = random_spinor_field(GRIDS[dims], 20 + dims)
+    if not nodes:
+        return psi
+    values = psi.values.copy()
+    n = values.shape[1]
+    values[:, n // 4 : n // 4 + max(n // 6, 2)] = 0.0
+    return SpinorField(psi.grid, values)
+
+
+def triple_of(psi: ComplexField):
+    return (
+        ComplexField(psi.grid, psi.values * np.exp(0.011j)),
+        psi,
+        ComplexField(psi.grid, psi.values * np.exp(-0.013j) * 1.002),
+    )
+
+
+def uniform_a(grid: Grid) -> VectorField:
+    return VectorField(grid, np.stack([np.full(grid.shape, c) for c in (0.3, -0.2, 0.5)]))
+
+
+CASES = [
+    pytest.param(dims, backend, nodes, id=f"{dims}d-{backend}-{'nodes' if nodes else 'smooth'}")
+    for dims in (1, 2, 3)
+    for backend in ("spectral", "fd2")
+    for nodes in (False, True)
+]
+
+
+def same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+pytestmark = pytest.mark.filterwarnings("ignore:wavefunction norm:RuntimeWarning")
+
+
+# ---------------------------------------------------------------------------
+# scalar quantities
+
+
+@pytest.mark.parametrize("dims, backend, nodes", CASES)
+@pytest.mark.parametrize("shared", [False, True], ids=["fields", "jet"])
+def test_scalar_quantities_match_reference(dims, backend, nodes, shared):
+    psi = scalar_state(dims, nodes)
+    if nodes:
+        assert np.any(node_mask(np.abs(psi.values) ** 2))
+    state = _Jet(psi, PARAMS, backend) if shared else psi
+    rho_arg = state if shared else RealField(psi.grid, psi.values.real**2 + psi.values.imag**2)
+
+    md = decompose(state, PARAMS, backend)
+    rho, phase, momentum, mask = ref_decompose(psi, PARAMS, backend)
+    assert same(md.rho.values, rho) and same(md.phase.values, phase)
+    assert same(md.momentum.values, momentum) and same(md.node_mask, mask)
+
+    qp = quantum_potential(rho_arg, PARAMS, backend)
+    q_sqrt, q_log = ref_quantum_potential(RealField(psi.grid, rho), PARAMS, backend)
+    assert same(qp.q.values, q_sqrt) and same(qp.q_log_form.values, q_log)
+
+    ref_rho = RealField(psi.grid, rho)
+    assert same(
+        internal_kinetic_density(rho_arg, PARAMS, backend).values,
+        ref_internal_kinetic_density(ref_rho, PARAMS, backend),
+    )
+    assert same(zbw_speed(rho_arg, PARAMS, backend).values, ref_zbw_speed(ref_rho, PARAMS, backend))
+    assert same(
+        zbw_velocity_uniform(rho_arg, S_CONST, PARAMS, backend).values,
+        ref_zbw_velocity_uniform(ref_rho, S_CONST, PARAMS, backend),
+    )
+
+    s = VectorField(psi.grid, np.stack([np.full(psi.grid.shape, c) for c in S_CONST]))
+    vsq = vsq_from_spin(rho_arg, s, PARAMS, backend)
+    full, reduced, gate = ref_vsq_from_spin(ref_rho, s, PARAMS, backend)
+    assert same(vsq.full.values, full) and same(vsq.reduced.values, reduced)
+    assert vsq.gate_residual == gate
+
+    for chi in (None, constant_spinor(0.9, 2.1)):
+        budget = koenig_energy(state, None, PARAMS, chi=chi, backend=backend)
+        want = ref_koenig_energy(psi, None, PARAMS, chi, backend)
+        got = (budget.translational, budget.internal, budget.potential, budget.total, budget.internal_zbw)
+        assert same(got, want)
+
+
+@pytest.mark.parametrize("dims, backend, nodes", CASES)
+@pytest.mark.parametrize("shared", [False, True], ids=["fields", "jet"])
+def test_residuals_match_reference(dims, backend, nodes, shared):
+    psi = scalar_state(dims, nodes)
+    triple = triple_of(psi)
+    if shared:
+        triple = (triple[0], _Jet(psi, PARAMS, backend), triple[2])
+    dt = 1e-3
+    u = RealField(psi.grid, 0.5 * sum(x * x for x in psi.grid.coords()))
+    ref_triple = triple_of(psi)
+
+    hj = hj_residual(triple, dt, u, PARAMS, backend)
+    coeff = (PARAMS.hbar * PARAMS.hbar) / (4.0 * PARAMS.mass)
+    assert same(hj.values.values, ref_hj_residual(ref_triple, dt, u, PARAMS, backend, coeff))
+
+    for s_mag in (None, 0.41):
+        spin_hj = spin_hj_residual(triple, dt, u, PARAMS, s_mag=s_mag, backend=backend)
+        s = PARAMS.hbar / 2.0 if s_mag is None else s_mag
+        want = ref_hj_residual(ref_triple, dt, u, PARAMS, backend, (s * s) / PARAMS.mass)
+        assert same(spin_hj.values.values, want)
+
+    ct = continuity_residual(triple, dt, PARAMS, backend)
+    assert same(ct.values.values, ref_continuity_residual(ref_triple, dt, PARAMS, backend))
+
+    lag = lagrangian_density(triple, dt, u, PARAMS, backend)
+    base, koenig = ref_lagrangian_density(ref_triple, dt, u, PARAMS, backend)
+    assert same(lag.density.values, base) and same(lag.density_koenig.values, koenig)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("backend", ["spectral", "fd2"])
+def test_stationary_residuals_match_reference(dims, backend):
+    psi = scalar_state(dims, False)
+    res = stationary_residual(psi, 0.37, PARAMS, backend)
+    coeff = PARAMS.hbar * PARAMS.hbar / (2.0 * PARAMS.mass)
+    assert same(res.values, ref_stationary(psi, 0.37, coeff, backend))
+    for s_mag in (None, 0.41):
+        res = spin_schrodinger_residual(psi, 0.37, PARAMS, s_mag=s_mag, backend=backend)
+        s = PARAMS.hbar / 2.0 if s_mag is None else s_mag
+        assert same(res.values, ref_stationary(psi, 0.37, 2.0 * s * s / PARAMS.mass, backend))
+
+
+# ---------------------------------------------------------------------------
+# spinor quantities
+
+
+@pytest.mark.parametrize("dims, backend, nodes", CASES)
+@pytest.mark.parametrize("shared", [False, True], ids=["fields", "jet"])
+@pytest.mark.parametrize("with_a", [False, True], ids=["no-A", "uniform-A"])
+def test_spinor_quantities_match_reference(dims, backend, nodes, shared, with_a):
+    psi = spinor_state(dims, nodes)
+    a = uniform_a(psi.grid) if with_a else None
+    state = _Jet(psi, PARAMS, backend) if shared else psi
+
+    sv = spin_density(state, PARAMS)
+    s, rho, mask = ref_spin_density(psi, PARAMS)
+    assert same(sv.s.values, s) and same(sv.rho.values, rho) and same(sv.node_mask, mask)
+
+    current = pauli_current(state, PARAMS, a, backend)
+    want = ref_pauli_current(psi, PARAMS, a, backend)
+    got = (current.total, current.convective, current.diamagnetic, current.spin)
+    assert all(same(g.values, w) for g, w in zip(got, want))
+
+    decomp = velocity_decomposition(state, PARAMS, a, backend)
+    want = ref_velocity_decomposition(psi, PARAMS, a, backend)
+    got = (decomp.drift, decomp.zbw, decomp.total, decomp.momentum, decomp.spin_current)
+    assert all(same(g.values, w) for g, w in zip(got, want[:5]))
+    assert same(decomp.node_mask, want[5])
+
+    hest = hestenes_residual(sv.rho, sv.s, backend)
+    div_vals, dot_vals, div_w, dot_w = ref_hestenes_residual(RealField(psi.grid, rho), VectorField(psi.grid, s), backend)
+    assert same(hest.div_rho_s.values, div_vals) and same(hest.grad_rho_dot_s.values, dot_vals)
+    assert (hest.div_weighted, hest.dot_weighted) == (div_w, dot_w)
+
+    u = RealField(psi.grid, 0.5 * sum(x * x for x in psi.grid.coords()))
+    budget = koenig_energy(state, u, PARAMS, backend=backend)
+    got = (budget.translational, budget.internal, budget.potential, budget.total, budget.internal_zbw)
+    assert same(got, ref_koenig_energy(psi, u, PARAMS, None, backend))
+
+
+def test_jet_is_rebuilt_for_other_settings():
+    psi = scalar_state(2, False)
+    jet = _Jet(psi, PARAMS, "spectral")
+    md_fd2 = decompose(jet, PARAMS, "fd2")
+    assert same(md_fd2.momentum.values, ref_decompose(psi, PARAMS, "fd2")[2])
+    other = PhysicalParams(hbar=1.9, mass=0.4)
+    md_other = decompose(jet, other, "spectral")
+    assert same(md_other.momentum.values, ref_decompose(psi, other, "spectral")[2])
+
+
+def test_spinor_and_scalar_jet_densities_stay_apart():
+    """For psi with a constant spinor attached, the spinor jet's density is the
+    einsum psi^dag psi and the scalar jet's is |psi|^2; they round differently."""
+    psi = scalar_state(2, True)
+    spinor = attach_spinor(psi, constant_spinor(0.8, 0.3))
+    jet = _Jet(spinor, PARAMS, "spectral")
+    assert same(jet.rho, ref_spinor_density(spinor))
+    assert same(_Jet(psi, PARAMS, "spectral").rho, psi.values.real**2 + psi.values.imag**2)
+
+
+# ---------------------------------------------------------------------------
+# FFT counts of the CLI commands on a small 3D grid
+
+
+FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count calls to the numpy.fft entry points, as the perfbench tracer does."""
+    counter = {"calls": 0}
+
+    def wrap(fn):
+        def counted(*args, **kwargs):
+            counter["calls"] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in FFT_NAMES:
+        monkeypatch.setattr(np.fft, name, wrap(getattr(np.fft, name)))
+    return counter
+
+
+def _run(tmp_path, command, cfg, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path / name)])
+
+
+BASE_3D = {
+    "grid": {"points": [12, 12, 12], "extent": [16.0, 16.0, 16.0]},
+    "state": {"family": "gaussian", "sigma": [1.5, 1.5, 1.5]},
+    "potential": {"family": "harmonic", "omega": 0.5},
+}
+
+
+@pytest.mark.parametrize("command, calls", [("decompose", 16), ("spin", 36)])
+def test_cli_fft_counts(tmp_path, fft_calls, command, calls):
+    code = _run(tmp_path, command, BASE_3D, command)
+    assert code in (0, 3)  # the isotropic 3D Gaussian violates grad(rho).s = 0
+    assert fft_calls["calls"] == calls
+
+
+def test_evolve_residual_triple_fft_count(tmp_path, fft_calls):
+    """One residual triple costs 20 transforms: the current (6), grad rho (6)
+    and lap rho (2) of the shared middle jet, and the flux divergence (6)."""
+    evolution = {"dt": 1e-3, "steps": 2, "snapshot_stride": 1}
+    assert _run(tmp_path, "evolve", dict(BASE_3D, evolution=evolution), "plain") == 0
+    plain = fft_calls["calls"]
+    fft_calls["calls"] = 0
+    with_residuals = dict(BASE_3D, evolution=dict(evolution, residuals=True))
+    assert _run(tmp_path, "evolve", with_residuals, "residuals") == 0
+    assert fft_calls["calls"] - plain == 20
