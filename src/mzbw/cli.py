@@ -1,15 +1,14 @@
 """Command line entry point.
 
-    mzbw <command> --config run.json [--out DIR] [--backend spectral|fd2]
-                   [--seed N] [--threads N]
+    mzbw <command> --config run.json [--out DIR] [--backend spectral|fd2] [--seed N]
 
 Commands: decompose, spin, evolve, trajectories, verify.  The MZBW_OUT
 environment variable overrides --out.  --seed overrides the trajectory seed
-from the config.  --threads is accepted for scheduler compatibility and has
-no effect on results.
+from the config.
 
-Exit codes: 0 success, 1 config or usage error, 2 numerical failure
-(non-finite values, unusable input data), 3 a verification constraint failed
+Exit codes: 0 success, 1 config or usage error (including config values that
+are not finite), 2 numerical failure (non-finite or unusable data in input
+files or results), 3 a verification constraint failed
 (battery check, spin-constraint violation, equivariance).
 
 Outputs are deterministic: rerunning a command with the same config writes
@@ -29,9 +28,10 @@ from . import config as cfgmod
 from . import fieldio, trajectories, verify
 from .config import ConfigError
 from .evolve import propagate
-from .fields import integrate
+from .fields import RealField, integrate
 from .madelung import _Jet, continuity_residual, decompose, hj_residual, quantum_potential
 from .spinhydro import (
+    CONSTRAINT_TOL,
     hestenes_residual,
     koenig_energy,
     pauli_current,
@@ -40,8 +40,6 @@ from .spinhydro import (
     velocity_decomposition,
 )
 from .states import attach_spinor, spin_vector
-
-SPIN_CONSTRAINT_TOL = 1e-10  # max residual before `spin` reports a violation
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -59,7 +57,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default="mzbw_out", help="output directory (default mzbw_out)")
         cmd.add_argument("--backend", choices=("spectral", "fd2"), default="spectral")
         cmd.add_argument("--seed", type=int, default=None, help="override the trajectory seed")
-        cmd.add_argument("--threads", type=int, default=None, help="accepted; no effect on results")
     return parser
 
 
@@ -70,12 +67,6 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
 
     out_dir = os.environ.get("MZBW_OUT", args.out)
-    try:
-        cfg = cfgmod.load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
     handler = {
         "decompose": _cmd_decompose,
         "spin": _cmd_spin,
@@ -84,7 +75,7 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     try:
-        return handler(cfg, out_dir, args)
+        return handler(cfgmod.load_config(args.config), out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -93,14 +84,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def _inputs(cfg: dict):
+    """The grid, params and initial state every field command starts from."""
+    grid = cfgmod.build_grid(cfg)
+    params = cfgmod.build_params(cfg)
+    return grid, params, cfgmod.build_state(cfg, grid, params)
+
+
 def _grid_summary(grid) -> dict:
     return {"points": list(grid.points), "extent": [float(e) for e in grid.extents]}
 
 
 def _cmd_decompose(cfg: dict, out_dir: str, args) -> int:
-    grid = cfgmod.build_grid(cfg)
-    params = cfgmod.build_params(cfg)
-    psi = cfgmod.build_state(cfg, grid, params)
+    grid, params, psi = _inputs(cfg)
     potential = cfgmod.build_potential(cfg, grid, params)
 
     jet = _Jet(psi, params, args.backend)
@@ -138,9 +134,7 @@ def _cmd_decompose(cfg: dict, out_dir: str, args) -> int:
 
 
 def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
-    grid = cfgmod.build_grid(cfg)
-    params = cfgmod.build_params(cfg)
-    psi = cfgmod.build_state(cfg, grid, params)
+    grid, params, psi = _inputs(cfg)
     chi = cfgmod.build_spinor(cfg)
     vector_potential = cfgmod.build_vector_potential(cfg, grid)
 
@@ -152,7 +146,7 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
     consistency = float(
         np.max(np.abs(rho_total_current(decomp, sv.rho).values - current.total.values))
     )
-    constraints_pass = max(hest.div_max, hest.dot_max) <= SPIN_CONSTRAINT_TOL
+    constraints_pass = max(hest.div_max, hest.dot_max) <= CONSTRAINT_TOL
 
     os.makedirs(out_dir, exist_ok=True)
     outputs = {
@@ -176,7 +170,7 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
                 "div_rho_s_weighted": hest.div_weighted,
                 "grad_rho_dot_s_max": hest.dot_max,
                 "grad_rho_dot_s_weighted": hest.dot_weighted,
-                "tolerance": SPIN_CONSTRAINT_TOL,
+                "tolerance": CONSTRAINT_TOL,
                 "passed": bool(constraints_pass),
             },
             "current_consistency_max": consistency,
@@ -187,7 +181,7 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
     if not constraints_pass:
         print(
             f"spin constraints violated: max |grad(rho).s| = {hest.dot_max:.3e}, "
-            f"max |div(rho s)| = {hest.div_max:.3e} (tolerance {SPIN_CONSTRAINT_TOL})",
+            f"max |div(rho s)| = {hest.div_max:.3e} (tolerance {CONSTRAINT_TOL})",
             file=sys.stderr,
         )
         return 3
@@ -195,9 +189,7 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
 
 
 def _cmd_evolve(cfg: dict, out_dir: str, args) -> int:
-    grid = cfgmod.build_grid(cfg)
-    params = cfgmod.build_params(cfg)
-    psi = cfgmod.build_state(cfg, grid, params)
+    grid, params, psi = _inputs(cfg)
     evolution = cfgmod.build_evolution(cfg, grid, params)
     series = propagate(psi, evolution)
 
@@ -214,7 +206,7 @@ def _cmd_evolve(cfg: dict, out_dir: str, args) -> int:
         "norm_drift_max": float(np.max(np.abs(series.norms - series.norms[0]))),
         "energy_drift_max": float(np.max(np.abs(series.energies - series.energies[0]))),
     }
-    if cfg["evolution"].get("residuals", False) and len(series.states) >= 3:
+    if cfgmod.read_evolution(cfg)["residuals"] and len(series.states) >= 3:
         # equation residuals on the interior snapshots, sup over rho >= 1e-6 max
         # so tail roundoff does not dominate; both share the middle snapshot's jet
         hj_sup, ct_sup = [], []
@@ -237,49 +229,33 @@ def _cmd_evolve(cfg: dict, out_dir: str, args) -> int:
 
 
 def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
-    grid = cfgmod.build_grid(cfg)
-    params = cfgmod.build_params(cfg)
-    psi = cfgmod.build_state(cfg, grid, params)
-    if "trajectories" not in cfg:
-        raise ConfigError("trajectories requires a trajectories section")
-    section = cfg["trajectories"]
-    mode = section.get("mode", "drift")
-    source_kind = section.get("source", "static")
-    seed = int(section.get("seed", 0)) if args.seed is None else int(args.seed)
-    spin = spin_vector(cfgmod.build_spinor(cfg), params) if mode == "total" else None
+    grid, params, psi = _inputs(cfg)
+    run = cfgmod.read_trajectories(cfg)
+    if run is None:
+        raise ConfigError("this command requires the trajectories section")
+    seed = run["seed"] if args.seed is None else args.seed
+    spin = spin_vector(cfgmod.build_spinor(cfg), params) if run["mode"] == "total" else None
+    source = propagate(psi, cfgmod.build_evolution(cfg, grid, params)) if run["source"] == "evolve" else psi
 
-    if source_kind == "evolve":
-        source = propagate(psi, cfgmod.build_evolution(cfg, grid, params))
-        advect_kwargs = {"substeps": int(section.get("substeps", 4))}
-    else:
-        source = psi
-        advect_kwargs = {
-            "duration": float(section["time"]),
-            "rk_steps": int(section.get("rk_steps", 200)),
-        }
-
-    rho0 = decompose(psi, params, args.backend).rho
-    # a static source ends where it starts
-    rho_final = rho0 if source is psi else decompose(source.states[-1], params, args.backend).rho
-    seeds = trajectories.sample_initial(rho0, int(section["n"]), seed)
+    # |psi|^2 by the jet's formula, the density `decompose` would give, without its momentum
+    seeds = trajectories.sample_initial(RealField(grid, _Jet(psi, params, args.backend).rho), run["n"], seed)
     traj = trajectories.advect(
         seeds,
         source,
-        mode,
+        run["mode"],
         spin=spin,
         params=params,
+        substeps=run["substeps"],
+        duration=run["time"],
+        rk_steps=run["rk_steps"],
         backend=args.backend,
         rng_seed=seed,
-        **advect_kwargs,
     )
 
     os.makedirs(out_dir, exist_ok=True)
-    fmt = section.get("format", "csv")
-    if fmt == "csv":
+    if run["format"] == "csv":
         data_file = "trajectories.csv"
-        fieldio.write_trajectories_csv(
-            os.path.join(out_dir, data_file), traj, int(section.get("record_stride", 1))
-        )
+        fieldio.write_trajectories_csv(os.path.join(out_dir, data_file), traj, run["record_stride"])
     else:
         data_file = "trajectories.bin"
         fieldio.write_trajectories_binary(os.path.join(out_dir, data_file), traj)
@@ -288,17 +264,19 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
         "command": "trajectories",
         "backend": args.backend,
         "grid": _grid_summary(grid),
-        "n": int(section["n"]),
+        "n": run["n"],
         "seed": seed,
-        "mode": mode,
-        "source": source_kind,
+        "mode": run["mode"],
+        "source": run["source"],
         "frozen": int(np.sum(traj.frozen)),
         "time_range": [float(traj.times[0]), float(traj.times[-1])],
         "files": [data_file],
     }
     equiv_failed = False
-    if section.get("equivariance", False):
-        report = trajectories.equivariance_check(traj, rho_final)
+    if run["equivariance"]:
+        # a static source ends where it starts
+        final = psi if source is psi else source.states[-1]
+        report = trajectories.equivariance_check(traj, RealField(grid, _Jet(final, params, args.backend).rho))
         manifest["equivariance"] = {
             "statistic": report.statistic,
             "critical_1pct": report.critical_1pct,
@@ -319,8 +297,7 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
 
 
 def _cmd_verify(cfg: dict, out_dir: str, args) -> int:
-    refinements = cfg.get("verify", {}).get("refinements", 2)
-    report = verify.run_battery(backend=args.backend, refinements=refinements)
+    report = verify.run_battery(backend=args.backend, refinements=cfgmod.read_verify(cfg)["refinements"])
     os.makedirs(out_dir, exist_ok=True)
     fieldio.write_json(os.path.join(out_dir, "report.json"), report)
     for line in verify.format_report(report):

@@ -1,9 +1,9 @@
 """Run configuration.
 
 Configs are JSON objects validated strictly: unknown keys anywhere are an
-error, as are missing required keys and out-of-range values.  Validation runs
-to completion before any numerics start, so a bad config never produces
-partial output.
+error, as are missing required keys, out-of-range values and numbers that
+are not finite.  Validation runs to completion before any numerics start, so
+a bad config never produces partial output.
 
 Top-level sections (all optional unless a command requires them):
 
@@ -16,6 +16,12 @@ Top-level sections (all optional unless a command requires them):
     evolution         dt, steps, snapshot_stride, residuals
     trajectories      n, mode, source, seed, ...
     verify            refinements
+
+Each section has one reader, `read_<section>`, which owns its keys, defaults
+and bounds and returns the section with every default filled in (None for an
+absent section that has required keys); validation, the `build_*` functions
+and the CLI all read through it.  A per-axis list has 1 or grid-dims entries,
+and once the grid is known one entry fills every axis.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 from . import fieldio, states
 from .evolve import EvolutionConfig
 from .fields import ComplexField, Grid, PhysicalParams, RealField, VectorField
+from .trajectories import MODES
 
 
 class ConfigError(ValueError):
@@ -46,6 +53,8 @@ _TOP_KEYS = {
     "verify",
 }
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
@@ -53,32 +62,66 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _mapping(cfg: dict, key: str, where: str = "config") -> dict:
-    value = cfg[key]
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}.{key} must be an object")
-    return value
+def _section(cfg: dict, name: str, keys: set | None = None) -> dict | None:
+    """cfg[name] as an object, or None when absent; `keys` are all it may hold."""
+    if name not in cfg:
+        return None
+    section = cfg[name]
+    if not isinstance(section, dict):
+        raise ConfigError(f"config.{name} must be an object")
+    if keys is not None:
+        _check_keys(section, keys, name)
+    return section
 
 
-def _number(section: dict, key: str, where: str, default=None, positive: bool = False):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing {where}.{key}")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+def _required(spec: dict | None, name: str) -> dict:
+    if spec is None:
+        raise ConfigError(f"this command requires the {name} section")
+    return spec
+
+
+def _get(section: dict, key: str, where: str, default):
+    """section[key], or `default` when absent; a default of None means required."""
+    if key in section:
+        return section[key]
+    if default is None:
+        raise ConfigError(f"missing {where}.{key}")
+    return default
+
+
+def _finite(value, name: str, positive: bool = False) -> float:
+    # abs(x) <= max float is False for nan, +-inf and ints too large for a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if positive and value <= 0:
-        raise ConfigError(f"{where}.{key} must be positive, got {value}")
+        raise ConfigError(f"{name} must be positive, got {value}")
     return float(value)
 
 
-def _integer(section: dict, key: str, where: str, default=None, minimum: int | None = None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing {where}.{key}")
-        return default
-    value = section[key]
+def _number(section: dict, key: str, where: str, default=None, positive: bool = False) -> float:
+    return _finite(_get(section, key, where, default), f"{where}.{key}", positive)
+
+
+def _numbers(
+    section: dict, key: str, where: str, dims=None, default=None, positive=False, scalar=False
+) -> list[float]:
+    """A list of finite numbers (a bare number too where `scalar`); with `dims`,
+    one entry per axis, a single entry standing for all of them."""
+    value = _get(section, key, where, default)
+    if scalar and not isinstance(value, list):
+        value = [value]
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
+    out = [_finite(v, f"{where}.{key}", positive) for v in value]
+    if dims is None or len(out) == dims:
+        return out
+    if len(out) == 1:
+        return out * dims
+    raise ConfigError(f"{where}.{key} must have 1 or {dims} entries, got {len(out)}")
+
+
+def _integer(section: dict, key: str, where: str, default=None, minimum: int | None = None) -> int:
+    value = _get(section, key, where, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key} must be an integer")
     if minimum is not None and value < minimum:
@@ -86,33 +129,29 @@ def _integer(section: dict, key: str, where: str, default=None, minimum: int | N
     return value
 
 
+def _flag(section: dict, key: str, where: str) -> bool:
+    value = _get(section, key, where, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be a boolean")
+    return value
+
+
 def _choice(section: dict, key: str, where: str, allowed: tuple, default=None):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigError(f"missing {where}.{key}")
+    value = _get(section, key, where, default)
     if value not in allowed:
         raise ConfigError(f"{where}.{key} must be one of {allowed}, got {value!r}")
     return value
 
 
-def _vector(section: dict, key: str, where: str, length: int | None = None, default=None):
-    if key not in section:
-        return default
-    value = section[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where}.{key} must be a non-empty list of numbers")
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{where}.{key} must contain only numbers")
-    if length is not None and len(value) != length:
-        raise ConfigError(f"{where}.{key} must have {length} entries, got {len(value)}")
-    return [float(v) for v in value]
+def _family(section: dict, where: str, keys: dict) -> str:
+    """The section's family, after checking its keys against those `keys[family]` allows."""
+    family = _choice(section, "family", where, tuple(keys))
+    _check_keys(section, {"family"} | keys[family], where)
+    return family
 
 
 def _existing_file(section: dict, where: str) -> str:
-    if "path" not in section:
-        raise ConfigError(f"missing {where}.path")
-    path = section["path"]
+    path = _get(section, "path", where, None)
     if not isinstance(path, str):
         raise ConfigError(f"{where}.path must be a string")
     if not os.path.isfile(path):
@@ -120,14 +159,155 @@ def _existing_file(section: dict, where: str) -> str:
     return path
 
 
+def _field_file(path: str, kind: type, grid: Grid, where: str):
+    field = fieldio.read_field(path)
+    if not isinstance(field, kind):
+        raise ConfigError(f"{where}.path must hold a {kind.__name__}, got {type(field).__name__}")
+    if field.grid != grid:
+        raise ConfigError(f"{where}.path grid does not match the grid section")
+    return field
+
+
+def read_grid(cfg: dict) -> dict | None:
+    grid = _section(cfg, "grid", {"points", "extent"})
+    if grid is None:
+        return None
+    points = grid.get("points")
+    if not isinstance(points, list) or not 1 <= len(points) <= 3:
+        raise ConfigError("grid.points must be a list of 1 to 3 integers")
+    for n in points:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 4 or n % 2:
+            raise ConfigError(f"grid.points entries must be even integers >= 4, got {n}")
+    extent = _numbers(grid, "extent", "grid", positive=True)
+    if len(extent) != len(points):
+        raise ConfigError("grid.extent must match grid.points in length")
+    return {"points": points, "extent": extent}
+
+
+def read_params(cfg: dict) -> dict:
+    params = _section(cfg, "params", {"hbar", "mass", "charge"}) or {}
+    return {
+        "hbar": _number(params, "hbar", "params", 1.0, positive=True),
+        "mass": _number(params, "mass", "params", 1.0, positive=True),
+        "charge": _number(params, "charge", "params", 0.0),
+    }
+
+
+def read_state(cfg: dict, dims: int | None = None) -> dict | None:
+    state = _section(cfg, "state")
+    if state is None:
+        return None
+    keys = {
+        "plane_wave": {"k"},
+        "gaussian": {"sigma", "center", "boost"},
+        "harmonic_ground": {"omega"},
+        "file": {"path"},
+    }
+    family = _family(state, "state", keys)
+    if family == "plane_wave":
+        return {"family": family, "k": _numbers(state, "k", "state", dims)}
+    if family == "gaussian":
+        return {
+            "family": family,
+            "sigma": _numbers(state, "sigma", "state", dims, 1.0, positive=True, scalar=True),
+            "center": _numbers(state, "center", "state", dims, [0.0]),
+            "boost": _numbers(state, "boost", "state", dims, [0.0]),
+        }
+    if family == "harmonic_ground":
+        return {"family": family, "omega": _number(state, "omega", "state", 1.0, positive=True)}
+    return {"family": family, "path": _existing_file(state, "state")}
+
+
+def read_spinor(cfg: dict) -> dict:
+    spinor = _section(cfg, "spinor", {"theta", "phi"}) or {}
+    return {"theta": _number(spinor, "theta", "spinor", 0.0), "phi": _number(spinor, "phi", "spinor", 0.0)}
+
+
+def read_potential(cfg: dict, dims: int | None = None) -> dict | None:
+    """The potential section, or None for no potential."""
+    pot = _section(cfg, "potential")
+    if pot is None:
+        return None
+    family = _family(pot, "potential", {"none": set(), "harmonic": {"omega", "center"}, "file": {"path"}})
+    if family == "harmonic":
+        return {
+            "family": family,
+            "omega": _number(pot, "omega", "potential", 1.0, positive=True),
+            "center": _numbers(pot, "center", "potential", dims, [0.0]),
+        }
+    if family == "file":
+        return {"family": family, "path": _existing_file(pot, "potential")}
+    return None
+
+
+def read_vector_potential(cfg: dict) -> dict | None:
+    """The vector_potential section, or None for no vector potential."""
+    vp = _section(cfg, "vector_potential")
+    if vp is None:
+        return None
+    family = _family(vp, "vector_potential", {"none": set(), "uniform": {"value"}, "file": {"path"}})
+    if family == "uniform":
+        value = _numbers(vp, "value", "vector_potential")
+        if len(value) != 3:
+            raise ConfigError(f"vector_potential.value must have 3 entries, got {len(value)}")
+        return {"family": family, "value": value}
+    if family == "file":
+        return {"family": family, "path": _existing_file(vp, "vector_potential")}
+    return None
+
+
+def read_evolution(cfg: dict) -> dict | None:
+    evo = _section(cfg, "evolution", {"dt", "steps", "snapshot_stride", "residuals"})
+    if evo is None:
+        return None
+    dt = _number(evo, "dt", "evolution", positive=True)
+    steps = _integer(evo, "steps", "evolution", minimum=1)
+    stride = _integer(evo, "snapshot_stride", "evolution", 1, minimum=1)
+    if steps % stride:
+        raise ConfigError(f"evolution.snapshot_stride must divide steps, got {stride} vs {steps}")
+    return {"dt": dt, "steps": steps, "snapshot_stride": stride, "residuals": _flag(evo, "residuals", "evolution")}
+
+
+def read_trajectories(cfg: dict) -> dict | None:
+    """The trajectories section; `time` and `rk_steps` are None for an evolve source."""
+    keys = {"n", "mode", "source", "seed", "time", "rk_steps", "substeps", "record_stride", "format", "equivariance"}
+    traj = _section(cfg, "trajectories", keys)
+    if traj is None:
+        return None
+    where = "trajectories"
+    run = {
+        "n": _integer(traj, "n", where, minimum=1),
+        "mode": _choice(traj, "mode", where, MODES, "drift"),
+        "source": _choice(traj, "source", where, ("evolve", "static"), "static"),
+        "seed": _integer(traj, "seed", where, 0, minimum=0),
+        "substeps": _integer(traj, "substeps", where, 4, minimum=1),
+        "record_stride": _integer(traj, "record_stride", where, 1, minimum=1),
+        "format": _choice(traj, "format", where, ("csv", "binary"), "csv"),
+        "equivariance": _flag(traj, "equivariance", where),
+    }
+    static = run["source"] == "static"
+    if not static and ("time" in traj or "rk_steps" in traj):
+        raise ConfigError("trajectories.time/rk_steps apply only to source 'static'")
+    if not static and "evolution" not in cfg:
+        raise ConfigError("trajectories.source 'evolve' requires an evolution section")
+    run["time"] = _number(traj, "time", where, positive=True) if static else None
+    run["rk_steps"] = _integer(traj, "rk_steps", where, 200, minimum=1) if static else None
+    return run
+
+
+def read_verify(cfg: dict) -> dict:
+    ver = _section(cfg, "verify", {"refinements"}) or {}
+    return {"refinements": _integer(ver, "refinements", "verify", 2, minimum=0)}
+
+
 def load_config(path: str) -> dict:
-    """Read and validate a JSON config file.  Returns the validated dict."""
+    """Read and validate a JSON config file.  Returns the dict as read."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     validate_config(cfg)
     return cfg
@@ -137,223 +317,64 @@ def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(cfg, _TOP_KEYS, "config")
-
-    if "grid" in cfg:
-        grid = _mapping(cfg, "grid")
-        _check_keys(grid, {"points", "extent"}, "grid")
-        points = grid.get("points")
-        extent = grid.get("extent")
-        if not isinstance(points, list) or not 1 <= len(points) <= 3:
-            raise ConfigError("grid.points must be a list of 1 to 3 integers")
-        for n in points:
-            if isinstance(n, bool) or not isinstance(n, int) or n < 4 or n % 2:
-                raise ConfigError(f"grid.points entries must be even integers >= 4, got {n}")
-        if not isinstance(extent, list) or len(extent) != len(points):
-            raise ConfigError("grid.extent must match grid.points in length")
-        for L in extent:
-            if isinstance(L, bool) or not isinstance(L, (int, float)) or L <= 0:
-                raise ConfigError(f"grid.extent entries must be positive, got {L}")
-
-    if "params" in cfg:
-        params = _mapping(cfg, "params")
-        _check_keys(params, {"hbar", "mass", "charge"}, "params")
-        _number(params, "hbar", "params", default=1.0, positive=True)
-        _number(params, "mass", "params", default=1.0, positive=True)
-        _number(params, "charge", "params", default=0.0)
-
-    if "state" in cfg:
-        state = _mapping(cfg, "state")
-        family = _choice(state, "family", "state", ("plane_wave", "gaussian", "harmonic_ground", "file"))
-        if family == "plane_wave":
-            _check_keys(state, {"family", "k"}, "state")
-            _vector(state, "k", "state")
-            if "k" not in state:
-                raise ConfigError("missing state.k")
-        elif family == "gaussian":
-            _check_keys(state, {"family", "sigma", "center", "boost"}, "state")
-            if "sigma" in state and isinstance(state["sigma"], list):
-                _vector(state, "sigma", "state")
-            else:
-                _number(state, "sigma", "state", default=1.0, positive=True)
-            _vector(state, "center", "state")
-            _vector(state, "boost", "state")
-        elif family == "harmonic_ground":
-            _check_keys(state, {"family", "omega"}, "state")
-            _number(state, "omega", "state", default=1.0, positive=True)
-        else:
-            _check_keys(state, {"family", "path"}, "state")
-            _existing_file(state, "state")
-
-    if "spinor" in cfg:
-        spinor = _mapping(cfg, "spinor")
-        _check_keys(spinor, {"theta", "phi"}, "spinor")
-        _number(spinor, "theta", "spinor", default=0.0)
-        _number(spinor, "phi", "spinor", default=0.0)
-
-    if "potential" in cfg:
-        pot = _mapping(cfg, "potential")
-        family = _choice(pot, "family", "potential", ("none", "harmonic", "file"))
-        if family == "none":
-            _check_keys(pot, {"family"}, "potential")
-        elif family == "harmonic":
-            _check_keys(pot, {"family", "omega", "center"}, "potential")
-            _number(pot, "omega", "potential", default=1.0, positive=True)
-            _vector(pot, "center", "potential")
-        else:
-            _check_keys(pot, {"family", "path"}, "potential")
-            _existing_file(pot, "potential")
-
-    if "vector_potential" in cfg:
-        vp = _mapping(cfg, "vector_potential")
-        family = _choice(vp, "family", "vector_potential", ("none", "uniform", "file"))
-        if family == "none":
-            _check_keys(vp, {"family"}, "vector_potential")
-        elif family == "uniform":
-            _check_keys(vp, {"family", "value"}, "vector_potential")
-            _vector(vp, "value", "vector_potential", length=3)
-            if "value" not in vp:
-                raise ConfigError("missing vector_potential.value")
-        else:
-            _check_keys(vp, {"family", "path"}, "vector_potential")
-            _existing_file(vp, "vector_potential")
-
-    if "evolution" in cfg:
-        evo = _mapping(cfg, "evolution")
-        _check_keys(evo, {"dt", "steps", "snapshot_stride", "residuals"}, "evolution")
-        _number(evo, "dt", "evolution", positive=True)
-        steps = _integer(evo, "steps", "evolution", minimum=1)
-        stride = _integer(evo, "snapshot_stride", "evolution", default=1, minimum=1)
-        if steps % stride:
-            raise ConfigError(f"evolution.snapshot_stride must divide steps, got {stride} vs {steps}")
-        if "residuals" in evo and not isinstance(evo["residuals"], bool):
-            raise ConfigError("evolution.residuals must be a boolean")
-
-    if "trajectories" in cfg:
-        traj = _mapping(cfg, "trajectories")
-        _check_keys(
-            traj,
-            {"n", "mode", "source", "seed", "time", "rk_steps", "substeps", "record_stride", "format", "equivariance"},
-            "trajectories",
-        )
-        _integer(traj, "n", "trajectories", minimum=1)
-        _choice(traj, "mode", "trajectories", ("drift", "total"), default="drift")
-        source = _choice(traj, "source", "trajectories", ("evolve", "static"), default="static")
-        _integer(traj, "seed", "trajectories", default=0, minimum=0)
-        _integer(traj, "substeps", "trajectories", default=4, minimum=1)
-        _integer(traj, "record_stride", "trajectories", default=1, minimum=1)
-        _choice(traj, "format", "trajectories", ("csv", "binary"), default="csv")
-        if "equivariance" in traj and not isinstance(traj["equivariance"], bool):
-            raise ConfigError("trajectories.equivariance must be a boolean")
-        if source == "static":
-            _number(traj, "time", "trajectories", positive=True)
-            _integer(traj, "rk_steps", "trajectories", default=200, minimum=1)
-        else:
-            if "time" in traj or "rk_steps" in traj:
-                raise ConfigError("trajectories.time/rk_steps apply only to source 'static'")
-            if "evolution" not in cfg:
-                raise ConfigError("trajectories.source 'evolve' requires an evolution section")
-
-    if "verify" in cfg:
-        ver = _mapping(cfg, "verify")
-        _check_keys(ver, {"refinements"}, "verify")
-        _integer(ver, "refinements", "verify", default=2, minimum=0)
+    grid = read_grid(cfg)
+    dims = None if grid is None else len(grid["points"])
+    read_state(cfg, dims)
+    read_potential(cfg, dims)
+    for read in (read_params, read_spinor, read_vector_potential, read_evolution, read_trajectories, read_verify):
+        read(cfg)
 
 
 def build_grid(cfg: dict) -> Grid:
-    if "grid" not in cfg:
-        raise ConfigError("this command requires a grid section")
-    return Grid(cfg["grid"]["points"], cfg["grid"]["extent"])
+    spec = _required(read_grid(cfg), "grid")
+    return Grid(spec["points"], spec["extent"])
 
 
 def build_params(cfg: dict) -> PhysicalParams:
-    section = cfg.get("params", {})
-    return PhysicalParams(
-        hbar=float(section.get("hbar", 1.0)),
-        mass=float(section.get("mass", 1.0)),
-        charge=float(section.get("charge", 0.0)),
-    )
-
-
-def _padded(values, dims: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 1:
-        return np.full(dims, arr.item())
-    if arr.size != dims:
-        raise ConfigError(f"{name} must have 1 or {dims} entries, got {arr.size}")
-    return arr
+    return PhysicalParams(**read_params(cfg))
 
 
 def build_state(cfg: dict, grid: Grid, params: PhysicalParams) -> ComplexField:
-    if "state" not in cfg:
-        raise ConfigError("this command requires a state section")
-    section = cfg["state"]
-    family = section["family"]
+    spec = _required(read_state(cfg, grid.dims), "state")
+    family = spec["family"]
     if family == "plane_wave":
-        k = _padded(section["k"], grid.dims, "state.k")
-        return states.plane_wave(grid, k, params)
+        return states.plane_wave(grid, spec["k"], params)
     if family == "gaussian":
-        sigma = _padded(section.get("sigma", 1.0), grid.dims, "state.sigma")
-        center = _padded(section.get("center", 0.0), grid.dims, "state.center")
-        boost = _padded(section.get("boost", 0.0), grid.dims, "state.boost")
+        sigma, center, boost = spec["sigma"], spec["center"], spec["boost"]
         return states.gaussian(grid, sigma=sigma, center=center, boost=boost, params=params)
     if family == "harmonic_ground":
-        return states.harmonic_ground(grid, omega=float(section.get("omega", 1.0)), params=params)
-    field = fieldio.read_field(section["path"])
-    if not isinstance(field, ComplexField):
-        raise ConfigError(f"state.path must hold a complex field, got {type(field).__name__}")
-    if field.grid != grid:
-        raise ConfigError("state.path grid does not match the grid section")
-    return field
+        return states.harmonic_ground(grid, omega=spec["omega"], params=params)
+    return _field_file(spec["path"], ComplexField, grid, "state")
 
 
 def build_evolution(cfg: dict, grid: Grid, params: PhysicalParams) -> EvolutionConfig:
-    if "evolution" not in cfg:
-        raise ConfigError("this command requires an evolution section")
-    evo = cfg["evolution"]
+    spec = _required(read_evolution(cfg), "evolution")
     return EvolutionConfig(
-        dt=float(evo["dt"]),
-        steps=int(evo["steps"]),
-        snapshot_stride=int(evo.get("snapshot_stride", 1)),
+        dt=spec["dt"],
+        steps=spec["steps"],
+        snapshot_stride=spec["snapshot_stride"],
         potential=build_potential(cfg, grid, params),
         params=params,
     )
 
 
 def build_spinor(cfg: dict) -> np.ndarray:
-    section = cfg.get("spinor", {})
-    return states.constant_spinor(
-        theta=float(section.get("theta", 0.0)),
-        phi=float(section.get("phi", 0.0)),
-    )
+    return states.constant_spinor(**read_spinor(cfg))
 
 
 def build_potential(cfg: dict, grid: Grid, params: PhysicalParams) -> RealField | None:
-    section = cfg.get("potential")
-    if section is None or section["family"] == "none":
+    spec = read_potential(cfg, grid.dims)
+    if spec is None:
         return None
-    if section["family"] == "harmonic":
-        center = _padded(section.get("center", 0.0), grid.dims, "potential.center")
-        return states.harmonic_potential(grid, omega=float(section.get("omega", 1.0)), center=center, params=params)
-    field = fieldio.read_field(section["path"])
-    if not isinstance(field, RealField):
-        raise ConfigError(f"potential.path must hold a real field, got {type(field).__name__}")
-    if field.grid != grid:
-        raise ConfigError("potential.path grid does not match the grid section")
-    return field
+    if spec["family"] == "harmonic":
+        return states.harmonic_potential(grid, omega=spec["omega"], center=spec["center"], params=params)
+    return _field_file(spec["path"], RealField, grid, "potential")
 
 
 def build_vector_potential(cfg: dict, grid: Grid) -> VectorField | None:
-    section = cfg.get("vector_potential")
-    if section is None or section["family"] == "none":
+    spec = read_vector_potential(cfg)
+    if spec is None:
         return None
-    if section["family"] == "uniform":
-        comps = np.zeros((3,) + grid.shape)
-        for i, v in enumerate(section["value"]):
-            comps[i] = v
-        return VectorField(grid, comps)
-    field = fieldio.read_field(section["path"])
-    if not isinstance(field, VectorField):
-        raise ConfigError(f"vector_potential.path must hold a vector field, got {type(field).__name__}")
-    if field.grid != grid:
-        raise ConfigError("vector_potential.path grid does not match the grid section")
-    return field
+    if spec["family"] == "uniform":
+        return VectorField(grid, np.stack([np.full(grid.shape, v) for v in spec["value"]]))
+    return _field_file(spec["path"], VectorField, grid, "vector_potential")

@@ -39,6 +39,10 @@ from .fields import (
 from .madelung import ResidualField, _hj_residual, _jet
 from .states import spin_vector
 
+# max |div(rho s)| and |grad(rho).s| that count as zero: below it the Hestenes
+# constraints hold and the uniform-spin identities apply
+CONSTRAINT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpinVector:
@@ -91,10 +95,6 @@ class EnergyBudget:
     potential: float
     total: float
     internal_zbw: float  # same internal energy through the zbw speed
-
-
-def density(psi: SpinorField) -> RealField:
-    return RealField(psi.grid, _jet(psi).rho)
 
 
 def _uniform(grid, s: np.ndarray) -> VectorField:
@@ -226,7 +226,6 @@ def vsq_from_spin(
     s: VectorField,
     params: PhysicalParams,
     backend: str = "spectral",
-    gate_tol: float = 1e-10,
 ) -> VsqForms:
     """V^2 from the cross-product identity (a x b)^2 = a^2 b^2 - (a.b)^2:
 
@@ -250,7 +249,7 @@ def vsq_from_spin(
     return VsqForms(
         full=RealField(jet.grid, full),
         reduced=RealField(jet.grid, reduced),
-        reduced_valid=bool(gate <= gate_tol),
+        reduced_valid=bool(gate <= CONSTRAINT_TOL),
         gate_residual=gate,
         node_mask=mask,
     )

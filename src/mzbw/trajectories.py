@@ -230,7 +230,7 @@ def advect(
     else:
         if duration is None or rk_steps is None:
             raise ValueError("static sources need duration and rk_steps")
-        if duration <= 0 or rk_steps < 1:
+        if not np.isfinite(duration) or duration <= 0 or rk_steps < 1:
             raise ValueError(f"bad duration/rk_steps: {duration}, {rk_steps}")
         record_times = np.linspace(0.0, duration, rk_steps + 1)
         intervals = [(record_times[j], record_times[j + 1], 1) for j in range(rk_steps)]

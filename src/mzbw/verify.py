@@ -51,6 +51,7 @@ from .fields import (
 )
 from .madelung import _Jet, decompose, hj_residual, quantum_potential, zbw_speed
 from .spinhydro import (
+    CONSTRAINT_TOL,
     hestenes_residual,
     koenig_energy,
     pauli_current,
@@ -65,7 +66,6 @@ from .spinhydro import (
 TOLERANCE_TABLE_VERSION = 1
 
 REGION_EPS = 1e-6  # two-form comparisons are measured where rho >= REGION_EPS * max
-GATE_TOL = 1e-10  # max |grad(rho).s| below which uniform-spin identities apply
 DETECTION_FRACTION = 0.5  # violation must register at least this fraction of its analytic size
 ORDER_WINDOW = (2.5, 10.0)  # error ratio per refinement consistent with h^2 falls in here
 
@@ -248,7 +248,7 @@ def _check_entry(
     # smallest resolvable flux: density of this size varying on the box scale
     flux_floor = s_mag * rho_max / (max(grid.extents) * params.mass)
 
-    if hest.dot_max <= GATE_TOL:
+    if hest.dot_max <= CONSTRAINT_TOL:
         s_field = VectorField(grid, np.stack([np.full(grid.shape, c) for c in s_const]))
         flux_cross = cross(grad_rho, s_field).values / params.mass
         flux_scale = max(float(np.max(np.abs(flux_cross))), flux_floor)

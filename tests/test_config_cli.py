@@ -356,3 +356,92 @@ class TestCliBehavior:
         manifest = read_json(str(out / "manifest.json"))
         assert manifest["equivariance"]["passed"]
         assert (out / "trajectories.bin").exists()
+
+
+class TestConfigBounds:
+    """Every config number must be finite and every per-axis list must fit the
+    grid; a config that breaks either exits 1 before any output is written."""
+
+    STATIC_2D = {
+        "grid": {"points": [32, 32], "extent": [12.0, 12.0]},
+        "state": {"family": "gaussian", "boost": [0.3, -0.2]},
+        "evolution": {"dt": 1e-3, "steps": 6, "residuals": True},
+        "trajectories": {"n": 50, "mode": "total", "time": 0.2, "rk_steps": 8},
+    }
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("trajectories", "trajectories", "time", np.inf),
+            ("decompose", "grid", "extent", [np.inf, 12.0]),
+            ("decompose", "state", "sigma", [-1.0]),
+            ("decompose", "params", "hbar", np.nan),
+            ("evolve", "evolution", "dt", np.inf),
+            ("decompose", "state", "boost", [0.3, -np.inf]),
+            ("decompose", "state", "center", [np.nan]),
+            ("decompose", "params", "mass", 10**400),
+        ],
+        ids=[
+            "time-inf", "extent-inf", "sigma-neg", "hbar-nan", "dt-inf", "boost-neg-inf", "center-nan", "mass-overflow"
+        ],
+    )
+    def test_bad_number_exits_1_without_output(self, tmp_path, capsys, command, section, key, value):
+        cfg = json.loads(json.dumps(self.STATIC_2D))
+        cfg.setdefault(section, {})[key] = value
+        cfg_path = write_config(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"state": {"family": "gaussian", "center": [0.0, 1.0, 2.0]}},
+            {"state": {"family": "plane_wave", "k": [0.0, 0.0, 0.0]}},
+            {"potential": {"family": "harmonic", "center": [0.0, 1.0, 2.0]}},
+        ],
+    )
+    def test_per_axis_list_must_fit_grid(self, section):
+        cfg = dict(section, grid={"points": [16, 16], "extent": [4.0, 4.0]})
+        with pytest.raises(ConfigError, match="1 or 2 entries"):
+            validate_config(cfg)
+
+    def test_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ConfigError, match="JSON"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("command", ["decompose", "spin", "evolve", "trajectories"])
+    def test_spelled_out_defaults_change_no_output_byte(self, tmp_path, command):
+        explicit = json.loads(json.dumps(self.STATIC_2D))
+        explicit["params"] = {"hbar": 1.0, "mass": 1.0, "charge": 0.0}
+        explicit["state"].update(sigma=1.0, center=[0.0])
+        explicit["spinor"] = {"theta": 0.0, "phi": 0.0}
+        explicit["potential"] = {"family": "none"}
+        explicit["vector_potential"] = {"family": "none"}
+        explicit["evolution"]["snapshot_stride"] = 1
+        explicit["trajectories"].update(
+            source="static", seed=0, substeps=4, record_stride=1, format="csv", equivariance=False
+        )
+        explicit["verify"] = {"refinements": 2}
+        outs = []
+        for name, cfg in (("omitted", self.STATIC_2D), ("explicit", explicit)):
+            out = tmp_path / name
+            cfg_path = write_config(tmp_path / f"{name}.json", cfg)
+            assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 0
+            files = {}
+            for path in sorted(out.rglob("*")):
+                if path.is_file():
+                    files[str(path.relative_to(out))] = path.read_bytes()
+            outs.append(files)
+        if command == "evolve":
+            # the snapshot manifest echoes the config as read; all else must match
+            for files, cfg in zip(outs, (self.STATIC_2D, explicit)):
+                manifest = json.loads(files.pop("snapshots/manifest.json"))
+                assert manifest.pop("config") == cfg
+                files["snapshots/manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
+        assert outs[0].keys() == outs[1].keys() and len(outs[0]) > 1
+        for name in outs[0]:
+            assert outs[0][name] == outs[1][name], name

@@ -190,6 +190,12 @@ class TestAdvectValidation:
         with pytest.raises(ValueError, match="duration"):
             advect(np.array([[0.0]]), psi, mode="drift")
 
+    @pytest.mark.parametrize("duration", [np.inf, -np.inf, np.nan])
+    def test_static_duration_must_be_finite(self, duration):
+        psi = gaussian(Grid((64,), (20.0,)))
+        with pytest.raises(ValueError, match="duration"):
+            advect(np.array([[0.0]]), psi, mode="drift", duration=duration, rk_steps=4)
+
     def test_too_many_seed_columns(self, free_gaussian_series):
         with pytest.raises(ValueError, match="columns"):
             advect(np.zeros((2, 4)), free_gaussian_series, mode="drift")
