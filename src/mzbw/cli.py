@@ -8,8 +8,9 @@ from the config.
 
 Exit codes: 0 success, 1 config or usage error (including config values that
 are not finite), 2 numerical failure (non-finite or unusable data in input
-files or results), 3 a verification constraint failed
-(battery check, spin-constraint violation, equivariance).
+files or results) or a run too large for the available memory, 3 a
+verification constraint failed (battery check, spin-constraint violation,
+equivariance).
 
 Outputs are deterministic: rerunning a command with the same config writes
 byte-identical files.  No timestamps, sorted JSON keys, fixed float
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -185,15 +185,22 @@ def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 
     keep = list(range(0, len(traj.times), record_stride))
     if keep[-1] != len(traj.times) - 1:
         keep.append(len(traj.times) - 1)  # always keep the endpoint
-    # one %-template per particle block: "\0" stands for the particle index
-    # and "\1" for the ",mode,frozen" tail, both spliced in after formatting
-    block = "".join(f"\0,{traj.times[i]:.17g},%.17g,%.17g,%.17g\1" for i in keep)
+    # a column that is +0.0 at every recorded time is written as the literal
+    # "0" (what %.17g gives); the bit test reads each column in place
+    bits = np.ascontiguousarray(traj.paths, dtype=np.float64).view(np.uint64)
+    cells = ["0" if not np.any(bits[:, :, c]) else "%.17g" for c in range(3)]
+    take = np.array([3 * i + c for i in keep for c in range(3) if cells[c] != "0"], dtype=np.intp)
+    # one %-template per particle block for each frozen flag, row tails in
+    # place; "\0" stands for the particle index, spliced in after formatting
+    cols = ",".join(cells)
+    heads = [f"\0,{traj.times[i]:.17g},{cols}" for i in keep]
+    tails = [f",{traj.mode},{flag}\n".replace("%", "%%") for flag in (0, 1)]
+    blocks = ["".join(head + tail for head in heads) for tail in tails]
     with open(path, "w") as fh:
         fh.write("particle,t,x,y,z,mode,frozen\n")
         for p in range(traj.paths.shape[0]):
-            rows = block % tuple(traj.paths[p, keep].ravel().tolist())
-            tail = f",{traj.mode},{int(traj.frozen[p])}\n"
-            fh.write(rows.replace("\0", str(p)).replace("\1", tail))
+            rows = blocks[int(traj.frozen[p])] % tuple(traj.paths[p].take(take).tolist())
+            fh.write(rows.replace("\0", str(p)))
 
 
 def write_trajectories_binary(path: str, traj: TrajectorySet) -> None:

@@ -12,6 +12,18 @@ A step that lands in the node region (rho below the mask threshold) freezes
 the particle and flags it instead of dividing by ~0.  Positions are stored
 unwrapped; the box is only used to evaluate fields.  Everything is
 deterministic for a fixed seed.
+
+A substep of the RK4 loop allocates no per-particle array unless a particle
+freezes in it.  A `_Workspace` holds, sized for the ensemble, the stage
+positions, k1-k4, the per-axis interpolation intermediates, the corner
+index/weight, the gather and the blend result; every substep writes into it
+with ``out=``.  Only the live velocity columns (nonzero somewhere in the
+table) are integrated: the others have velocity +0.0 and keep their seed
+value.  Gathers use ``np.take(..., mode="clip")``: the offsets are already
+wrapped into range, so clipping changes no index, while the default
+``mode="raise"`` gathers into a hidden copy first.  Reusing the buffers
+also keeps the allocator from trimming and re-faulting heap pages every
+substep.
 """
 
 from __future__ import annotations
@@ -69,34 +81,117 @@ def sample_initial(rho0: RealField, n: int, seed: int) -> np.ndarray:
     return np.concatenate(accepted)[:n]
 
 
-def _interp_components(grid, flat: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Periodic multilinear interpolation of (C, grid.size) data at (n, 3)
-    positions; returns (C, n).
+class _Workspace:
+    """Work arrays for evaluating tables at up to `n` positions, allocated once.
 
-    The table is the row-major flattening of (C, *grid.shape) data.  Each of
-    the 2^dims corners gets one linear index and one weight, and all C
-    components are gathered at once with ``np.take`` along the flat axis.
-    Corners accumulate in a fixed order onto zeros, so results are
-    bit-identical to per-axis fancy indexing of the unflattened table."""
-    dims = grid.dims
-    strides = [int(np.prod(grid.points[axis + 1 :])) for axis in range(dims)]
+    `resize(m)` points every view at the first m entries of its buffer, so an
+    evaluation at m <= n positions reuses the same memory.  Each view is
+    C-contiguous: `np.take(..., out=)` copies into a hidden array otherwise.
+    `rows` bounds the components gathered at once; `live` sizes the RK4
+    stage buffers (`k`, `stage`) and `pos` the gathered active positions."""
+
+    def __init__(self, grid, n: int, rows: int, live: int = 0):
+        dims = grid.dims
+        self.grid = grid
+        self.strides = [int(np.prod(grid.points[axis + 1 :])) for axis in range(dims)]
+        self.corners = list(itertools.product((0, 1), repeat=dims))
+        self._real = np.empty((dims, 3, n))  # f, w, 1 - w
+        self._int = np.empty((dims, 3, n), dtype=np.int64)  # i0 and the two offsets
+        self._lin = np.empty(n, dtype=np.int64)
+        self._weight = np.empty(n)
+        self._wrap = np.empty(n, dtype=bool)
+        self._gather = np.empty(rows * n)
+        self._both = np.empty(rows * n)
+        self._k = np.empty((4, live * n))
+        self._stage = np.empty(live * n)
+        self._pos = np.empty(3 * n)
+        self._rho = np.empty(n)
+        self._hit = np.empty(n, dtype=bool)
+        self.live, self.m = live, None
+        self.resize(n)
+
+    def resize(self, m: int) -> None:
+        if m == self.m:
+            return
+        self.m = m
+        self.real = [[r[:m] for r in axis] for axis in self._real]
+        self.int = [[r[:m] for r in axis] for axis in self._int]
+        self.lin, self.weight, self.wrap = self._lin[:m], self._weight[:m], self._wrap[:m]
+        self.k = [self._block(buf, self.live) for buf in self._k]
+        self.stage = self._block(self._stage, self.live)
+        self.pos = self._block(self._pos, 3)
+        self.rho = self._rho[:m].reshape(1, m)
+        self.hit = self._hit[:m]
+
+    def _block(self, buf, rows: int) -> np.ndarray:
+        return buf[: rows * self.m].reshape(rows, self.m)
+
+    def gather(self, rows: int) -> np.ndarray:
+        return self._block(self._gather, rows)
+
+    def both(self, rows: int) -> np.ndarray:
+        return self._block(self._both, rows)
+
+
+def _interp_into(ws: _Workspace, flat: np.ndarray, cols, out: np.ndarray) -> None:
+    """Periodic multilinear interpolation of (C, grid.size) data into out (C, m).
+
+    `cols[axis]` holds the m positions along each grid axis.  The table is the
+    row-major flattening of (C, *grid.shape) data.  Each of the 2^dims corners
+    gets one linear index and one weight, and all C components are gathered
+    at once with ``np.take`` along the flat axis.  Corners accumulate in a
+    fixed order onto zeros, so results are bit-identical to per-axis fancy
+    indexing of the unflattened table."""
+    grid = ws.grid
     offsets = []
     weights = []
-    for axis in range(dims):
-        n_axis = grid.points[axis]
-        f = (positions[:, axis] - grid.axes[axis][0]) / grid.spacing[axis]
-        i0 = np.floor(f).astype(np.int64)
-        w = f - i0
-        offsets.append(((i0 % n_axis) * strides[axis], ((i0 + 1) % n_axis) * strides[axis]))
-        weights.append((1.0 - w, w))
-    out = np.zeros((flat.shape[0], positions.shape[0]))
-    for corner in itertools.product((0, 1), repeat=dims):
+    for axis in range(grid.dims):
+        f, w, w_lo = ws.real[axis]
+        i0, lo, hi = ws.int[axis]
+        n_axis, stride = grid.points[axis], ws.strides[axis]
+        np.subtract(cols[axis], grid.axes[axis][0], out=f)
+        np.divide(f, grid.spacing[axis], out=f)
+        np.floor(f, out=w)
+        np.copyto(i0, w, casting="unsafe")
+        np.subtract(f, i0, out=w)
+        np.subtract(1.0, w, out=w_lo)
+        # lo = i0 % n_axis and hi = (i0 + 1) % n_axis, exactly; numpy's
+        # floor_divide by a scalar is several times faster than remainder
+        np.floor_divide(i0, n_axis, out=hi)
+        np.multiply(hi, n_axis, out=hi)
+        np.subtract(i0, hi, out=lo)
+        np.add(lo, 1, out=hi)
+        np.copyto(hi, 0, where=np.equal(hi, n_axis, out=ws.wrap))
+        if stride != 1:
+            np.multiply(lo, stride, out=lo)
+            np.multiply(hi, stride, out=hi)
+        offsets.append((lo, hi))
+        weights.append((w_lo, w))
+    gather = ws.gather(flat.shape[0])
+    out.fill(0.0)
+    for corner in ws.corners:
         lin = offsets[0][corner[0]]
         w = weights[0][corner[0]]
-        for a in range(1, dims):
-            lin = lin + offsets[a][corner[a]]
-            w = w * weights[a][corner[a]]
-        out += np.take(flat, lin, axis=1) * w
+        for a in range(1, grid.dims):
+            lin = np.add(lin, offsets[a][corner[a]], out=ws.lin)
+            w = np.multiply(w, weights[a][corner[a]], out=ws.weight)
+        # the offsets are already wrapped into range, so "clip" changes no
+        # index; the default "raise" would gather into a hidden copy
+        np.take(flat, lin, axis=1, out=gather, mode="clip")
+        np.multiply(gather, w, out=gather)
+        np.add(out, gather, out=out)
+
+
+def _columns(positions: np.ndarray, dims: int) -> list:
+    return [positions[:, axis] for axis in range(dims)]
+
+
+def _interp_components(grid, flat: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Periodic multilinear interpolation of (C, grid.size) data at (n, 3)
+    positions; returns (C, n).  See `_interp_into`."""
+    n = positions.shape[0]
+    out = np.empty((flat.shape[0], n))
+    _interp_into(_Workspace(grid, n, flat.shape[0]), flat, _columns(positions, grid.dims), out)
     return out
 
 
@@ -108,7 +203,7 @@ class _VelocityTable:
     0.0 (a 1D drift table interpolates one component, not three).  Each
     adjacent snapshot pair is pre-stacked into one flat table, [v_j; v_j+1]
     and [rho_j; rho_j+1], and an evaluation between snapshots is a single
-    `_interp_components` call whose halves are blended (1-theta) a + theta b.
+    `_interp_into` call whose halves are blended (1-theta) a + theta b.
     A single-snapshot table holds just that snapshot."""
 
     def __init__(self, grid, times, velocities, densities):
@@ -124,6 +219,10 @@ class _VelocityTable:
         self.rho_pairs = [rho[j : j + 2].reshape(-1, size) for j in pairs]
         self.thresholds = [NODE_EPS * np.max(d) for d in densities]
 
+    def workspace(self, n: int) -> _Workspace:
+        """Buffers for evaluating this table, and integrating it, at n positions."""
+        return _Workspace(self.grid, n, 2 * max(len(self.live), 1), len(self.live))
+
     def _bracket(self, t: float):
         if len(self.times) == 1:
             return 0, 0.0
@@ -132,25 +231,45 @@ class _VelocityTable:
         theta = min(max(float((t - self.times[j]) / span), 0.0), 1.0)
         return j, theta
 
-    def _blend(self, pairs, width, j, theta, positions):
-        """The `width` rows of snapshot j at theta == 0, else the theta-blend of j and j+1."""
+    def _blend_into(self, ws, pair, theta, cols, out):
+        """Into out (width, m): snapshot j's rows of `pair` at theta == 0, else
+        the theta-blend of snapshots j and j+1."""
+        width = out.shape[0]
         if theta == 0.0:
-            return _interp_components(self.grid, pairs[j][:width], positions)
-        both = _interp_components(self.grid, pairs[j], positions)
-        return (1.0 - theta) * both[:width] + theta * both[width:]
+            _interp_into(ws, pair[:width], cols, out)
+            return
+        both = ws.both(2 * width)
+        _interp_into(ws, pair, cols, both)
+        np.multiply(both[:width], 1.0 - theta, out=both[:width])
+        np.multiply(both[width:], theta, out=both[width:])
+        np.add(both[:width], both[width:], out=out)
+
+    def _velocity_into(self, ws, cols, t: float, out: np.ndarray) -> None:
+        """The live velocity components at t into out (len(live), m)."""
+        if self.live:
+            j, theta = self._bracket(t)
+            self._blend_into(ws, self.vel_pairs[j], theta, cols, out)
+
+    def _density_into(self, ws, cols, t: float, out: np.ndarray):
+        """The density at t into out (1, m); returns the node threshold at t."""
+        j, theta = self._bracket(t)
+        self._blend_into(ws, self.rho_pairs[j], theta, cols, out)
+        if theta == 0.0:
+            return self.thresholds[j]
+        return (1.0 - theta) * self.thresholds[j] + theta * self.thresholds[j + 1]
 
     def velocity(self, positions: np.ndarray, t: float) -> np.ndarray:
-        j, theta = self._bracket(t)
-        out = np.zeros((3, positions.shape[0]))
-        out[self.live] = self._blend(self.vel_pairs, len(self.live), j, theta, positions)
+        n = positions.shape[0]
+        out = np.zeros((3, n))
+        live = np.empty((len(self.live), n))
+        self._velocity_into(self.workspace(n), _columns(positions, self.grid.dims), t, live)
+        out[self.live] = live
         return out.T
 
     def density(self, positions: np.ndarray, t: float):
-        j, theta = self._bracket(t)
-        rho = self._blend(self.rho_pairs, 1, j, theta, positions)[0]
-        if theta == 0.0:
-            return rho, self.thresholds[j]
-        return rho, (1.0 - theta) * self.thresholds[j] + theta * self.thresholds[j + 1]
+        rho = np.empty((1, positions.shape[0]))
+        thr = self._density_into(self.workspace(positions.shape[0]), _columns(positions, self.grid.dims), t, rho)
+        return rho[0], thr
 
 
 def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, np.ndarray]:
@@ -178,6 +297,90 @@ def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, n
         velocities.append(v)
         densities.append(md.rho.values)
     return _VelocityTable(grid, times, velocities, densities), times
+
+
+def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals):
+    """RK4 transport of (n, 3) seeds through `table`; returns paths (n, nt, 3)
+    and the frozen flags (n,).
+
+    Positions live in rows, pos[c] for coordinate c.  Only the live
+    velocity columns are integrated; the others have velocity +0.0 and keep
+    their value, except that a particle's first accepted step adds
+    (h/6)*0.0 there, turning a -0.0 seed into +0.0 when h > 0.  While no
+    particle is frozen a step works on pos itself; after that, the active
+    rows are gathered into the m-column prefix of the workspace and
+    scattered back.  A substep allocates no per-particle array unless a
+    particle freezes in it."""
+    n = seeds.shape[0]
+    dims = table.grid.dims
+    live = table.live
+    ws = table.workspace(n)
+    paths = np.empty((n, len(record_times), 3))
+    paths[:, 0] = seeds
+    pos = seeds.T.copy()
+    thr = table._density_into(ws, pos[:dims], record_times[0], ws.rho)
+    frozen = ws.rho[0] < thr
+    dead = [c for c in range(3) if c not in live]
+    negzero = [(c, np.flatnonzero((pos[c] == 0.0) & np.signbit(pos[c]) & ~frozen)) for c in dead]
+    negzero = [(c, rows) for c, rows in negzero if rows.size]
+    active = None  # the unfrozen rows, once some row is frozen
+    refresh = bool(frozen.any())
+
+    for rec, (t0, t1, nsub) in enumerate(intervals, start=1):
+        h = (t1 - t0) / nsub
+        for i in range(nsub):
+            t = t0 + i * h
+            if refresh:
+                active, refresh = np.flatnonzero(~frozen), False
+            if active is None:
+                ws.resize(n)
+                p = pos
+            elif active.size == 0:
+                continue
+            else:
+                ws.resize(active.size)
+                p = np.take(pos, active, axis=1, out=ws.pos, mode="clip")
+            k1, k2, k3, k4 = ws.k
+            stage = ws.stage
+            here = [p[axis] for axis in range(dims)]
+            moved = [stage[live.index(axis)] if axis in live else p[axis] for axis in range(dims)]
+            table._velocity_into(ws, here, t, k1)
+            for k_in, k_out, dt in ((k1, k2, 0.5 * h), (k2, k3, 0.5 * h), (k3, k4, h)):
+                np.multiply(k_in, dt, out=stage)
+                for row, c in enumerate(live):
+                    np.add(p[c], stage[row], out=stage[row])
+                table._velocity_into(ws, moved, t + dt, k_out)
+            # p + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.multiply(k2, 2.0, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(k3, 2.0, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(k1, h / 6.0, out=k1)
+            for row, c in enumerate(live):
+                np.add(p[c], k1[row], out=stage[row])
+            thr = table._density_into(ws, moved, t + h, ws.rho)
+            hit = np.less(ws.rho[0], thr, out=ws.hit)
+            accept = True
+            if hit.any():
+                frozen[np.flatnonzero(hit) if active is None else active[hit]] = True
+                refresh = True
+                accept = np.logical_not(hit, out=hit)
+            for row, c in enumerate(live):
+                np.copyto(p[c], stage[row], where=accept)
+            if active is not None:
+                for c in live:
+                    pos[c, active] = p[c]
+            if negzero:
+                # the dead columns of an accepted step get p + (h/6)*0.0
+                zero = (h / 6.0) * 0.0
+                negzero = [(c, rows[~frozen[rows]]) for c, rows in negzero]
+                if not np.signbit(zero):
+                    for c, rows in negzero:
+                        pos[c, rows] += zero
+                    negzero = []
+        paths[:, rec] = pos.T
+    return paths, frozen
 
 
 @dataclass
@@ -235,33 +438,7 @@ def advect(
         record_times = np.linspace(0.0, duration, rk_steps + 1)
         intervals = [(record_times[j], record_times[j + 1], 1) for j in range(rk_steps)]
 
-    n = seeds.shape[0]
-    paths = np.empty((n, len(record_times), 3))
-    paths[:, 0] = seeds
-    pos = seeds.copy()
-    rho0, thr0 = table.density(pos, record_times[0])
-    frozen = rho0 < thr0
-
-    for rec, (t0, t1, nsub) in enumerate(intervals, start=1):
-        h = (t1 - t0) / nsub
-        for i in range(nsub):
-            t = t0 + i * h
-            active = ~frozen
-            if np.any(active):
-                p = pos[active]
-                k1 = table.velocity(p, t)
-                k2 = table.velocity(p + 0.5 * h * k1, t + 0.5 * h)
-                k3 = table.velocity(p + 0.5 * h * k2, t + 0.5 * h)
-                k4 = table.velocity(p + h * k3, t + h)
-                new = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                rho_new, thr = table.density(new, t + h)
-                hit_node = rho_new < thr
-                new[hit_node] = p[hit_node]
-                pos[active] = new
-                active_idx = np.flatnonzero(active)
-                frozen[active_idx[hit_node]] = True
-        paths[:, rec] = pos
-
+    paths, frozen = _transport(table, seeds, record_times, intervals)
     return TrajectorySet(
         seeds=seeds,
         times=np.asarray(record_times, dtype=float),

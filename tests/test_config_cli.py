@@ -7,11 +7,15 @@ numerical, 3 constraint violation.  Reruns write byte-identical outputs.
 """
 
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mzbw
 from mzbw import ComplexField, Grid, PhysicalParams, cli, gaussian
 from mzbw.config import (
     ConfigError,
@@ -445,3 +449,24 @@ class TestConfigBounds:
         assert outs[0].keys() == outs[1].keys() and len(outs[0]) > 1
         for name in outs[0]:
             assert outs[0][name] == outs[1][name], name
+
+
+class TestOutOfMemory:
+    def test_oversized_ensemble_exits_2_without_traceback(self, tmp_path):
+        # 10^13 x 3 float64 seeds is 218 TiB, beyond the 128 TiB x86-64 user
+        # address space, so the allocation is refused at once
+        cfg = dict(BASE, trajectories={"n": 10_000_000_000_000, "time": 1.0, "rk_steps": 2})
+        cfg_path = write_config(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mzbw.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mzbw.cli", "trajectories", "--config", cfg_path, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("out of memory:")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert not out.exists()

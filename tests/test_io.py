@@ -382,3 +382,38 @@ class TestTrajectoryBinaryValidation:
         path.write_bytes((raw + data.draw(st.binary(min_size=64, max_size=64)))[:size])
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read(str(path))
+
+
+def zero_column_trajectories(kind):
+    """Paths whose y and z columns are +0.0 everywhere except, by `kind`,
+    one -0.0, one subnormal or one nan; x is random, some particles frozen."""
+    rng = np.random.default_rng(23)
+    n, nt = 7, 11
+    paths = np.zeros((n, nt, 3))
+    paths[:, :, 0] = rng.standard_normal((n, nt))
+    odd = {"zero": None, "negzero": -0.0, "subnormal": 5e-324, "nan": np.nan}[kind]
+    if odd is not None:
+        paths[3, 5, 1] = odd
+        paths[6, nt - 1, 2] = odd
+    times = np.linspace(0.0, 1.0, nt)
+    frozen = np.arange(n) % 4 == 1
+    return TrajectorySet(seeds=paths[:, 0].copy(), times=times, paths=paths, mode="drift", frozen=frozen)
+
+
+class TestCsvLiteralColumns:
+    @pytest.mark.parametrize("kind", ["zero", "negzero", "subnormal", "nan"])
+    @pytest.mark.parametrize("stride", [1, 50])
+    def test_matches_row_writer(self, kind, stride, tmp_path):
+        traj = zero_column_trajectories(kind)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectories_csv(str(got), traj, record_stride=stride)
+        row_csv_reference(str(want), traj, record_stride=stride)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_all_columns_literal(self, tmp_path):
+        traj = zero_column_trajectories("zero")
+        traj.paths[:, :, 0] = 0.0
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectories_csv(str(got), traj, record_stride=3)
+        row_csv_reference(str(want), traj, record_stride=3)
+        assert got.read_bytes() == want.read_bytes()

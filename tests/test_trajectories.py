@@ -13,9 +13,14 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mzbw import (
     ComplexField,
     Grid,
+    PhysicalParams,
+    TrajectorySet,
     advect,
     constant_spinor,
     decompose,
@@ -27,6 +32,7 @@ from mzbw import (
 )
 from mzbw.spinhydro import zbw_velocity_uniform
 from mzbw.trajectories import KS_COEFF_1PCT, _interp_components, _VelocityTable
+from mzbw.trajectories import _build_table, _transport
 
 
 def node_state(grid):
@@ -318,3 +324,232 @@ class TestVelocityTable:
         assert table.velocity(pos, 0.0).tobytes() == np.zeros((2, 3)).tobytes()
         got_rho = table.density(pos, 0.0)[0]
         assert got_rho.tobytes() == fancy_index_interp(grid, rho[np.newaxis], pos)[0].tobytes()
+
+
+def masked_rk4_reference(table, seeds, record_times, intervals):
+    """Reference transport: the masked, full-column RK4 loop the workspace
+    loop replaced.  Every substep gathers pos[active] through a boolean mask,
+    integrates all three columns and scatters the result back."""
+    n = seeds.shape[0]
+    paths = np.empty((n, len(record_times), 3))
+    paths[:, 0] = seeds
+    pos = seeds.copy()
+    rho0, thr0 = table.density(pos, record_times[0])
+    frozen = rho0 < thr0
+    for rec, (t0, t1, nsub) in enumerate(intervals, start=1):
+        h = (t1 - t0) / nsub
+        for i in range(nsub):
+            t = t0 + i * h
+            active = ~frozen
+            if np.any(active):
+                p = pos[active]
+                k1 = table.velocity(p, t)
+                k2 = table.velocity(p + 0.5 * h * k1, t + 0.5 * h)
+                k3 = table.velocity(p + 0.5 * h * k2, t + 0.5 * h)
+                k4 = table.velocity(p + h * k3, t + h)
+                new = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                rho_new, thr = table.density(new, t + h)
+                hit_node = rho_new < thr
+                new[hit_node] = p[hit_node]
+                pos[active] = new
+                active_idx = np.flatnonzero(active)
+                frozen[active_idx[hit_node]] = True
+        paths[:, rec] = pos
+    return paths, frozen
+
+
+def reference_advect(seeds, source, mode, spin=None, substeps=4, duration=None, rk_steps=None):
+    """`advect`'s table and schedule run through the reference loop."""
+    seeds = np.asarray(seeds, dtype=float)
+    table, times = _build_table(source, mode, spin, PhysicalParams(), "spectral")
+    if duration is None:
+        intervals = [(times[j], times[j + 1], substeps) for j in range(len(times) - 1)]
+    else:
+        times = np.linspace(0.0, duration, rk_steps + 1)
+        intervals = [(times[j], times[j + 1], 1) for j in range(rk_steps)]
+    return table, masked_rk4_reference(table, seeds, times, intervals)
+
+
+def assert_same_transport(got, want):
+    paths, frozen = want
+    assert got.paths.tobytes() == paths.tobytes()
+    assert got.frozen.tobytes() == frozen.tobytes()
+
+
+def seeds_with_negative_zeros(n, dims, seed, spread=3.0):
+    """n seeds on the present axes; a -0.0 in every other row of each absent axis."""
+    rng = np.random.default_rng(seed)
+    seeds = np.zeros((n, 3))
+    seeds[:, :dims] = rng.uniform(-spread, spread, (n, dims))
+    seeds[::2, dims:] = -0.0
+    return seeds
+
+
+class TestWorkspaceTransport:
+    def test_1d_drift_one_live_column(self, free_gaussian_series):
+        seeds = seeds_with_negative_zeros(300, 1, seed=1)
+        table, want = reference_advect(seeds, free_gaussian_series, "drift", substeps=2)
+        assert table.live == [0]
+        got = advect(seeds, free_gaussian_series, mode="drift", substeps=2)
+        assert_same_transport(got, want)
+        # the first step turns the -0.0 seeds of the dead columns into +0.0
+        assert np.all(np.signbit(got.paths[::2, 0, 1:]))
+        assert not np.any(np.signbit(got.paths[:, 1:, 1:]))
+
+    def test_1d_total_moves_y(self):
+        psi = gaussian(Grid((128,), (30.0,)), boost=0.5)
+        spin = spin_vector(constant_spinor(0.4, 1.1))
+        seeds = seeds_with_negative_zeros(200, 1, seed=2)
+        table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.0, rk_steps=15)
+        assert 1 in table.live
+        assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.0, rk_steps=15), want)
+
+    def test_2d_total(self):
+        psi = gaussian(Grid((32, 32), (16.0, 16.0)), boost=[0.3, -0.2])
+        spin = spin_vector(constant_spinor(0.7, 0.3))
+        seeds = seeds_with_negative_zeros(150, 2, seed=3)
+        table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.5, rk_steps=12)
+        assert table.live == [0, 1, 2]
+        assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.5, rk_steps=12), want)
+
+    def test_2d_dead_axis_inside_the_grid(self):
+        # a plane wave along x: y is a grid axis whose velocity is dead, and
+        # the -0.0 seeds there are read by the interpolation
+        psi = plane_wave(Grid((16, 12), (8.0, 6.0)), [2.0 * np.pi / 8.0, 0.0])
+        seeds = seeds_with_negative_zeros(40, 1, seed=4)
+        table, want = reference_advect(seeds, psi, "drift", duration=1.0, rk_steps=7)
+        assert table.live == [0]
+        assert_same_transport(advect(seeds, psi, mode="drift", duration=1.0, rk_steps=7), want)
+
+    def test_3d_static(self):
+        psi = gaussian(Grid((16, 16, 16), (14.0, 14.0, 14.0)), boost=[0.2, 0.0, -0.3])
+        spin = spin_vector(constant_spinor(1.9, 2.5))
+        seeds = seeds_with_negative_zeros(120, 3, seed=5, spread=2.0)
+        table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.0, rk_steps=9)
+        assert table.live == [0, 1, 2]
+        assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.0, rk_steps=9), want)
+
+    def test_all_dead_table(self):
+        # no live column: nothing is integrated, the seed in the node is
+        # frozen at the start and one more freezes when the node widens
+        grid = Grid((16, 8), (8.0, 4.0))
+        x = grid.coords()[0]
+        times = np.array([0.0, 1.0])
+        densities = [np.where(np.abs(x) < 0.5 + t, 0.0, 1.0) for t in times]
+        table = _VelocityTable(grid, times, [np.zeros((3,) + grid.shape)] * 2, densities)
+        assert table.live == []
+        seeds = np.array([[0.0, -0.0, 0.0], [0.75, -0.0, -0.0], [-3.0, 0.0, -0.0]])
+        paths, frozen = _transport(table, seeds, times, [(0.0, 1.0, 4)])
+        want = masked_rk4_reference(table, seeds, times, [(0.0, 1.0, 4)])
+        assert_same_transport(TrajectorySet(seeds, times, paths, "drift", frozen), want)
+        assert frozen.tolist() == [True, True, False]
+
+    def test_frozen_at_start(self):
+        grid = Grid((64,), (20.0,))
+        x = grid.axes[0]
+        values = x * np.exp(-x * x / 4.0 + 0.8j * x)
+        psi = ComplexField(grid, values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_volume))
+        seeds = np.array([[0.0, -0.0, 0.0], [1.5, -0.0, 0.0], [-2.0, 0.0, -0.0], [0.0, 0.0, -0.0]])
+        _, want = reference_advect(seeds, psi, "drift", duration=0.5, rk_steps=6)
+        got = advect(seeds, psi, mode="drift", duration=0.5, rk_steps=6)
+        assert_same_transport(got, want)
+        assert got.frozen.tolist() == [True, False, False, True]
+        assert np.signbit(got.paths[0, -1, 1]) and not np.signbit(got.paths[1, -1, 1])
+
+    def test_n_equals_one(self, free_gaussian_series):
+        seeds = np.array([[0.7, -0.0, 0.0]])
+        _, want = reference_advect(seeds, free_gaussian_series, "drift", substeps=1)
+        got = advect(seeds, free_gaussian_series, mode="drift", substeps=1)
+        assert_same_transport(got, want)
+        # the returned seeds are the input, not the moved positions
+        assert got.seeds.tobytes() == seeds.tobytes()
+
+
+def ramp_table(grid, times, rng):
+    """A table whose density vanishes beyond x = 1 and whose x velocity
+    pushes every particle there, so particles freeze at different substeps;
+    y moves too and z is dead."""
+    x = grid.coords()[0]
+    velocities, densities = [], []
+    for t in times:
+        v = np.zeros((3,) + grid.shape)
+        v[0] = 1.0 + 0.5 * rng.random(grid.shape)
+        v[1] = np.sin(x + t)
+        velocities.append(v)
+        densities.append(np.where(x < 1.0 + 0.5 * t, 1.0 + 0.2 * rng.random(grid.shape), 0.0))
+    return _VelocityTable(grid, times, velocities, densities)
+
+
+class TestWorkspaceFreezing:
+    @pytest.mark.parametrize("points,extents", [((40,), (20.0,)), ((20, 8), (20.0, 4.0))], ids=["1d", "2d"])
+    def test_particles_freeze_mid_run(self, points, extents):
+        grid = Grid(points, extents)
+        times = np.array([0.0, 1.0, 2.0])
+        table = ramp_table(grid, times, np.random.default_rng(6))
+        seeds = seeds_with_negative_zeros(60, grid.dims, seed=7, spread=4.5)
+        seeds[:, 0] -= 3.0
+        intervals = [(0.0, 1.0, 5), (1.0, 2.0, 5)]
+        paths, frozen = _transport(table, seeds, times, intervals)
+        want = masked_rk4_reference(table, seeds, times, intervals)
+        assert_same_transport(TrajectorySet(seeds, times, paths, "drift", frozen), want)
+        # some froze at the start, more later, and some still move at the end
+        start = masked_rk4_reference(table, seeds, times[:1], [])[1]
+        assert 0 < start.sum() < frozen.sum() < len(seeds)
+
+    def test_every_particle_freezes(self):
+        grid = Grid((40,), (20.0,))
+        times = np.array([0.0, 1.0, 2.0, 8.0])
+        table = ramp_table(grid, times, np.random.default_rng(8))
+        seeds = seeds_with_negative_zeros(25, 1, seed=9, spread=2.0)
+        intervals = [(times[j], times[j + 1], 4) for j in range(3)]
+        paths, frozen = _transport(table, seeds, times, intervals)
+        assert frozen.all()
+        assert_same_transport(
+            TrajectorySet(seeds, times, paths, "drift", frozen),
+            masked_rk4_reference(table, seeds, times, intervals),
+        )
+
+    def test_every_particle_frozen_at_start(self):
+        grid = Grid((40,), (20.0,))
+        times = np.array([0.0, 1.0])
+        table = ramp_table(grid, times, np.random.default_rng(10))
+        seeds = seeds_with_negative_zeros(9, 1, seed=11, spread=0.5)
+        seeds[:, 0] += 6.0
+        paths, frozen = _transport(table, seeds, times, [(0.0, 1.0, 3)])
+        assert frozen.all()
+        assert paths.tobytes() == np.repeat(seeds[:, None, :], 2, axis=1).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims=st.integers(1, 3),
+        nt=st.integers(1, 3),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        backward=st.booleans(),
+    )
+    def test_random_tables_match_reference(self, dims, nt, n, seed, backward):
+        rng = np.random.default_rng(seed)
+        grid = Grid(tuple(int(p) for p in rng.choice([4, 6], dims)), tuple(rng.uniform(2.0, 5.0, dims)))
+        times = np.cumsum(rng.uniform(0.2, 1.0, nt)) - 0.5
+        velocities, densities = [], []
+        dead = rng.random(3) < 0.4
+        for _ in times:
+            v = rng.standard_normal((3,) + grid.shape)
+            v[dead] = 0.0
+            v[rng.random(v.shape) < 0.2] = -0.0
+            velocities.append(v)
+            rho = rng.uniform(0.0, 1.0, grid.shape)
+            rho[rng.random(grid.shape) < 0.3] = 0.0
+            densities.append(rho)
+        table = _VelocityTable(grid, times, velocities, densities)
+        seeds = rng.uniform(-6.0, 6.0, (n, 3))
+        seeds[rng.random((n, 3)) < 0.3] = -0.0
+        seeds[rng.random((n, 3)) < 0.2] = 0.0
+        edges = np.sort(rng.uniform(times[0] - 0.3, times[-1] + 0.3, 3))
+        if backward:
+            edges = edges[::-1]
+        intervals = [(edges[j], edges[j + 1], int(rng.integers(1, 4))) for j in range(2)]
+        paths, frozen = _transport(table, seeds.copy(), edges, intervals)
+        want = masked_rk4_reference(table, seeds, edges, intervals)
+        assert_same_transport(TrajectorySet(seeds, edges, paths, "drift", frozen), want)
+        assert paths[:, 0].tobytes() == seeds.tobytes()
