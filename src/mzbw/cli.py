@@ -1,10 +1,11 @@
 """Command line entry point.
 
-    mzbw <command> --config run.json [--out DIR] [--backend spectral|fd2] [--seed N]
+    mzbw <command> --config run.json [--out DIR] [--backend spectral|fd2]
+    mzbw trajectories --config run.json [--out DIR] [--backend ...] [--seed N]
 
 Commands: decompose, spin, evolve, trajectories, verify.  The MZBW_OUT
-environment variable overrides --out.  --seed overrides the trajectory seed
-from the config.
+environment variable overrides --out.  --seed, a non-negative integer and a
+flag of `trajectories` only, overrides the trajectory seed from the config.
 
 Exit codes: 0 success, 1 config or usage error (including config values that
 are not finite), 2 numerical failure (non-finite or unusable data in input
@@ -43,6 +44,13 @@ from .spinhydro import (
 from .states import attach_spinor, spin_vector
 
 
+def _seed(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mzbw", description="Hydrodynamic wavefunction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -57,7 +65,8 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default="mzbw_out", help="output directory (default mzbw_out)")
         cmd.add_argument("--backend", choices=("spectral", "fd2"), default="spectral")
-        cmd.add_argument("--seed", type=int, default=None, help="override the trajectory seed")
+        if name == "trajectories":
+            cmd.add_argument("--seed", type=_seed, default=None, help="override the trajectory seed")
     return parser
 
 

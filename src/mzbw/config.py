@@ -33,7 +33,7 @@ import numpy as np
 
 from . import fieldio, states
 from .evolve import EvolutionConfig
-from .fields import ComplexField, Grid, PhysicalParams, RealField, VectorField
+from .fields import ComplexField, Grid, PhysicalParams, RealField, VectorField, _uniform
 from .trajectories import MODES
 
 
@@ -376,5 +376,5 @@ def build_vector_potential(cfg: dict, grid: Grid) -> VectorField | None:
     if spec is None:
         return None
     if spec["family"] == "uniform":
-        return VectorField(grid, np.stack([np.full(grid.shape, v) for v in spec["value"]]))
+        return _uniform(grid, spec["value"])
     return _field_file(spec["path"], VectorField, grid, "vector_potential")

@@ -181,6 +181,12 @@ class VectorField:
         )
 
 
+def _uniform(grid: Grid, s) -> VectorField:
+    """The constant 3-vector s at every grid point, as a read-only broadcast view."""
+    s = np.asarray(s, dtype=float)
+    return VectorField(grid, np.broadcast_to(s.reshape((3,) + (1,) * grid.dims), (3,) + grid.shape))
+
+
 @dataclass(frozen=True)
 class SpinorField:
     """Two complex components per point, (up, down)."""

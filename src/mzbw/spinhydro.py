@@ -32,6 +32,7 @@ from .fields import (
     SpinorField,
     VectorField,
     _check_backend,
+    _uniform,
     cross,
     divergence,
     dot,
@@ -95,11 +96,6 @@ class EnergyBudget:
     potential: float
     total: float
     internal_zbw: float  # same internal energy through the zbw speed
-
-
-def _uniform(grid, s: np.ndarray) -> VectorField:
-    """The constant vector s at every grid point, as a read-only broadcast view."""
-    return VectorField(grid, np.broadcast_to(s.reshape((3,) + (1,) * grid.dims), (3,) + grid.shape))
 
 
 def spin_density(psi: SpinorField, params: PhysicalParams) -> SpinVector:

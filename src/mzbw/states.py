@@ -4,18 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ComplexField, Grid, PhysicalParams, RealField, SpinorField
+from .fields import ComplexField, Grid, PhysicalParams, RealField, SpinorField, _axis_tuple
 
 DEFAULT_PARAMS = PhysicalParams()
 
 
 def _per_axis(value, grid: Grid, name: str) -> tuple[float, ...]:
-    if np.isscalar(value):
-        return (float(value),) * grid.dims
-    out = tuple(float(v) for v in value)
-    if len(out) != grid.dims:
-        raise ValueError(f"{name} needs {grid.dims} entries, got {len(out)}")
-    return out
+    return tuple(float(v) for v in _axis_tuple(value, grid.dims, name))
 
 
 def plane_wave(grid: Grid, k, params: PhysicalParams = DEFAULT_PARAMS) -> ComplexField:

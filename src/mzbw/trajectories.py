@@ -13,17 +13,18 @@ the particle and flags it instead of dividing by ~0.  Positions are stored
 unwrapped; the box is only used to evaluate fields.  Everything is
 deterministic for a fixed seed.
 
-A substep of the RK4 loop allocates no per-particle array unless a particle
-freezes in it.  A `_Workspace` holds, sized for the ensemble, the stage
-positions, k1-k4, the per-axis interpolation intermediates, the corner
-index/weight, the gather and the blend result; every substep writes into it
-with ``out=``.  Only the live velocity columns (nonzero somewhere in the
-table) are integrated: the others have velocity +0.0 and keep their seed
-value.  Gathers use ``np.take(..., mode="clip")``: the offsets are already
-wrapped into range, so clipping changes no index, while the default
-``mode="raise"`` gathers into a hidden copy first.  Reusing the buffers
-also keeps the allocator from trimming and re-faulting heap pages every
-substep.
+The RK4 loop steps the whole ensemble every substep, frozen particles
+included, and keeps a new position only where the particle still moves.  A
+substep allocates no per-particle array.  A `_Workspace` holds, sized for
+the ensemble, the stage positions, k1-k4, the per-axis interpolation
+intermediates, the corner index/weight, the gather and the blend result;
+every substep writes into it with ``out=``.  Only the live velocity columns
+(nonzero somewhere in the table) are integrated: the others have velocity
++0.0 and keep their seed value.  Gathers use ``np.take(..., mode="clip")``:
+the offsets are already wrapped into range, so clipping changes no index,
+while the default ``mode="raise"`` gathers into a hidden copy first.
+Reusing the buffers also keeps the allocator from trimming and re-faulting
+heap pages every substep.
 """
 
 from __future__ import annotations
@@ -82,55 +83,29 @@ def sample_initial(rho0: RealField, n: int, seed: int) -> np.ndarray:
 
 
 class _Workspace:
-    """Work arrays for evaluating tables at up to `n` positions, allocated once.
+    """Work arrays for evaluating tables at `n` positions, allocated once.
 
-    `resize(m)` points every view at the first m entries of its buffer, so an
-    evaluation at m <= n positions reuses the same memory.  Each view is
-    C-contiguous: `np.take(..., out=)` copies into a hidden array otherwise.
-    `rows` bounds the components gathered at once; `live` sizes the RK4
-    stage buffers (`k`, `stage`) and `pos` the gathered active positions."""
+    Each array, and each row prefix of one, is C-contiguous: `np.take(...,
+    out=)` copies into a hidden array otherwise.  `rows` bounds the
+    components gathered at once; `live` sizes the RK4 stage buffers (`k`,
+    `stage`)."""
 
     def __init__(self, grid, n: int, rows: int, live: int = 0):
         dims = grid.dims
         self.grid = grid
         self.strides = [int(np.prod(grid.points[axis + 1 :])) for axis in range(dims)]
         self.corners = list(itertools.product((0, 1), repeat=dims))
-        self._real = np.empty((dims, 3, n))  # f, w, 1 - w
-        self._int = np.empty((dims, 3, n), dtype=np.int64)  # i0 and the two offsets
-        self._lin = np.empty(n, dtype=np.int64)
-        self._weight = np.empty(n)
-        self._wrap = np.empty(n, dtype=bool)
-        self._gather = np.empty(rows * n)
-        self._both = np.empty(rows * n)
-        self._k = np.empty((4, live * n))
-        self._stage = np.empty(live * n)
-        self._pos = np.empty(3 * n)
-        self._rho = np.empty(n)
-        self._hit = np.empty(n, dtype=bool)
-        self.live, self.m = live, None
-        self.resize(n)
-
-    def resize(self, m: int) -> None:
-        if m == self.m:
-            return
-        self.m = m
-        self.real = [[r[:m] for r in axis] for axis in self._real]
-        self.int = [[r[:m] for r in axis] for axis in self._int]
-        self.lin, self.weight, self.wrap = self._lin[:m], self._weight[:m], self._wrap[:m]
-        self.k = [self._block(buf, self.live) for buf in self._k]
-        self.stage = self._block(self._stage, self.live)
-        self.pos = self._block(self._pos, 3)
-        self.rho = self._rho[:m].reshape(1, m)
-        self.hit = self._hit[:m]
-
-    def _block(self, buf, rows: int) -> np.ndarray:
-        return buf[: rows * self.m].reshape(rows, self.m)
-
-    def gather(self, rows: int) -> np.ndarray:
-        return self._block(self._gather, rows)
-
-    def both(self, rows: int) -> np.ndarray:
-        return self._block(self._both, rows)
+        self.real = np.empty((dims, 3, n))  # f, w, 1 - w
+        self.int = np.empty((dims, 3, n), dtype=np.int64)  # i0 and the two offsets
+        self.lin = np.empty(n, dtype=np.int64)
+        self.weight = np.empty(n)
+        self.wrap = np.empty(n, dtype=bool)
+        self.gather = np.empty((rows, n))
+        self.both = np.empty((rows, n))
+        self.k = np.empty((4, live, n))
+        self.stage = np.empty((live, n))
+        self.rho = np.empty((1, n))
+        self.hit = np.empty(n, dtype=bool)
 
 
 def _interp_into(ws: _Workspace, flat: np.ndarray, cols, out: np.ndarray) -> None:
@@ -167,7 +142,7 @@ def _interp_into(ws: _Workspace, flat: np.ndarray, cols, out: np.ndarray) -> Non
             np.multiply(hi, stride, out=hi)
         offsets.append((lo, hi))
         weights.append((w_lo, w))
-    gather = ws.gather(flat.shape[0])
+    gather = ws.gather[: flat.shape[0]]
     out.fill(0.0)
     for corner in ws.corners:
         lin = offsets[0][corner[0]]
@@ -238,7 +213,7 @@ class _VelocityTable:
         if theta == 0.0:
             _interp_into(ws, pair[:width], cols, out)
             return
-        both = ws.both(2 * width)
+        both = ws.both[: 2 * width]
         _interp_into(ws, pair, cols, both)
         np.multiply(both[:width], 1.0 - theta, out=both[:width])
         np.multiply(both[width:], theta, out=both[width:])
@@ -303,14 +278,15 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
     """RK4 transport of (n, 3) seeds through `table`; returns paths (n, nt, 3)
     and the frozen flags (n,).
 
-    Positions live in rows, pos[c] for coordinate c.  Only the live
-    velocity columns are integrated; the others have velocity +0.0 and keep
-    their value, except that a particle's first accepted step adds
-    (h/6)*0.0 there, turning a -0.0 seed into +0.0 when h > 0.  While no
-    particle is frozen a step works on pos itself; after that, the active
-    rows are gathered into the m-column prefix of the workspace and
-    scattered back.  A substep allocates no per-particle array unless a
-    particle freezes in it."""
+    Positions live in rows, pos[c] for coordinate c.  Every substep steps the
+    whole ensemble and keeps a new position only where the particle still
+    moves; a step into the node region freezes the particle where it was,
+    and stepping stops once none moves.  Each particle's arithmetic is elementwise, so the
+    frozen ones change no bit of the others.  Only the live velocity columns
+    are integrated; the others have velocity +0.0 and keep their value,
+    except that a particle's first accepted step adds (h/6)*0.0 there,
+    turning a -0.0 seed into +0.0 when h > 0.  A substep allocates no
+    per-particle array."""
     n = seeds.shape[0]
     dims = table.grid.dims
     live = table.live
@@ -320,37 +296,28 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
     pos = seeds.T.copy()
     thr = table._density_into(ws, pos[:dims], record_times[0], ws.rho)
     frozen = ws.rho[0] < thr
+    moving = ~frozen
     dead = [c for c in range(3) if c not in live]
-    negzero = [(c, np.flatnonzero((pos[c] == 0.0) & np.signbit(pos[c]) & ~frozen)) for c in dead]
+    negzero = [(c, np.flatnonzero((pos[c] == 0.0) & np.signbit(pos[c]) & moving)) for c in dead]
     negzero = [(c, rows) for c, rows in negzero if rows.size]
-    active = None  # the unfrozen rows, once some row is frozen
-    refresh = bool(frozen.any())
+    k1, k2, k3, k4 = ws.k
+    stage, hit = ws.stage, ws.hit
+    here = [pos[axis] for axis in range(dims)]
+    moved = [stage[live.index(axis)] if axis in live else pos[axis] for axis in range(dims)]
 
     for rec, (t0, t1, nsub) in enumerate(intervals, start=1):
         h = (t1 - t0) / nsub
         for i in range(nsub):
+            if not moving.any():
+                break
             t = t0 + i * h
-            if refresh:
-                active, refresh = np.flatnonzero(~frozen), False
-            if active is None:
-                ws.resize(n)
-                p = pos
-            elif active.size == 0:
-                continue
-            else:
-                ws.resize(active.size)
-                p = np.take(pos, active, axis=1, out=ws.pos, mode="clip")
-            k1, k2, k3, k4 = ws.k
-            stage = ws.stage
-            here = [p[axis] for axis in range(dims)]
-            moved = [stage[live.index(axis)] if axis in live else p[axis] for axis in range(dims)]
             table._velocity_into(ws, here, t, k1)
             for k_in, k_out, dt in ((k1, k2, 0.5 * h), (k2, k3, 0.5 * h), (k3, k4, h)):
                 np.multiply(k_in, dt, out=stage)
                 for row, c in enumerate(live):
-                    np.add(p[c], stage[row], out=stage[row])
+                    np.add(pos[c], stage[row], out=stage[row])
                 table._velocity_into(ws, moved, t + dt, k_out)
-            # p + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            # pos + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
             np.multiply(k2, 2.0, out=k2)
             np.add(k1, k2, out=k1)
             np.multiply(k3, 2.0, out=k3)
@@ -358,23 +325,17 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
             np.add(k1, k4, out=k1)
             np.multiply(k1, h / 6.0, out=k1)
             for row, c in enumerate(live):
-                np.add(p[c], k1[row], out=stage[row])
+                np.add(pos[c], k1[row], out=stage[row])
             thr = table._density_into(ws, moved, t + h, ws.rho)
-            hit = np.less(ws.rho[0], thr, out=ws.hit)
-            accept = True
-            if hit.any():
-                frozen[np.flatnonzero(hit) if active is None else active[hit]] = True
-                refresh = True
-                accept = np.logical_not(hit, out=hit)
+            # a step into the node region freezes the particle where it was
+            np.logical_or(frozen, np.less(ws.rho[0], thr, out=hit), out=frozen)
+            np.logical_not(frozen, out=moving)
             for row, c in enumerate(live):
-                np.copyto(p[c], stage[row], where=accept)
-            if active is not None:
-                for c in live:
-                    pos[c, active] = p[c]
+                np.copyto(pos[c], stage[row], where=moving)
             if negzero:
-                # the dead columns of an accepted step get p + (h/6)*0.0
+                # the dead columns of an accepted step get pos + (h/6)*0.0
                 zero = (h / 6.0) * 0.0
-                negzero = [(c, rows[~frozen[rows]]) for c, rows in negzero]
+                negzero = [(c, rows[moving[rows]]) for c, rows in negzero]
                 if not np.signbit(zero):
                     for c, rows in negzero:
                         pos[c, rows] += zero
@@ -408,13 +369,15 @@ def advect(
 ) -> TrajectorySet:
     """Integrate seed positions through the velocity field of `source`.
 
-    A SnapshotSeries source is integrated over its own time range with
-    `substeps` RK4 steps per snapshot interval and recorded at snapshot times.
-    A static ComplexField source needs `duration` and `rk_steps` and is
-    recorded after every step."""
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.shape[1] > 3:
-        raise ValueError(f"seeds must have at most 3 columns, got {seeds.shape[1]}")
+    `seeds` is an (n, k) array of n >= 1 positions with k = 1 to 3
+    coordinates; the absent ones are zero.  A SnapshotSeries source is
+    integrated over its own time range with `substeps` RK4 steps per
+    snapshot interval and recorded at snapshot times.  A static ComplexField
+    source needs `duration` and `rk_steps` and is recorded after every
+    step."""
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim != 2 or seeds.shape[0] < 1 or not 1 <= seeds.shape[1] <= 3:
+        raise ValueError(f"seeds must be an (n, k) array, n >= 1 and k = 1 to 3 columns; got shape {seeds.shape}")
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds contain non-finite values")
     full = np.zeros((seeds.shape[0], 3))

@@ -44,6 +44,7 @@ from .fields import (
     Grid,
     PhysicalParams,
     VectorField,
+    _uniform,
     cross,
     divergence,
     dot,
@@ -249,8 +250,7 @@ def _check_entry(
     flux_floor = s_mag * rho_max / (max(grid.extents) * params.mass)
 
     if hest.dot_max <= CONSTRAINT_TOL:
-        s_field = VectorField(grid, np.stack([np.full(grid.shape, c) for c in s_const]))
-        flux_cross = cross(grad_rho, s_field).values / params.mass
+        flux_cross = cross(grad_rho, _uniform(grid, s_const)).values / params.mass
         flux_scale = max(float(np.max(np.abs(flux_cross))), flux_floor)
         record(
             "zbw_curl_vs_cross",

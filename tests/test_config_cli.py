@@ -341,6 +341,25 @@ class TestCliBehavior:
         assert code == 0
         assert read_json(str(out / "manifest.json"))["seed"] == 11
 
+    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed=-7"], ["--seed", "x"]])
+    def test_bad_seed_flag_exits_1_before_reading_config(self, tmp_path, capsys, monkeypatch, flag):
+        def unreachable(path):
+            raise AssertionError("config loaded despite a bad --seed")
+
+        monkeypatch.setattr(cli.cfgmod, "load_config", unreachable)
+        out = tmp_path / "out"
+        assert cli.main(["trajectories", "--config", "run.json", "--out", str(out)] + flag) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "spin", "evolve", "verify"])
+    def test_seed_flag_rejected_outside_trajectories(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path / "run.json", BASE)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg_path, "--out", str(out), "--seed", "3"]) == 1
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trajectories_evolve_source_with_equivariance(self, tmp_path):
         cfg = {
             "grid": {"points": [128], "extent": [30.0]},

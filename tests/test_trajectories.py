@@ -9,6 +9,8 @@ distributed like |psi|^2 (equivariance), and 1D flow lines never cross.
 
 import itertools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +207,16 @@ class TestAdvectValidation:
     def test_too_many_seed_columns(self, free_gaussian_series):
         with pytest.raises(ValueError, match="columns"):
             advect(np.zeros((2, 4)), free_gaussian_series, mode="drift")
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [np.empty(0), np.array([0.5, 1.0]), np.empty((0, 1)), np.zeros((3, 0)), np.zeros((2, 1, 1))],
+        ids=["empty", "flat", "no-rows", "no-columns", "3d"],
+    )
+    def test_seeds_must_be_n_by_k(self, seeds):
+        psi = gaussian(Grid((64,), (20.0,)))
+        with pytest.raises(ValueError, match=re.escape(f"shape {seeds.shape}")):
+            advect(seeds, psi, mode="drift", duration=0.5, rk_steps=4)
 
     def test_non_finite_seeds(self, free_gaussian_series):
         with pytest.raises(ValueError, match="finite"):
@@ -553,3 +565,25 @@ class TestWorkspaceFreezing:
         want = masked_rk4_reference(table, seeds, edges, intervals)
         assert_same_transport(TrajectorySet(seeds, edges, paths, "drift", frozen), want)
         assert paths[:, 0].tobytes() == seeds.tobytes()
+
+
+class TestTransportMemory:
+    @pytest.mark.parametrize("substeps", [2, 16])
+    def test_substeps_allocate_no_per_particle_array(self, free_gaussian_series, params, substeps):
+        # the traced peak is the output, the workspace and a few (n,) arrays
+        # (positions, flags) whatever the substep count: a (3, n) temporary
+        # per substep would add 3 * 8n
+        n = 10**4
+        table, _ = _build_table(free_gaussian_series, "drift", None, params, "spectral")
+        seeds = sample_initial(decompose(free_gaussian_series.states[0], params).rho, n, seed=17)
+        times = free_gaussian_series.times[:3]
+        intervals = [(times[j], times[j + 1], substeps) for j in range(2)]
+        ws = table.workspace(n)
+        ws_bytes = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
+        tracemalloc.start()
+        try:
+            paths, _ = _transport(table, seeds, times, intervals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= paths.nbytes + ws_bytes + 5 * 8 * n
