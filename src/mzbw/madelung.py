@@ -21,7 +21,10 @@ held by a private `_Jet` that computes each on first use: the current
 j_a = hbar Im(psi^dag d_a psi) = rho p_a, grad(rho), lap(rho), lap(sqrt(rho)).
 Public functions accept a jet wherever they accept the field it was built
 from.  Sharing never re-associates arithmetic, so results are bit-identical
-to computing each quantity alone.
+to computing each quantity alone.  The jet also owns the per-state rules:
+it checks the backend it is given, `nonzero()` rejects an identically zero
+density, and `divided(flux)` divides by rho and zeroes the node mask, which
+gives the momentum p = j / rho.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class _Jet:
     intermediates, each computed on first use and kept (never complex grad psi)."""
 
     def __init__(self, state, params: PhysicalParams | None, backend: str | None):
+        if backend is not None:
+            _check_backend(backend)
         self.state = state
         self.grid = state.grid
         self.params = params
@@ -81,6 +86,26 @@ class _Jet:
     @cached_property
     def safe(self) -> np.ndarray:
         return np.where(self.mask, 1.0, self.rho)
+
+    def nonzero(self) -> _Jet:
+        """This jet; a ValueError naming the state if its density is identically zero."""
+        if np.max(self.rho) == 0.0:
+            if isinstance(self.state, RealField):
+                raise ValueError("density is identically zero")
+            kind = "spinor wavefunction" if isinstance(self.state, SpinorField) else "wavefunction"
+            raise ValueError(f"{kind} is identically zero")
+        return self
+
+    def divided(self, flux: np.ndarray) -> np.ndarray:
+        """flux / rho for a (3, *grid) flux, zero on the node mask."""
+        out = flux / self.safe
+        out[:, self.mask] = 0.0
+        return out
+
+    @cached_property
+    def momentum(self) -> np.ndarray:
+        """p = j / rho, zero on the node mask."""
+        return self.divided(self.current)
 
     @cached_property
     def current(self) -> np.ndarray:
@@ -163,23 +188,16 @@ class ResidualField:
 def decompose(
     psi: ComplexField, params: PhysicalParams, backend: str = "spectral"
 ) -> MadelungFields:
-    _check_backend(backend)
-    jet = _jet(psi, params, backend)
+    jet = _jet(psi, params, backend).nonzero()
     grid = jet.grid
-    rho = jet.rho
-    if np.max(rho) == 0.0:
-        raise ValueError("wavefunction is identically zero")
-    norm = float(np.sum(rho) * grid.cell_volume)
+    norm = float(np.sum(jet.rho) * grid.cell_volume)
     if abs(norm - 1.0) > 1e-6:
         warnings.warn(f"wavefunction norm is {norm:.8g}, not 1", RuntimeWarning, stacklevel=2)
-    momentum = np.zeros((3,) + grid.shape)
-    for axis in range(grid.dims):
-        momentum[axis] = np.where(jet.mask, 0.0, jet.current[axis] / jet.safe)
     phase = params.hbar * np.angle(jet.state.values)
     return MadelungFields(
-        rho=RealField(grid, rho),
+        rho=RealField(grid, jet.rho),
         phase=RealField(grid, phase),
-        momentum=VectorField(grid, momentum),
+        momentum=VectorField(grid, jet.momentum),
         node_mask=jet.mask,
     )
 
@@ -187,12 +205,10 @@ def decompose(
 def quantum_potential(
     rho: RealField, params: PhysicalParams, backend: str = "spectral"
 ) -> QuantumPotential:
-    _check_backend(backend)
     jet = _jet(rho, params, backend)
     if np.min(jet.rho) < 0.0:
         raise ValueError("density must be non-negative")
-    if np.max(jet.rho) == 0.0:
-        raise ValueError("density is identically zero")
+    jet.nonzero()
 
     safe_sqrt = np.where(jet.mask, 1.0, np.sqrt(jet.rho))
     q_sqrt = np.where(
@@ -220,7 +236,6 @@ def internal_kinetic_density(
 ) -> RealField:
     """(hbar^2 / 8m) (grad rho / rho)^2, the kinetic energy density of the
     internal (Zitterbewegung) motion.  Equal to m * zbw_speed^2 / 2 pointwise."""
-    _check_backend(backend)
     jet = _jet(rho, params, backend)
     coeff = params.hbar * params.hbar / (8.0 * params.mass)
     return RealField(jet.grid, np.where(jet.mask, 0.0, coeff * jet.grad_sq(jet.safe)))
@@ -228,7 +243,6 @@ def internal_kinetic_density(
 
 def zbw_speed(rho: RealField, params: PhysicalParams, backend: str = "spectral") -> RealField:
     """|V| = (hbar/2) |grad rho| / (m rho)."""
-    _check_backend(backend)
     jet = _jet(rho, params, backend)
     speed = 0.5 * params.hbar * np.sqrt(jet.grad_sq()) / (params.mass * jet.safe)
     return RealField(jet.grid, np.where(jet.mask, 0.0, speed))
@@ -259,7 +273,6 @@ def _phase_rate(
 def _triple_jet(snapshots, dt: float, params: PhysicalParams, backend: str) -> tuple:
     """(prev, jet of the middle snapshot, next); the middle one may already be
     a jet, so the residuals of one triple share its derivatives."""
-    _check_backend(backend)
     if dt <= 0:
         raise ValueError(f"snapshot spacing must be positive, got {dt}")
     prev, mid, nxt = snapshots

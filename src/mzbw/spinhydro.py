@@ -31,7 +31,6 @@ from .fields import (
     RealField,
     SpinorField,
     VectorField,
-    _check_backend,
     _uniform,
     cross,
     divergence,
@@ -100,11 +99,8 @@ class EnergyBudget:
 
 def spin_density(psi: SpinorField, params: PhysicalParams) -> SpinVector:
     """Local spin vector s = psi^dag s_op psi / rho; zero on the node mask."""
-    jet = _jet(psi, params)
-    if np.max(jet.rho) == 0.0:
-        raise ValueError("spinor wavefunction is identically zero")
-    s = jet.rho_s / jet.safe
-    s[:, jet.mask] = 0.0
+    jet = _jet(psi, params).nonzero()
+    s = jet.divided(jet.rho_s)
     return SpinVector(s=VectorField(jet.grid, s), rho=RealField(jet.grid, jet.rho), node_mask=jet.mask)
 
 
@@ -115,7 +111,6 @@ def pauli_current(
     backend: str = "spectral",
 ) -> PauliCurrent:
     """j = (hbar/m) Im(psi^dag grad psi) - (e A / m) rho + curl(rho s)/m."""
-    _check_backend(backend)
     jet = _jet(psi, params, backend)
     grid = jet.grid
     convective = jet.current / params.mass
@@ -142,15 +137,9 @@ def velocity_decomposition(
 ) -> VelocityDecomposition:
     """Split the local velocity into drift (p - eA)/m and internal circulation
     curl(rho s)/(m rho).  rho * total reproduces the Pauli current."""
-    _check_backend(backend)
-    jet = _jet(psi, params, backend)
+    jet = _jet(psi, params, backend).nonzero()
     grid = jet.grid
-    if np.max(jet.rho) == 0.0:
-        raise ValueError("spinor wavefunction is identically zero")
-    mask, safe = jet.mask, jet.safe
-
-    momentum = jet.current / safe
-    momentum[:, mask] = 0.0
+    mask, momentum = jet.mask, jet.momentum
 
     if vector_potential is None:
         drift = momentum / params.mass
@@ -160,8 +149,7 @@ def velocity_decomposition(
         drift = (momentum - params.charge * vector_potential.values) / params.mass
         drift[:, mask] = 0.0
 
-    zbw = jet.spin_current / safe
-    zbw[:, mask] = 0.0
+    zbw = jet.divided(jet.spin_current)
 
     return VelocityDecomposition(
         drift=VectorField(grid, drift),
@@ -179,7 +167,6 @@ def zbw_velocity_uniform(
     """V = grad(rho) x s / (m rho) for a position-independent spin vector s.
     Agrees with the curl form because curl(rho s) = grad(rho) x s when s is
     constant."""
-    _check_backend(backend)
     s = np.asarray(s, dtype=float)
     if s.shape != (3,):
         raise ValueError(f"constant spin vector must have shape (3,), got {s.shape}")
@@ -196,7 +183,6 @@ def hestenes_residual(
     """Residuals of the non-relativistic Hestenes constraints div(rho s) = 0
     and grad(rho) . s = 0.  Both vanish identically for planar densities with
     spin normal to the plane; a generic 3D density violates the second."""
-    _check_backend(backend)
     if rho.grid != s.grid:
         raise ValueError("rho and s must share a grid")
     jet = _jet(rho, backend=backend)
@@ -230,7 +216,6 @@ def vsq_from_spin(
     and its reduced form s^2 (grad rho / m rho)^2, which drops the (grad rho . s)
     term and is only asserted when the measured grad(rho).s residual passes the
     gate."""
-    _check_backend(backend)
     if rho.grid != s.grid:
         raise ValueError("rho and s must share a grid")
     jet = _jet(rho, params, backend)
@@ -265,12 +250,8 @@ def koenig_energy(
     integral of rho m V^2 / 2; for a scalar psi the velocity V comes from the
     constant spinor chi (default spin-up) via the uniform-s form, for a full
     spinor field from curl(rho s)/(m rho)."""
-    _check_backend(backend)
-    jet = _jet(psi, params, backend)
+    jet = _jet(psi, params, backend).nonzero()
     grid = jet.grid
-    rho = jet.rho
-    if np.max(rho) == 0.0:
-        raise ValueError("wavefunction is identically zero")
     if isinstance(jet.state, SpinorField):
         spin_cur = jet.spin_current
     else:
@@ -299,7 +280,7 @@ def koenig_energy(
     else:
         if potential.grid != grid:
             raise ValueError("potential must live on the wavefunction grid")
-        pot = float(np.sum(rho * potential.values) * vol)
+        pot = float(np.sum(jet.rho * potential.values) * vol)
 
     return EnergyBudget(
         translational=translational,

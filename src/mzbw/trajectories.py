@@ -36,7 +36,7 @@ import numpy as np
 
 from .evolve import SnapshotSeries
 from .fields import ComplexField, PhysicalParams, RealField
-from .madelung import NODE_EPS, _Jet, decompose
+from .madelung import NODE_EPS, _Jet
 from .spinhydro import zbw_velocity_uniform
 
 KS_COEFF_1PCT = 1.63  # asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level
@@ -264,13 +264,12 @@ def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, n
     velocities = []
     densities = []
     for state in states:
-        jet = _Jet(state, params, backend)
-        md = decompose(jet, params, backend)
-        v = md.momentum.values / params.mass
+        jet = _Jet(state, params, backend).nonzero()
+        v = jet.momentum / params.mass
         if mode == "total":
             v = v + zbw_velocity_uniform(jet, spin, params, backend).values
         velocities.append(v)
-        densities.append(md.rho.values)
+        densities.append(jet.rho)
     return _VelocityTable(grid, times, velocities, densities), times
 
 
