@@ -8,7 +8,7 @@ environment variable overrides --out.  --seed, a non-negative integer and a
 flag of `trajectories` only, overrides the trajectory seed from the config.
 
 Exit codes: 0 success, 1 config or usage error (including config values that
-are not finite), 2 numerical failure (non-finite or unusable data in input
+are not finite, and an output location that cannot be written), 2 numerical failure (non-finite or unusable data in input
 files or results) or a run too large for the available memory, 3 a
 verification constraint failed (battery check, spin-constraint violation,
 equivariance).
@@ -95,6 +95,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an unusable --out, such as an existing file
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _inputs(cfg: dict):
@@ -271,7 +274,7 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
         fieldio.write_trajectories_csv(os.path.join(out_dir, data_file), traj, run["record_stride"])
     else:
         data_file = "trajectories.bin"
-        fieldio.write_trajectories_binary(os.path.join(out_dir, data_file), traj)
+        fieldio.write_trajectories_binary(os.path.join(out_dir, data_file), traj, run["record_stride"])
 
     manifest = {
         "command": "trajectories",

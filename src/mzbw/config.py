@@ -269,7 +269,8 @@ def read_evolution(cfg: dict) -> dict | None:
 
 
 def read_trajectories(cfg: dict) -> dict | None:
-    """The trajectories section; `time` and `rk_steps` are None for an evolve source."""
+    """The trajectories section; `time` and `rk_steps` are None for an evolve
+    source, `substeps` is None for a static one."""
     keys = {"n", "mode", "source", "seed", "time", "rk_steps", "substeps", "record_stride", "format", "equivariance"}
     traj = _section(cfg, "trajectories", keys)
     if traj is None:
@@ -280,7 +281,6 @@ def read_trajectories(cfg: dict) -> dict | None:
         "mode": _choice(traj, "mode", where, MODES, "drift"),
         "source": _choice(traj, "source", where, ("evolve", "static"), "static"),
         "seed": _integer(traj, "seed", where, 0, minimum=0),
-        "substeps": _integer(traj, "substeps", where, 4, minimum=1),
         "record_stride": _integer(traj, "record_stride", where, 1, minimum=1),
         "format": _choice(traj, "format", where, ("csv", "binary"), "csv"),
         "equivariance": _flag(traj, "equivariance", where),
@@ -288,10 +288,15 @@ def read_trajectories(cfg: dict) -> dict | None:
     static = run["source"] == "static"
     if not static and ("time" in traj or "rk_steps" in traj):
         raise ConfigError("trajectories.time/rk_steps apply only to source 'static'")
+    substeps = _integer(traj, "substeps", where, 4, minimum=1)
+    # a static source takes one RK4 step per record; a spelled-out default changes nothing
+    if static and substeps != 4:
+        raise ConfigError("trajectories.substeps applies only to source 'evolve'")
     if not static and "evolution" not in cfg:
         raise ConfigError("trajectories.source 'evolve' requires an evolution section")
     run["time"] = _number(traj, "time", where, positive=True) if static else None
     run["rk_steps"] = _integer(traj, "rk_steps", where, 200, minimum=1) if static else None
+    run["substeps"] = None if static else substeps
     return run
 
 

@@ -179,12 +179,19 @@ def read_snapshot_series(directory: str) -> SnapshotSeries:
     return SnapshotSeries(times=times, states=states, norms=norms, energies=energies)
 
 
-def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 1) -> None:
+def _kept_times(nt: int, record_stride: int) -> list:
+    """The recorded-time indices a trajectory writer keeps: every
+    `record_stride`-th one, and always the endpoint."""
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    keep = list(range(0, len(traj.times), record_stride))
-    if keep[-1] != len(traj.times) - 1:
-        keep.append(len(traj.times) - 1)  # always keep the endpoint
+    keep = list(range(0, nt, record_stride))
+    if keep[-1] != nt - 1:
+        keep.append(nt - 1)
+    return keep
+
+
+def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 1) -> None:
+    keep = _kept_times(len(traj.times), record_stride)
     # a column that is +0.0 at every recorded time is written as the literal
     # "0" (what %.17g gives); the bit test reads each column in place
     bits = np.ascontiguousarray(traj.paths, dtype=np.float64).view(np.uint64)
@@ -203,15 +210,17 @@ def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 
             fh.write(rows.replace("\0", str(p)))
 
 
-def write_trajectories_binary(path: str, traj: TrajectorySet) -> None:
-    n, nt, _ = traj.paths.shape
+def write_trajectories_binary(path: str, traj: TrajectorySet, record_stride: int = 1) -> None:
+    """The binary container of `traj` at the recorded times the CSV writer keeps."""
+    keep = _kept_times(len(traj.times), record_stride)
+    n = traj.paths.shape[0]
     mode_code = 0 if traj.mode == "drift" else 1
     seed = -1 if traj.rng_seed is None else int(traj.rng_seed)
-    header = struct.pack("<5sBIIq", TRAJ_MAGIC, mode_code, n, nt, seed)
+    header = struct.pack("<5sBIIq", TRAJ_MAGIC, mode_code, n, len(keep), seed)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(traj.times.astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(traj.paths).astype("<f8").tobytes())
+        fh.write(traj.times[keep].astype("<f8").tobytes())
+        fh.write(traj.paths[:, keep].astype("<f8").tobytes())
         fh.write(np.ascontiguousarray(traj.seeds).astype("<f8").tobytes())
         fh.write(traj.frozen.astype("<u1").tobytes())
 

@@ -44,6 +44,16 @@ KS_COEFF_1PCT = 1.63  # asymptotic Kolmogorov-Smirnov critical coefficient at th
 MODES = ("drift", "total")
 
 
+def _cell_cdf(grid, axis: int, marginal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cell edges, normalized CDF at the edges) of a 1D density along `axis`;
+    linear interpolation between them is the piecewise-linear cell CDF."""
+    h = grid.spacing[axis]
+    edges = np.concatenate([[grid.axes[axis][0] - h / 2.0], grid.axes[axis] + h / 2.0])
+    cdf = np.concatenate([[0.0], np.cumsum(marginal) * h])
+    cdf /= cdf[-1]
+    return edges, cdf
+
+
 def sample_initial(rho0: RealField, n: int, seed: int) -> np.ndarray:
     """Draw n positions with probability density rho0.
 
@@ -59,10 +69,7 @@ def sample_initial(rho0: RealField, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     out = np.zeros((n, 3))
     if grid.dims == 1:
-        h = grid.spacing[0]
-        edges = np.concatenate([[grid.axes[0][0] - h / 2.0], grid.axes[0] + h / 2.0])
-        cdf = np.concatenate([[0.0], np.cumsum(values) * h])
-        cdf /= cdf[-1]
+        edges, cdf = _cell_cdf(grid, 0, values)
         out[:, 0] = np.interp(rng.random(n), cdf, edges)
         return out
     peak = np.max(values)
@@ -433,14 +440,11 @@ def equivariance_check(traj: TrajectorySet, rho_t: RealField) -> EquivarianceRep
     n = traj.paths.shape[0]
     stats = np.empty(grid.dims)
     for axis in range(grid.dims):
-        h = grid.spacing[axis]
-        edges = np.concatenate([[grid.axes[axis][0] - h / 2.0], grid.axes[axis] + h / 2.0])
         marginal = rho_t.values
         for other in range(grid.dims - 1, -1, -1):
             if other != axis:
                 marginal = marginal.sum(axis=other)
-        cdf = np.concatenate([[0.0], np.cumsum(marginal) * h])
-        cdf /= cdf[-1]
+        edges, cdf = _cell_cdf(grid, axis, marginal)
         x = traj.paths[:, -1, axis]
         span = grid.extents[axis]
         x = (x - edges[0]) % span + edges[0]

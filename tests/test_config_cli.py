@@ -24,9 +24,10 @@ from mzbw.config import (
     build_state,
     build_vector_potential,
     load_config,
+    read_trajectories,
     validate_config,
 )
-from mzbw.fieldio import read_json, write_field
+from mzbw.fieldio import read_json, read_trajectories_binary, write_field
 
 
 def write_config(path, cfg):
@@ -96,6 +97,17 @@ class TestValidation:
         }
         with pytest.raises(ConfigError, match="static"):
             validate_config(cfg)
+
+    def test_substeps_rejected_for_static_source(self):
+        cfg = {"trajectories": {"n": 10, "time": 1.0, "substeps": 2}}
+        with pytest.raises(ConfigError, match="substeps applies only to source 'evolve'"):
+            validate_config(cfg)
+
+    def test_substeps_is_none_for_static_source(self):
+        for traj in ({"n": 10, "time": 1.0}, {"n": 10, "time": 1.0, "substeps": 4}):
+            assert read_trajectories({"trajectories": traj})["substeps"] is None
+        cfg = {"evolution": {"dt": 1e-3, "steps": 10}, "trajectories": {"n": 10, "source": "evolve", "substeps": 2}}
+        assert read_trajectories(cfg)["substeps"] == 2
 
     def test_evolve_source_requires_evolution_section(self):
         cfg = {"trajectories": {"n": 10, "source": "evolve"}}
@@ -379,6 +391,43 @@ class TestCliBehavior:
         manifest = read_json(str(out / "manifest.json"))
         assert manifest["equivariance"]["passed"]
         assert (out / "trajectories.bin").exists()
+
+
+    def test_static_substeps_exits_1_without_output(self, tmp_path, capsys):
+        cfg = dict(BASE, trajectories={"n": 10, "time": 0.5, "rk_steps": 5, "substeps": 8})
+        cfg_path = write_config(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main(["trajectories", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "substeps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_binary_keeps_the_csv_rows_at_a_stride(self, tmp_path):
+        # 7 recorded times at stride 3 keep times 0, 3 and 6
+        traj = {"n": 12, "time": 0.6, "rk_steps": 6, "seed": 4, "record_stride": 3}
+        base = dict(BASE, state={"family": "gaussian", "boost": [0.7]})
+        rows = {}
+        for fmt in ("csv", "binary"):
+            cfg_path = write_config(tmp_path / f"{fmt}.json", dict(base, trajectories=dict(traj, format=fmt)))
+            assert cli.main(["trajectories", "--config", cfg_path, "--out", str(tmp_path / fmt)]) == 0
+        back = read_trajectories_binary(str(tmp_path / "binary" / "trajectories.bin"))
+        lines = (tmp_path / "csv" / "trajectories.csv").read_text().strip().split("\n")[1:]
+        table = np.array([[float(v) for v in line.split(",")[1:5]] for line in lines]).reshape(12, -1, 4)
+        assert back.paths.shape == (12, 3, 3)
+        np.testing.assert_array_equal(back.times, table[0, :, 0])
+        np.testing.assert_array_equal(back.times, np.linspace(0.0, 0.6, 7)[[0, 3, 6]])
+        np.testing.assert_array_equal(back.paths, table[:, :, 1:])
+
+    @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+    def test_unusable_output_location_exits_1(self, tmp_path, capsys, where):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker if where == "existing-file" else blocker / "out"
+        cfg_path = write_config(tmp_path / "run.json", BASE)
+        assert cli.main(["decompose", "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("I/O error:")
+        assert len(err.strip().splitlines()) == 1
+        assert blocker.read_text() == "not a directory"
 
 
 class TestConfigBounds:

@@ -252,6 +252,18 @@ class TestTrajectories:
         assert times[0] == traj.times[0]
         assert times[-1] == traj.times[-1]
 
+    def test_binary_stride_keeps_the_csv_times(self, traj, tmp_path):
+        write_trajectories_binary(str(tmp_path / "all.bin"), traj)
+        write_trajectories_binary(str(tmp_path / "one.bin"), traj, record_stride=1)
+        assert (tmp_path / "all.bin").read_bytes() == (tmp_path / "one.bin").read_bytes()
+        write_trajectories_binary(str(tmp_path / "traj.bin"), traj, record_stride=3)
+        back = read_trajectories_binary(str(tmp_path / "traj.bin"))
+        np.testing.assert_array_equal(back.times, traj.times[[0, 3, 6, 8]])
+        np.testing.assert_array_equal(back.paths, traj.paths[:, [0, 3, 6, 8]])
+        np.testing.assert_array_equal(back.seeds, traj.seeds)
+        with pytest.raises(ValueError, match="record_stride"):
+            write_trajectories_binary(str(tmp_path / "bad.bin"), traj, record_stride=0)
+
     def test_csv_is_deterministic(self, traj, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_trajectories_csv(str(a), traj)

@@ -19,11 +19,13 @@ import pytest
 
 from mzbw import (
     ComplexField,
+    EvolutionConfig,
     Grid,
     PhysicalParams,
     RealField,
     SpinorField,
     VectorField,
+    advect,
     attach_spinor,
     cli,
     constant_spinor,
@@ -37,6 +39,7 @@ from mzbw import (
     koenig_energy,
     lagrangian_density,
     pauli_current,
+    propagate,
     quantum_potential,
     random_smooth_state,
     random_spinor_field,
@@ -51,6 +54,7 @@ from mzbw import (
     zbw_velocity_uniform,
 )
 from mzbw.madelung import _Jet, node_mask
+from mzbw.trajectories import _build_table, _VelocityTable
 
 PARAMS = PhysicalParams(hbar=0.7, mass=1.3, charge=0.45)
 GRIDS = {
@@ -561,6 +565,130 @@ def test_spinor_and_scalar_jet_densities_stay_apart():
     jet = _Jet(spinor, PARAMS, "spectral")
     assert same(jet.rho, ref_spinor_density(spinor))
     assert same(_Jet(psi, PARAMS, "spectral").rho, psi.values.real**2 + psi.values.imag**2)
+
+
+# ---------------------------------------------------------------------------
+# per-state rules: backend check, zero-density guard, trajectory table
+
+
+def decompose_table(source, mode, spin, p, backend):
+    """The velocity table built through `decompose`, one call per snapshot."""
+    states = source.states if hasattr(source, "states") else [source]
+    times = source.times if hasattr(source, "states") else np.array([0.0])
+    velocities, densities = [], []
+    for state in states:
+        md = decompose(state, p, backend)
+        v = md.momentum.values / p.mass
+        if mode == "total":
+            v = v + zbw_velocity_uniform(state, spin, p, backend).values
+        velocities.append(v)
+        densities.append(md.rho.values)
+    return _VelocityTable(state.grid, times, velocities, densities), times
+
+
+def small_series(psi: ComplexField):
+    norm = np.sqrt(np.sum(np.abs(psi.values) ** 2) * psi.grid.cell_volume)
+    start = ComplexField(psi.grid, psi.values / norm)
+    return propagate(start, EvolutionConfig(dt=2e-3, steps=6, snapshot_stride=2, params=PARAMS))
+
+
+def faint_node_state(dims: int) -> ComplexField:
+    """A band of `scalar_state` scaled by 1e-7: masked, but with a nonzero
+    current there, so an unmasked divide would show."""
+    psi = scalar_state(dims, False)
+    values = psi.values.copy()
+    n = values.shape[0]
+    values[n // 4 : n // 4 + max(n // 6, 2)] *= 1e-7
+    return ComplexField(psi.grid, values)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd2"])
+@pytest.mark.parametrize("nodes", [False, True], ids=["smooth", "nodes"])
+@pytest.mark.parametrize("mode", ["drift", "total"])
+@pytest.mark.parametrize("series", [False, True], ids=["static", "series"])
+def test_build_table_matches_decompose_reference(backend, nodes, mode, series):
+    psi = faint_node_state(2) if nodes else scalar_state(2, False)
+    source = small_series(psi) if series else psi
+    spin = S_CONST if mode == "total" else None
+    got, got_times = _build_table(source, mode, spin, PARAMS, backend)
+    want, want_times = decompose_table(source, mode, spin, PARAMS, backend)
+    if nodes and not series:
+        mask = node_mask(np.abs(psi.values) ** 2)
+        assert np.any(mask) and np.all(_Jet(psi, PARAMS, backend).current[:2, mask] != 0.0)
+    assert same(got_times, want_times)
+    assert got.live == want.live
+    assert same(got.thresholds, want.thresholds)
+    for pairs in ("vel_pairs", "rho_pairs"):
+        assert len(getattr(got, pairs)) == len(getattr(want, pairs))
+        for a, b in zip(getattr(got, pairs), getattr(want, pairs)):
+            assert same(a, b)
+
+
+def test_advect_rejects_all_zero_state():
+    zero = ComplexField(GRIDS[1], np.zeros(GRIDS[1].shape, dtype=complex))
+    with pytest.raises(ValueError, match="^wavefunction is identically zero$"):
+        advect(np.array([[0.5]]), zero, duration=1.0, rk_steps=2)
+
+
+ZERO_STATES = [
+    pytest.param(RealField(GRIDS[2], np.zeros(GRIDS[2].shape)), "density", id="real"),
+    pytest.param(ComplexField(GRIDS[2], np.zeros(GRIDS[2].shape, dtype=complex)), "wavefunction", id="complex"),
+    pytest.param(
+        SpinorField(GRIDS[2], np.zeros((2,) + GRIDS[2].shape, dtype=complex)), "spinor wavefunction", id="spinor"
+    ),
+]
+
+
+@pytest.mark.parametrize("state, kind", ZERO_STATES)
+def test_nonzero_names_the_state(state, kind):
+    jet = _Jet(state, PARAMS, "spectral")
+    with pytest.raises(ValueError, match=f"^{kind} is identically zero$"):
+        jet.nonzero()
+    live = _Jet(scalar_state(2, True), PARAMS, None)
+    assert live.nonzero() is live
+
+
+def test_public_functions_share_the_zero_guard():
+    real, scalar, spinor = (p.values[0] for p in ZERO_STATES)
+    cases = [
+        (lambda: decompose(scalar, PARAMS), "wavefunction"),
+        (lambda: quantum_potential(real, PARAMS), "density"),
+        (lambda: spin_density(spinor, PARAMS), "spinor wavefunction"),
+        (lambda: velocity_decomposition(spinor, PARAMS), "spinor wavefunction"),
+        (lambda: koenig_energy(scalar, None, PARAMS), "wavefunction"),
+        (lambda: koenig_energy(spinor, None, PARAMS), "spinor wavefunction"),
+    ]
+    for call, kind in cases:
+        with pytest.raises(ValueError, match=f"^{kind} is identically zero$"):
+            call()
+
+
+def test_every_backend_taking_function_checks_it():
+    psi = scalar_state(2, False)
+    spinor = spinor_state(2, False)
+    rho = RealField(psi.grid, np.abs(psi.values) ** 2)
+    s = VectorField(psi.grid, np.zeros((3,) + psi.grid.shape))
+    calls = [
+        lambda b: decompose(psi, PARAMS, b),
+        lambda b: quantum_potential(rho, PARAMS, b),
+        lambda b: internal_kinetic_density(rho, PARAMS, b),
+        lambda b: zbw_speed(rho, PARAMS, b),
+        lambda b: hj_residual(triple_of(psi), 0.01, None, PARAMS, b),
+        lambda b: continuity_residual(triple_of(psi), 0.01, PARAMS, b),
+        lambda b: lagrangian_density(triple_of(psi), 0.01, None, PARAMS, b),
+        lambda b: pauli_current(spinor, PARAMS, None, b),
+        lambda b: velocity_decomposition(spinor, PARAMS, None, b),
+        lambda b: zbw_velocity_uniform(rho, S_CONST, PARAMS, b),
+        lambda b: hestenes_residual(rho, s, b),
+        lambda b: vsq_from_spin(rho, s, PARAMS, b),
+        lambda b: koenig_energy(psi, None, PARAMS, backend=b),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+            call("bogus")
+    # a jet built for one backend is not reused for another
+    with pytest.raises(ValueError, match="unknown backend"):
+        decompose(_Jet(psi, PARAMS, "spectral"), PARAMS, "bogus")
 
 
 # ---------------------------------------------------------------------------
