@@ -8,10 +8,11 @@ environment variable overrides --out.  --seed, a non-negative integer and a
 flag of `trajectories` only, overrides the trajectory seed from the config.
 
 Exit codes: 0 success, 1 config or usage error (including config values that
-are not finite, and an output location that cannot be written), 2 numerical failure (non-finite or unusable data in input
-files or results) or a run too large for the available memory, 3 a
-verification constraint failed (battery check, spin-constraint violation,
-equivariance).
+are not finite, and an output location that cannot be written, which is
+reported in one line on stderr), 2 numerical failure (non-finite or unusable
+data in input files or results) or a run too large for the available
+memory, 3 a verification constraint failed (battery check, spin-constraint
+violation, equivariance).
 
 Outputs are deterministic: rerunning a command with the same config writes
 byte-identical files.  No timestamps, sorted JSON keys, fixed float
