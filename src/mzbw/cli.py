@@ -9,10 +9,15 @@ flag of `trajectories` only, overrides the trajectory seed from the config.
 
 Exit codes: 0 success, 1 config or usage error (including config values that
 are not finite, and an output location that cannot be written, which is
-reported in one line on stderr), 2 numerical failure (non-finite or unusable
-data in input files or results) or a run too large for the available
-memory, 3 a verification constraint failed (battery check, spin-constraint
-violation, equivariance).
+checked before any numerics and reported in one line on stderr), 2
+numerical failure (non-finite or unusable data in input files or results)
+or a run too large for the available memory, 3 a verification constraint
+failed (battery check, spin-constraint violation, equivariance).
+
+`evolve` writes each snapshot as the propagator reaches it and the snapshot
+manifest once the last one is written; a numerical failure mid-run leaves
+the snapshots written so far, without a manifest or summary.  `trajectories`
+with an evolve source transports the ensemble as the snapshots arrive.
 
 Outputs are deterministic: rerunning a command with the same config writes
 byte-identical files.  No timestamps, sorted JSON keys, fixed float
@@ -22,6 +27,7 @@ formatting.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -30,9 +36,9 @@ import numpy as np
 from . import config as cfgmod
 from . import fieldio, trajectories, verify
 from .config import ConfigError
-from .evolve import propagate
+from .evolve import iter_propagate
 from .fields import RealField, integrate
-from .madelung import _Jet, continuity_residual, decompose, hj_residual, quantum_potential
+from .madelung import REGION_EPS, _Jet, decompose, quantum_potential, residual_sups
 from .spinhydro import (
     CONSTRAINT_TOL,
     hestenes_residual,
@@ -86,7 +92,9 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     try:
-        return handler(cfgmod.load_config(args.config), out_dir, args)
+        cfg = cfgmod.load_config(args.config)
+        _check_out(out_dir)
+        return handler(cfg, out_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -99,6 +107,19 @@ def main(argv=None) -> int:
     except OSError as exc:  # an unusable --out, such as an existing file
         print(f"I/O error: {exc}", file=sys.stderr)
         return 1
+
+
+def _check_out(path: str) -> None:
+    """Raise the OSError that making the directory `path` would raise, without
+    making it: the nearest existing ancestor must be a writable directory."""
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        code = errno.EEXIST if existing == os.path.abspath(path) else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), path)
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), existing)
 
 
 def _inputs(cfg: dict):
@@ -208,39 +229,26 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
 def _cmd_evolve(cfg: dict, out_dir: str, args) -> int:
     grid, params, psi = _inputs(cfg)
     evolution = cfgmod.build_evolution(cfg, grid, params)
-    series = propagate(psi, evolution)
+    stream = iter_propagate(psi, evolution)
+    snapshots = fieldio.stream_snapshot_series(os.path.join(out_dir, "snapshots"), stream, config_echo=cfg)
+    phase_sup, continuity_sup = [], []
+    if cfgmod.read_evolution(cfg)["residuals"]:
+        phase_sup, continuity_sup = residual_sups(snapshots, evolution.potential, params, args.backend)
+    for _ in snapshots:  # the rest of the run, when no residuals read it
+        pass
 
-    os.makedirs(out_dir, exist_ok=True)
-    snap_dir = os.path.join(out_dir, "snapshots")
-    fieldio.write_snapshot_series(snap_dir, series, config_echo=cfg)
-
+    norms, energies = np.array(stream.norms), np.array(stream.energies)
     summary = {
         "command": "evolve",
         "backend": args.backend,
         "grid": _grid_summary(grid),
-        "snapshots": len(series.states),
-        "time_range": [float(series.times[0]), float(series.times[-1])],
-        "norm_drift_max": float(np.max(np.abs(series.norms - series.norms[0]))),
-        "energy_drift_max": float(np.max(np.abs(series.energies - series.energies[0]))),
+        "snapshots": len(stream.times),
+        "time_range": [float(stream.times[0]), float(stream.times[-1])],
+        "norm_drift_max": float(np.max(np.abs(norms - norms[0]))),
+        "energy_drift_max": float(np.max(np.abs(energies - energies[0]))),
     }
-    if cfgmod.read_evolution(cfg)["residuals"] and len(series.states) >= 3:
-        # equation residuals on the interior snapshots, sup over rho >= 1e-6 max
-        # so tail roundoff does not dominate; both share the middle snapshot's jet
-        hj_sup, ct_sup = [], []
-        for i in range(1, len(series.states) - 1):
-            (prev, mid, nxt), dt = series.triple(i)
-            triple = (prev, _Jet(mid, params, args.backend), nxt)
-            rho = np.abs(mid.values) ** 2
-            keep = rho >= verify.REGION_EPS * rho.max()
-            hj = hj_residual(triple, dt, evolution.potential, params, args.backend)
-            ct = continuity_residual(triple, dt, params, args.backend)
-            hj_sup.append(float(np.max(np.abs(hj.values.values[keep]))))
-            ct_sup.append(float(np.max(np.abs(ct.values.values[keep]))))
-        summary["residuals"] = {
-            "phase_sup": hj_sup,
-            "continuity_sup": ct_sup,
-            "region_eps": verify.REGION_EPS,
-        }
+    if phase_sup:  # empty for fewer than three snapshots
+        summary["residuals"] = {"phase_sup": phase_sup, "continuity_sup": continuity_sup, "region_eps": REGION_EPS}
     fieldio.write_json(os.path.join(out_dir, "summary.json"), summary)
     return 0
 
@@ -252,10 +260,12 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
         raise ConfigError("this command requires the trajectories section")
     seed = run["seed"] if args.seed is None else args.seed
     spin = spin_vector(cfgmod.build_spinor(cfg), params) if run["mode"] == "total" else None
-    source = propagate(psi, cfgmod.build_evolution(cfg, grid, params)) if run["source"] == "evolve" else psi
+    # one jet of the initial state serves the sampler and, for a static
+    # source, the velocity table and the equivariance check
+    jet = _Jet(psi, params, args.backend)
+    source = iter_propagate(psi, cfgmod.build_evolution(cfg, grid, params)) if run["source"] == "evolve" else jet
 
-    # |psi|^2 by the jet's formula, the density `decompose` would give, without its momentum
-    seeds = trajectories.sample_initial(RealField(grid, _Jet(psi, params, args.backend).rho), run["n"], seed)
+    seeds = trajectories.sample_initial(RealField(grid, jet.rho), run["n"], seed)
     traj = trajectories.advect(
         seeds,
         source,
@@ -292,8 +302,8 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
     equiv_failed = False
     if run["equivariance"]:
         # a static source ends where it starts
-        final = psi if source is psi else source.states[-1]
-        report = trajectories.equivariance_check(traj, RealField(grid, _Jet(final, params, args.backend).rho))
+        final = jet if source is jet else _Jet(source.last.state, params, args.backend)
+        report = trajectories.equivariance_check(traj, RealField(grid, final.rho))
         manifest["equivariance"] = {
             "statistic": report.statistic,
             "critical_1pct": report.critical_1pct,

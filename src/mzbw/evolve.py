@@ -9,11 +9,17 @@ One step of Strang splitting for i hbar d(psi)/dt = (-hbar^2/2m lap + U) psi:
 Each factor is a pointwise phase, so the map is unitary to round-off and the
 splitting error is O(dt^2).  Snapshots are recorded every snapshot_stride
 steps together with norm and energy so conservation can be audited.
+
+`iter_propagate` is the one stepping loop: it hands each snapshot on as
+soon as it is reached, so a consumer that writes, measures or transports it
+holds no more of the run than it needs.  `propagate` collects that stream
+into a `SnapshotSeries`.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +56,14 @@ class Observables:
     width: np.ndarray  # per axis
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    time: float
+    state: ComplexField
+    norm: float
+    energy: float
+
+
 @dataclass
 class SnapshotSeries:
     times: np.ndarray
@@ -65,12 +79,31 @@ class SnapshotSeries:
     def snapshot_dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def triple(self, i: int):
-        """(previous, middle, next) snapshots around index i plus their spacing,
-        for the finite-difference equation residuals."""
-        if not 1 <= i < len(self.states) - 1:
-            raise IndexError(f"triple needs an interior index, got {i}")
-        return (self.states[i - 1], self.states[i], self.states[i + 1]), self.snapshot_dt
+    def __iter__(self) -> Iterator[Snapshot]:
+        return map(Snapshot, self.times, self.states, self.norms, self.energies)
+
+
+class SnapshotStream:
+    """The snapshots of one run in the order the propagator reaches them.
+
+    `grid` and `times` are known up front.  Iterating, which can be done
+    once, runs the propagator and yields each `Snapshot`; `norms` and
+    `energies` log the snapshots yielded so far, and `last` is the latest."""
+
+    def __init__(self, grid, times: np.ndarray, snapshots: Iterator[Snapshot]):
+        self.grid = grid
+        self.times = times
+        self.norms: list[float] = []
+        self.energies: list[float] = []
+        self.last: Snapshot | None = None
+        self._snapshots = snapshots
+
+    def __iter__(self) -> Iterator[Snapshot]:
+        for snap in self._snapshots:
+            self.norms.append(snap.norm)
+            self.energies.append(snap.energy)
+            self.last = snap
+            yield snap
 
 
 def observables(
@@ -97,12 +130,14 @@ def observables(
     return Observables(norm=norm, energy=energy, mean=mean, width=width)
 
 
-def propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotSeries:
-    """Run the split-step scheme and return the recorded snapshot series.
+def iter_propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotStream:
+    """The split-step run as a stream of snapshots, each with its norm and energy.
 
-    The initial state is snapshot 0.  A warning is raised when the highest
-    grid mode advances more than pi of kinetic phase per step (dt too large
-    for the grid), and when psi0 is not normalized."""
+    The initial state is snapshot 0.  The inputs are checked, and the
+    warnings raised, before any step: a warning when the highest grid mode
+    advances more than pi of kinetic phase per step (dt too large for the
+    grid), and when psi0 is not normalized.  No yielded state is written to
+    afterwards, so a consumer may keep any of them."""
     grid = psi0.grid
     params = config.params
     norm0 = float(np.sum(psi0.values.real**2 + psi0.values.imag**2) * grid.cell_volume)
@@ -110,13 +145,11 @@ def propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotSeries:
         warnings.warn(f"initial norm is {norm0:.8g}, not 1", RuntimeWarning, stacklevel=2)
 
     if config.potential is None:
-        u_values = None
         half_kick = None
     else:
         if config.potential.grid != grid:
             raise ValueError("potential must live on the wavefunction grid")
-        u_values = config.potential.values
-        half_kick = np.exp(-0.5j * u_values * config.dt / params.hbar)
+        half_kick = np.exp(-0.5j * config.potential.values * config.dt / params.hbar)
 
     k_sq = grid.k_squared()
     kinetic_phase = params.hbar * k_sq * config.dt / (2.0 * params.mass)
@@ -131,25 +164,34 @@ def propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotSeries:
 
     n_snapshots = config.steps // config.snapshot_stride + 1
     times = config.dt * config.snapshot_stride * np.arange(n_snapshots)
-    states = [ComplexField(grid, psi0.values.copy())]
+    return SnapshotStream(grid, times, _snapshots(psi0, config, times, half_kick, kinetic_factor))
 
+
+def _snapshots(psi0, config, times, half_kick, kinetic_factor) -> Iterator[Snapshot]:
+    grid = psi0.grid
     psi = psi0.values.copy()
-    for step in range(config.steps):
-        if half_kick is not None:
-            psi = half_kick * psi
-        psi = np.fft.ifftn(kinetic_factor * np.fft.fftn(psi))
-        if half_kick is not None:
-            psi = half_kick * psi
-        if (step + 1) % config.snapshot_stride == 0:
-            states.append(ComplexField(grid, psi.copy()))
+    for record, time in enumerate(times):
+        if record:
+            # every factor makes a new array, so a yielded state is never written to
+            for _ in range(config.snapshot_stride):
+                if half_kick is not None:
+                    psi = half_kick * psi
+                psi = np.fft.ifftn(kinetic_factor * np.fft.fftn(psi))
+                if half_kick is not None:
+                    psi = half_kick * psi
+        state = ComplexField(grid, psi)
+        obs = observables(state, config.potential, config.params)
+        yield Snapshot(time, state, obs.norm, obs.energy)
 
-    norms = np.empty(n_snapshots)
-    energies = np.empty(n_snapshots)
-    for i, state in enumerate(states):
-        obs = observables(state, config.potential, params)
-        norms[i] = obs.norm
-        energies[i] = obs.energy
-    return SnapshotSeries(times=times, states=states, norms=norms, energies=energies)
+
+def propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotSeries:
+    """Run the split-step scheme and return the recorded snapshot series,
+    collected from `iter_propagate`."""
+    stream = iter_propagate(psi0, config)
+    states = [snap.state for snap in stream]
+    return SnapshotSeries(
+        times=stream.times, states=states, norms=np.array(stream.norms), energies=np.array(stream.energies)
+    )
 
 
 def stationary_residual(
@@ -172,7 +214,10 @@ def fidelity(a: ComplexField, b: ComplexField) -> float:
 __all__ = [
     "EvolutionConfig",
     "Observables",
+    "Snapshot",
     "SnapshotSeries",
+    "SnapshotStream",
+    "iter_propagate",
     "observables",
     "propagate",
     "stationary_residual",

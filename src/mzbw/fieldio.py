@@ -15,6 +15,7 @@ bit-identical.
 
 Snapshot series: a directory of psi_NNNNNN.mzbw files plus manifest.json with
 times, the conserved-quantity log, and an echo of the run configuration.
+Each file is written as its snapshot arrives and the manifest last.
 
 Trajectories: CSV with one row per (particle, time): particle, t, x, y, z,
 mode, frozen, every float as %.17g.  The writer formats one %-template of
@@ -129,13 +130,17 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def write_snapshot_series(directory: str, series: SnapshotSeries, config_echo: dict | None = None) -> None:
+def stream_snapshot_series(directory: str, series, config_echo: dict | None = None):
+    """Write each snapshot of `series` (a SnapshotSeries or SnapshotStream)
+    as it passes through, yielding it on; the manifest is written after the
+    last one, so a series cut short by an error has no manifest."""
     os.makedirs(directory, exist_ok=True)
     files = []
-    for i, state in enumerate(series.states):
+    for i, snap in enumerate(series):
         name = f"psi_{i:06d}.mzbw"
-        write_field(os.path.join(directory, name), state)
+        write_field(os.path.join(directory, name), snap.state)
         files.append(name)
+        yield snap
     write_json(
         os.path.join(directory, "manifest.json"),
         {
@@ -150,6 +155,11 @@ def write_snapshot_series(directory: str, series: SnapshotSeries, config_echo: d
             "config": config_echo or {},
         },
     )
+
+
+def write_snapshot_series(directory: str, series, config_echo: dict | None = None) -> None:
+    for _ in stream_snapshot_series(directory, series, config_echo):
+        pass
 
 
 def read_snapshot_series(directory: str) -> SnapshotSeries:
@@ -168,6 +178,8 @@ def read_snapshot_series(directory: str) -> SnapshotSeries:
     times, norms, energies = logs
     if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
         raise ValueError(f"{directory}: snapshot times must be finite and increasing")
+    if not (np.all(np.isfinite(norms)) and np.all(np.isfinite(energies))):
+        raise ValueError(f"{directory}: conserved norm and energy must be finite")
     states = []
     for name in files:
         state = read_field(os.path.join(directory, name))

@@ -50,6 +50,7 @@ from .fields import (
 )
 
 NODE_EPS = 1e-12
+REGION_EPS = 1e-6  # residual sups and two-form comparisons are measured where rho >= REGION_EPS * max
 
 
 def node_mask(rho_values: np.ndarray) -> np.ndarray:
@@ -271,14 +272,15 @@ def _phase_rate(
 
 
 def _triple_jet(snapshots, dt: float, params: PhysicalParams, backend: str) -> tuple:
-    """(prev, jet of the middle snapshot, next); the middle one may already be
-    a jet, so the residuals of one triple share its derivatives."""
+    """Jets of (prev, middle, next); the middle one carries params and backend.
+    Any of the three may already be a jet, so snapshots that appear in several
+    triples share their densities, masks and derivatives."""
     if dt <= 0:
         raise ValueError(f"snapshot spacing must be positive, got {dt}")
     prev, mid, nxt = snapshots
     if not (prev.grid == mid.grid == nxt.grid):
         raise ValueError("snapshots must share a grid")
-    return prev, _jet(mid, params, backend), nxt
+    return _jet(prev), _jet(mid, params, backend), _jet(nxt)
 
 
 def hj_terms(
@@ -292,10 +294,10 @@ def hj_terms(
     bracket, u, mask) evaluated at the middle snapshot.  The bracket is the
     log-derivative quantum-potential form without its hbar^2/4m coefficient."""
     prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
-    mask = jet.mask | node_mask(_jet(prev).rho) | node_mask(_jet(nxt).rho)
+    mask = jet.mask | prev.mask | nxt.mask
     safe = np.where(mask, 1.0, jet.rho)
 
-    dphi_dt = _phase_rate(prev, jet.state, nxt, dt, mask, params.hbar)
+    dphi_dt = _phase_rate(prev.state, jet.state, nxt.state, dt, mask, params.hbar)
 
     kinetic = np.zeros(jet.grid.shape)
     for j_axis in jet.current[: jet.grid.dims]:
@@ -336,10 +338,52 @@ def continuity_residual(
     nodes, so the residual carries no masked-out points."""
     prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
     grid = jet.grid
-    drho_dt = (_jet(nxt).rho - _jet(prev).rho) / (2.0 * dt)
+    drho_dt = (nxt.rho - prev.rho) / (2.0 * dt)
     div_flux = divergence(VectorField(grid, jet.current / params.mass), backend).values
     values = RealField(grid, drho_dt + div_flux)
     return ResidualField(values=values, node_mask=np.zeros(grid.shape, dtype=bool))
+
+
+def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams, backend: str = "spectral"):
+    """Sups of |phase residual| and |continuity residual| at each interior
+    snapshot of a series, over the points where |psi|^2 >= REGION_EPS times
+    its maximum, so tail roundoff does not dominate.
+
+    `snapshots` yields `Snapshot`s (a `SnapshotSeries` or `SnapshotStream`);
+    the spacing is that of the first two.  One pass keeps a window of three
+    jets, so each snapshot's density and mask are computed once and the
+    middle one's derivatives are shared by both residuals; a middle jet that
+    moves on to be the previous one keeps only its density and mask.
+    Returns two lists with one entry per interior snapshot, empty for fewer
+    than three snapshots."""
+    phase_sup, continuity_sup = [], []
+    window, times = [], []
+    for snap in snapshots:
+        window.append(_Jet(snap.state, params, backend))
+        if len(times) < 2:
+            times.append(snap.time)
+        if len(window) == 3:
+            hj_sup, ct_sup = _sups(window, float(times[1] - times[0]), potential, params, backend)
+            phase_sup.append(hj_sup)
+            continuity_sup.append(ct_sup)
+            window = [_density_jet(window[1]), window[2]]
+    return phase_sup, continuity_sup
+
+
+def _sups(window, dt, potential, params, backend) -> tuple[float, float]:
+    """The two residual sups of one (prev, mid, next) window."""
+    rho = np.abs(window[1].state.values) ** 2  # not the jet's rho: it rounds differently, moving the region
+    keep = rho >= REGION_EPS * rho.max()
+    hj = hj_residual(window, dt, potential, params, backend)
+    ct = continuity_residual(window, dt, params, backend)
+    return float(np.max(np.abs(hj.values.values[keep]))), float(np.max(np.abs(ct.values.values[keep])))
+
+
+def _density_jet(jet: _Jet) -> _Jet:
+    """A jet of the same state holding only the density and mask `jet` computed."""
+    bare = _Jet(jet.state, None, None)
+    bare.rho, bare.mask = jet.rho, jet.mask
+    return bare
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ substep allocates no per-particle array.  A `_Workspace` holds, sized for
 the ensemble, the stage positions, k1-k4, the per-axis interpolation
 intermediates, the corner index/weight, the gather and the blend result;
 every substep writes into it with ``out=``.  Only the live velocity columns
-(nonzero somewhere in the table) are integrated: the others have velocity
-+0.0 and keep their seed value.  Gathers use ``np.take(..., mode="clip")``:
+are integrated: the others have velocity +0.0 and keep their seed value.
+A static state's live columns are its nonzero ones; a snapshot series is
+read a few snapshots at a time, so its live columns are the ones the grid
+axes, the mode and the spin can move.  Gathers use ``np.take(..., mode="clip")``:
 the offsets are already wrapped into range, so clipping changes no index,
 while the default ``mode="raise"`` gathers into a hidden copy first.
 Reusing the buffers also keeps the allocator from trimming and re-faulting
@@ -34,14 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import SnapshotSeries
+from .evolve import SnapshotSeries, SnapshotStream
 from .fields import ComplexField, PhysicalParams, RealField
-from .madelung import NODE_EPS, _Jet
+from .madelung import NODE_EPS, _Jet, _jet
 from .spinhydro import zbw_velocity_uniform
 
 KS_COEFF_1PCT = 1.63  # asymptotic Kolmogorov-Smirnov critical coefficient at the 1% level
 
 MODES = ("drift", "total")
+_SERIES = (SnapshotSeries, SnapshotStream)
 
 
 def _cell_cdf(grid, axis: int, marginal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,38 +183,74 @@ def _interp_components(grid, flat: np.ndarray, positions: np.ndarray) -> np.ndar
 class _VelocityTable:
     """Velocity and density samples at a sequence of times, evaluable anywhere.
 
-    Only the live velocity components, those nonzero somewhere in the series,
-    are interpolated; the rest are exact zeros on the grid and evaluate to
-    0.0 (a 1D drift table interpolates one component, not three).  Each
-    adjacent snapshot pair is pre-stacked into one flat table, [v_j; v_j+1]
-    and [rho_j; rho_j+1], and an evaluation between snapshots is a single
-    `_interp_into` call whose halves are blended (1-theta) a + theta b.
-    A single-snapshot table holds just that snapshot."""
+    `velocities` and `densities` hold or yield one (3, *grid) velocity and
+    one density per time; with `densities` omitted, `velocities` yields
+    (velocity, density) pairs.  They are read forward: the table copies at most
+    three consecutive snapshots into a window, [v_j; v_j+1; v_j+2] and
+    [rho_j; rho_j+1; rho_j+2], whose adjacent pairs are contiguous views.
+    An evaluation between snapshots j and j+1 is a single `_interp_into`
+    call on pair j whose halves are blended (1-theta) a + theta b.  The
+    window holds three because an RK4 stage time t + h in [t_j, t_j+1] can
+    round just past t_j+1 and read pair j+1, while the next interval starts
+    at t_j+1 itself, which reads pair j at theta 1.  The window moves on one
+    snapshot when an evaluation reads past it, and never back.
 
-    def __init__(self, grid, times, velocities, densities):
+    Only the live velocity components are interpolated; the rest evaluate to
+    0.0 (a 1D drift table interpolates one component, not three).  `live`
+    defaults to the components nonzero somewhere in `velocities`, which must
+    then be a sequence."""
+
+    def __init__(self, grid, times, velocities, densities=None, live=None):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
-        self.live = [c for c in range(3) if any(np.any(v[c] != 0) for v in velocities)]
-        nt, size = len(self.times), grid.size
-        vel = np.stack([v[self.live] for v in velocities]).reshape(nt, len(self.live), size)
-        rho = np.stack(densities).reshape(nt, 1, size)
-        # rows [j; j+1] of a stacked series are contiguous, so each pair is a view
-        pairs = range(max(nt - 1, 1))
-        self.vel_pairs = [vel[j : j + 2].reshape(-1, size) for j in pairs]
-        self.rho_pairs = [rho[j : j + 2].reshape(-1, size) for j in pairs]
-        self.thresholds = [NODE_EPS * np.max(d) for d in densities]
+        if live is None:
+            live = [c for c in range(3) if any(np.any(v[c] != 0) for v in velocities)]
+        self.live = live
+        held, size = min(len(self.times), 3), grid.size
+        self._rows = iter(velocities) if densities is None else zip(velocities, densities)
+        self._vel = np.empty((held, len(live), size))
+        self._rho = np.empty((held, 1, size))
+        self.thresholds = []
+        for slot in range(held):
+            self._load(slot)
+        self.base = 0  # the snapshot in slot 0
+        # a window of one snapshot has one "pair": that snapshot
+        pairs = range(max(held - 1, 1))
+        self.vel_pairs = [self._vel[i : i + 2].reshape(-1, size) for i in pairs]
+        self.rho_pairs = [self._rho[i : i + 2].reshape(-1, size) for i in pairs]
+
+    def _load(self, slot: int) -> None:
+        v, rho = next(self._rows)
+        for row, c in enumerate(self.live):
+            self._vel[slot, row] = v[c].reshape(-1)
+        self._rho[slot, 0] = rho.reshape(-1)
+        self.thresholds.append(NODE_EPS * np.max(rho))
+
+    def _advance(self) -> None:
+        """Move the window on by one snapshot."""
+        for slot in range(len(self.thresholds) - 1):
+            self._vel[slot] = self._vel[slot + 1]
+            self._rho[slot] = self._rho[slot + 1]
+        del self.thresholds[0]
+        self._load(len(self.thresholds))
+        self.base += 1
 
     def workspace(self, n: int) -> _Workspace:
         """Buffers for evaluating this table, and integrating it, at n positions."""
         return _Workspace(self.grid, n, 2 * max(len(self.live), 1), len(self.live))
 
     def _bracket(self, t: float):
+        """(window pair i, theta) of the snapshots j = base + i and j + 1 around t."""
         if len(self.times) == 1:
             return 0, 0.0
         j = min(max(int(np.searchsorted(self.times, t)) - 1, 0), len(self.times) - 2)
+        if j < self.base:
+            raise ValueError(f"time {t} lies behind the table's window, which only moves forward")
+        while j > self.base + 1:
+            self._advance()
         span = self.times[j + 1] - self.times[j]
         theta = min(max(float((t - self.times[j]) / span), 0.0), 1.0)
-        return j, theta
+        return j - self.base, theta
 
     def _blend_into(self, ws, pair, theta, cols, out):
         """Into out (width, m): snapshot j's rows of `pair` at theta == 0, else
@@ -229,16 +268,16 @@ class _VelocityTable:
     def _velocity_into(self, ws, cols, t: float, out: np.ndarray) -> None:
         """The live velocity components at t into out (len(live), m)."""
         if self.live:
-            j, theta = self._bracket(t)
-            self._blend_into(ws, self.vel_pairs[j], theta, cols, out)
+            i, theta = self._bracket(t)
+            self._blend_into(ws, self.vel_pairs[i], theta, cols, out)
 
     def _density_into(self, ws, cols, t: float, out: np.ndarray):
         """The density at t into out (1, m); returns the node threshold at t."""
-        j, theta = self._bracket(t)
-        self._blend_into(ws, self.rho_pairs[j], theta, cols, out)
+        i, theta = self._bracket(t)
+        self._blend_into(ws, self.rho_pairs[i], theta, cols, out)
         if theta == 0.0:
-            return self.thresholds[j]
-        return (1.0 - theta) * self.thresholds[j] + theta * self.thresholds[j + 1]
+            return self.thresholds[i]
+        return (1.0 - theta) * self.thresholds[i] + theta * self.thresholds[i + 1]
 
     def velocity(self, positions: np.ndarray, t: float) -> np.ndarray:
         n = positions.shape[0]
@@ -254,6 +293,27 @@ class _VelocityTable:
         return rho[0], thr
 
 
+def _row(state, mode, spin, params, backend) -> tuple[np.ndarray, np.ndarray]:
+    """The (3, *grid) velocity and the density of one state or jet."""
+    jet = _jet(state, params, backend).nonzero()
+    v = jet.momentum / params.mass
+    if mode == "total":
+        v = v + zbw_velocity_uniform(jet, spin, params, backend).values
+    return v, jet.rho
+
+
+def _live_columns(dims: int, mode: str, spin) -> list:
+    """The velocity components a series can move: the grid axes and, in total
+    mode, the components grad(rho) x s reaches from them (row a of the cross
+    products below is e_a x s).  A superset of the nonzero components, known
+    before any snapshot is: a live column that is exactly zero integrates to
+    the same bits as a dead one (see `_transport`)."""
+    if mode == "drift":
+        return list(range(dims))
+    reach = np.cross(np.eye(3)[:dims], spin)
+    return [c for c in range(3) if c < dims or np.any(reach[:, c])]
+
+
 def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, np.ndarray]:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -261,23 +321,15 @@ def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, n
         spin = np.asarray(spin, dtype=float) if spin is not None else None
         if spin is None or spin.shape != (3,):
             raise ValueError("total mode needs a constant spin vector of shape (3,)")
-    if isinstance(source, SnapshotSeries):
-        states, times = source.states, source.times
-    elif isinstance(source, ComplexField):
-        states, times = [source], np.array([0.0])
-    else:
-        raise TypeError(f"source must be a SnapshotSeries or ComplexField, got {type(source)}")
-    grid = states[0].grid
-    velocities = []
-    densities = []
-    for state in states:
-        jet = _Jet(state, params, backend).nonzero()
-        v = jet.momentum / params.mass
-        if mode == "total":
-            v = v + zbw_velocity_uniform(jet, spin, params, backend).values
-        velocities.append(v)
-        densities.append(jet.rho)
-    return _VelocityTable(grid, times, velocities, densities), times
+    if isinstance(source, _SERIES):
+        # one (velocity, density) row per snapshot, computed when the window reads it
+        rows = (_row(snap.state, mode, spin, params, backend) for snap in source)
+        live = _live_columns(source.grid.dims, mode, spin)
+        return _VelocityTable(source.grid, source.times, rows, live=live), source.times
+    if isinstance(source, ComplexField) or (isinstance(source, _Jet) and isinstance(source.state, ComplexField)):
+        v, rho = _row(source, mode, spin, params, backend)
+        return _VelocityTable(source.grid, [0.0], [v], [rho]), np.array([0.0])
+    raise TypeError(f"source must be a SnapshotSeries, SnapshotStream or ComplexField, got {type(source)}")
 
 
 def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals):
@@ -376,11 +428,13 @@ def advect(
     """Integrate seed positions through the velocity field of `source`.
 
     `seeds` is an (n, k) array of n >= 1 positions with k = 1 to 3
-    coordinates; the absent ones are zero.  A SnapshotSeries source is
-    integrated over its own time range with `substeps` RK4 steps per
-    snapshot interval and recorded at snapshot times.  A static ComplexField
-    source needs `duration` and `rk_steps` and is recorded after every
-    step."""
+    coordinates; the absent ones are zero.  A SnapshotSeries or
+    SnapshotStream source is integrated over its own time range with
+    `substeps` RK4 steps per snapshot interval and recorded at snapshot
+    times; a stream is read as the transport reaches each snapshot, so at
+    most three of its snapshots are held at once.  A static ComplexField
+    source (or its jet) needs `duration` and `rk_steps` and is recorded
+    after every step."""
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 2 or seeds.shape[0] < 1 or not 1 <= seeds.shape[1] <= 3:
         raise ValueError(f"seeds must be an (n, k) array, n >= 1 and k = 1 to 3 columns; got shape {seeds.shape}")
@@ -390,20 +444,24 @@ def advect(
     full[:, : seeds.shape[1]] = seeds
     seeds = full
 
-    table, source_times = _build_table(source, mode, spin, params, backend)
-    if isinstance(source, SnapshotSeries):
+    # settings are checked before a stream source runs its propagator
+    series = isinstance(source, _SERIES)
+    if series:
         if substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {substeps}")
-        record_times = source_times
+    elif isinstance(source, (ComplexField, _Jet)):
+        if duration is None or rk_steps is None:
+            raise ValueError("static sources need duration and rk_steps")
+        if not np.isfinite(duration) or duration <= 0 or rk_steps < 1:
+            raise ValueError(f"bad duration/rk_steps: {duration}, {rk_steps}")
+
+    table, record_times = _build_table(source, mode, spin, params, backend)
+    if series:
         intervals = [
             (record_times[j], record_times[j + 1], substeps)
             for j in range(len(record_times) - 1)
         ]
     else:
-        if duration is None or rk_steps is None:
-            raise ValueError("static sources need duration and rk_steps")
-        if not np.isfinite(duration) or duration <= 0 or rk_steps < 1:
-            raise ValueError(f"bad duration/rk_steps: {duration}, {rk_steps}")
         record_times = np.linspace(0.0, duration, rk_steps + 1)
         intervals = [(record_times[j], record_times[j + 1], 1) for j in range(rk_steps)]
 

@@ -50,7 +50,7 @@ from .fields import (
     dot,
     magnitude,
 )
-from .madelung import _Jet, decompose, hj_residual, quantum_potential, zbw_speed
+from .madelung import REGION_EPS, _Jet, decompose, hj_residual, quantum_potential, zbw_speed
 from .spinhydro import (
     CONSTRAINT_TOL,
     hestenes_residual,
@@ -66,7 +66,6 @@ from .spinhydro import (
 
 TOLERANCE_TABLE_VERSION = 1
 
-REGION_EPS = 1e-6  # two-form comparisons are measured where rho >= REGION_EPS * max
 DETECTION_FRACTION = 0.5  # violation must register at least this fraction of its analytic size
 ORDER_WINDOW = (2.5, 10.0)  # error ratio per refinement consistent with h^2 falls in here
 

@@ -288,14 +288,24 @@ class TestCliExitCodes:
 
 class TestCliBehavior:
     def test_reruns_are_byte_identical(self, tmp_path):
-        cfg_path = write_config(tmp_path / "run.json", BASE)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["decompose", "--config", cfg_path, "--out", str(out_a)]) == 0
-        assert cli.main(["decompose", "--config", cfg_path, "--out", str(out_b)]) == 0
-        names = sorted(p.name for p in out_a.iterdir())
-        assert names == sorted(p.name for p in out_b.iterdir())
-        for name in names:
-            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        # decompose, and the two streamed commands: evolve with residuals and
+        # trajectories transported through an evolving series
+        evolution = {"dt": 2e-3, "steps": 12, "snapshot_stride": 3, "residuals": True}
+        runs = [
+            ("decompose", BASE),
+            ("evolve", dict(BASE, evolution=evolution)),
+            ("trajectories", dict(BASE, evolution=evolution, trajectories={"n": 50, "source": "evolve", "seed": 2})),
+        ]
+        for command, cfg in runs:
+            cfg_path = write_config(tmp_path / f"{command}.json", cfg)
+            out_a, out_b = tmp_path / f"{command}_a", tmp_path / f"{command}_b"
+            assert cli.main([command, "--config", cfg_path, "--out", str(out_a)]) == 0
+            assert cli.main([command, "--config", cfg_path, "--out", str(out_b)]) == 0
+            names = sorted(str(p.relative_to(out_a)) for p in out_a.rglob("*") if p.is_file())
+            assert names == sorted(str(p.relative_to(out_b)) for p in out_b.rglob("*") if p.is_file())
+            assert len(names) > 1
+            for name in names:
+                assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_env_var_overrides_out_flag(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path / "run.json", BASE)
@@ -427,6 +437,37 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.startswith("I/O error:")
         assert len(err.strip().splitlines()) == 1
+        assert blocker.read_text() == "not a directory"
+
+
+class TestOutputCheckedFirst:
+    """An unusable --out is reported before any numerics run, and nothing is created."""
+
+    CONFIG = dict(
+        BASE,
+        evolution={"dt": 1e-3, "steps": 4},
+        trajectories={"n": 10, "source": "evolve"},
+        verify={"refinements": 0},
+    )
+
+    @pytest.mark.parametrize("where", ["existing-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["decompose", "spin", "evolve", "trajectories", "verify"])
+    def test_unusable_out_exits_1_before_numerics(self, tmp_path, capsys, monkeypatch, command, where):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("numerics ran despite an unusable --out")
+
+        monkeypatch.setattr(cli, "_inputs", unreachable)
+        monkeypatch.setattr(cli.verify, "run_battery", unreachable)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        out = blocker if where == "existing-file" else blocker / "out"
+        cfg_path = write_config(tmp_path / "run.json", self.CONFIG)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and str(out) in err
+        assert len(err.strip().splitlines()) == 1
+        assert sorted(tmp_path.rglob("*")) == before
         assert blocker.read_text() == "not a directory"
 
 

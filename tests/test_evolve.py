@@ -130,17 +130,6 @@ class TestSeriesAccess:
         np.testing.assert_allclose(series.times, 0.01 * np.arange(201), atol=1e-14)
         assert series.snapshot_dt == pytest.approx(0.01)
 
-    def test_triple_needs_interior_index(self, free_gaussian_series):
-        series = free_gaussian_series
-        (prev, mid, nxt), dt = series.triple(1)
-        assert dt == pytest.approx(0.01)
-        assert prev is series.states[0]
-        assert nxt is series.states[2]
-        with pytest.raises(IndexError):
-            series.triple(0)
-        with pytest.raises(IndexError):
-            series.triple(200)
-
 
 class TestObservables:
     def test_plane_wave_energy(self, params):

@@ -180,6 +180,8 @@ class TestSnapshotSeries:
             ("conserved.norm", lambda v: {"values": v}),
             ("conserved.energy", lambda v: v + [0.0]),
             ("conserved.energy", lambda v: "high"),
+            ("conserved.norm", lambda v: v[:1] + [float("nan")] + v[2:]),
+            ("conserved.energy", lambda v: v[:-1] + [float("inf")]),
         ],
     )
     def test_corrupt_manifest_rejected(self, tmp_path, key, change):

@@ -516,9 +516,11 @@ class TestWorkspaceFreezing:
         intervals = [(times[j], times[j + 1], 4) for j in range(3)]
         paths, frozen = _transport(table, seeds, times, intervals)
         assert frozen.all()
+        # a table's window only moves forward, so the reference reads its own
+        reference = ramp_table(grid, times, np.random.default_rng(8))
         assert_same_transport(
             TrajectorySet(seeds, times, paths, "drift", frozen),
-            masked_rk4_reference(table, seeds, times, intervals),
+            masked_rk4_reference(reference, seeds, times, intervals),
         )
 
     def test_every_particle_frozen_at_start(self):
