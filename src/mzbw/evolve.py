@@ -97,8 +97,12 @@ class SnapshotStream:
         self.energies: list[float] = []
         self.last: Snapshot | None = None
         self._snapshots = snapshots
+        self._read = False
 
     def __iter__(self) -> Iterator[Snapshot]:
+        if self._read:
+            raise ValueError("a snapshot stream can be read only once")
+        self._read = True
         for snap in self._snapshots:
             self.norms.append(snap.norm)
             self.energies.append(snap.energy)

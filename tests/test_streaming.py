@@ -223,7 +223,8 @@ def test_stream_yields_what_propagate_collects():
         assert same(snap.state.values, state.values)
     assert same(stream.norms, series.norms) and same(stream.energies, series.energies)
     assert [s.norm for s in snaps] == stream.norms and stream.last is snaps[-1]
-    assert list(stream) == []  # a stream is read once
+    with pytest.raises(ValueError, match="only once"):
+        advect(np.zeros((1, 1)), stream, params=PARAMS)
 
 
 def test_stream_checks_inputs_before_any_step():
