@@ -70,15 +70,18 @@ class Grid:
         self.axes = tuple(
             -L / 2.0 + h * np.arange(n) for L, h, n in zip(exts, self.spacing, pts)
         )
-        self._coords = None
         self._wavenumbers = None
         self._k_squared = None
 
     def coords(self) -> tuple[np.ndarray, ...]:
-        """Meshgrid coordinate arrays, one per axis, each of shape grid.shape."""
-        if self._coords is None:
-            self._coords = tuple(np.meshgrid(*self.axes, indexing="ij"))
-        return self._coords
+        """Coordinate arrays, one per axis, each of shape grid.shape.
+
+        Each is a read-only broadcast view of its axis (stride 0 along the
+        other axes), so a grid holds no dense meshes; arithmetic on them gives
+        the same values as on `np.meshgrid(*axes, indexing="ij")`."""
+        return tuple(
+            np.broadcast_to(self._axis_shape(x, axis), self.shape) for axis, x in enumerate(self.axes)
+        )
 
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
         if self._wavenumbers is None:
@@ -204,6 +207,11 @@ class SpinorField:
 # raw-array derivative cores
 
 
+def _along(axis: int, start: int | None = None, stop: int | None = None) -> tuple:
+    """Index of the slice start:stop along `axis`, everything along the axes before it."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
 def _axis_derivative(values: np.ndarray, grid: Grid, axis: int, backend: str) -> np.ndarray:
     if backend == "spectral":
         k = grid.wavenumbers()[axis].copy()
@@ -211,20 +219,37 @@ def _axis_derivative(values: np.ndarray, grid: Grid, axis: int, backend: str) ->
         fhat = np.fft.fft(values, axis=axis)
         out = np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
         return out if np.iscomplexobj(values) else out.real
-    h = grid.spacing[axis]
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+    # (a[i+1] - a[i-1]) / 2h with periodic wrap: the interior from shifted
+    # slices, the two wrap rows from one-row slices.  These are the
+    # subtractions of the rolled-copy form, so the bits are the same.
+    out = np.empty_like(values)
+    np.subtract(values[_along(axis, 2)], values[_along(axis, None, -2)], out=out[_along(axis, 1, -1)])
+    np.subtract(values[_along(axis, 1, 2)], values[_along(axis, -1)], out=out[_along(axis, None, 1)])
+    np.subtract(values[_along(axis, None, 1)], values[_along(axis, -2, -1)], out=out[_along(axis, -1)])
+    out /= 2.0 * grid.spacing[axis]
+    return out
 
 
 def _laplacian_values(values: np.ndarray, grid: Grid, backend: str) -> np.ndarray:
     if backend == "spectral":
         out = np.fft.ifftn(-grid.k_squared() * np.fft.fftn(values))
         return out if np.iscomplexobj(values) else out.real
+    # per axis ((a[i+1] - 2 a[i]) + a[i-1]) / h^2, added onto zero: the
+    # rolled-copy form's operations in its order, from slices into one
+    # scratch array
     out = np.zeros_like(values)
+    twice = 2.0 * values
+    term = np.empty_like(values)
     for axis in range(grid.dims):
         h = grid.spacing[axis]
-        out = out + (
-            np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)
-        ) / (h * h)
+        head, tail = _along(axis, None, -1), _along(axis, 1)
+        first, last = _along(axis, None, 1), _along(axis, -1)
+        np.subtract(values[tail], twice[head], out=term[head])
+        np.subtract(values[first], twice[last], out=term[last])
+        np.add(term[tail], values[head], out=term[tail])
+        np.add(term[first], values[last], out=term[first])
+        term /= h * h
+        out += term
     return out
 
 

@@ -115,16 +115,16 @@ def pauli_current(
     grid = jet.grid
     convective = jet.current / params.mass
     if vector_potential is None:
-        diamagnetic = np.zeros((3,) + grid.shape)
+        diamagnetic = _uniform(grid, (0.0, 0.0, 0.0))  # absent term: a read-only zero view
     else:
         if vector_potential.grid != grid:
             raise ValueError("vector potential must live on the wavefunction grid")
-        diamagnetic = -(params.charge / params.mass) * vector_potential.values * jet.rho
-    total = convective + diamagnetic + jet.spin_current
+        diamagnetic = VectorField(grid, -(params.charge / params.mass) * vector_potential.values * jet.rho)
+    total = convective + diamagnetic.values + jet.spin_current
     return PauliCurrent(
         total=VectorField(grid, total),
         convective=VectorField(grid, convective),
-        diamagnetic=VectorField(grid, diamagnetic),
+        diamagnetic=diamagnetic,
         spin=VectorField(grid, jet.spin_current),
     )
 

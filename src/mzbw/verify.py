@@ -50,9 +50,10 @@ from .fields import (
     dot,
     magnitude,
 )
-from .madelung import REGION_EPS, _Jet, decompose, hj_residual, quantum_potential, zbw_speed
+from .madelung import REGION_EPS, _Jet, hj_residual, quantum_potential, zbw_speed
 from .spinhydro import (
     CONSTRAINT_TOL,
+    SpinVector,
     hestenes_residual,
     koenig_energy,
     pauli_current,
@@ -176,6 +177,12 @@ def _check_entry(
     records: list,
     gated_out: list,
 ) -> None:
+    """Append the entry's records, in a fixed order, to `records`.
+
+    Each section is its own function, so its arrays are freed when it
+    returns; only the scalar jet, the spin vector, curl(rho s)/m, the
+    internal velocity and the measured grad(rho).s sup pass between them.
+    The 128^3 fd2 level sets the battery's peak memory."""
     grid = entry.psi.grid
     h = float(max(grid.spacing))
 
@@ -195,12 +202,25 @@ def _check_entry(
 
     # every scalar quantity below reads the derivatives of this one jet
     jet = _Jet(entry.psi, params, backend)
-    md = decompose(jet, params, backend)
-    rho = md.rho
-    rho_max = float(np.max(rho.values))
+    _check_two_forms(jet, params, backend, h, fault, record)
+    sv, spin_current, zbw = _check_spinor_current(entry, params, backend, record)
+    dot_max = _check_hestenes(entry, jet, sv, params, backend, record)
+    if dot_max <= CONSTRAINT_TOL:
+        _check_uniform_spin(entry, jet, sv.s, spin_current, zbw, params, backend, record)
+    else:
+        for identity in _UNIFORM_SPIN_IDENTITIES:
+            gated_out.append({"state": entry.name, "identity": identity, "gate_residual": dot_max})
+    del sv, spin_current, zbw
+    _check_stationary(entry, jet, params, backend, record)
+    del jet
+    _check_cross_square(entry, record)
+
+
+def _check_two_forms(jet: _Jet, params: PhysicalParams, backend: str, h: float, fault: str | None, record) -> None:
+    grid = jet.grid
+    rho = jet.nonzero().rho
     qp = quantum_potential(jet, params, backend)
-    region = rho.values >= REGION_EPS * rho_max
-    grad_rho = jet.grad_rho
+    region = rho >= REGION_EPS * float(np.max(rho))
 
     q_vals = qp.q.values
     if fault == "flip_q_sign":
@@ -209,93 +229,107 @@ def _check_entry(
         float(np.max(np.abs(qp.q_log_form.values[region]))),
         params.hbar**2 / (2.0 * params.mass * max(grid.extents) ** 2),
     )
-    k_edge = float(np.max(magnitude(grad_rho).values[region] / rho.values[region]))
+    k_edge = float(np.max(magnitude(jet.grad_rho).values[region] / rho[region]))
     record(
         "quantum_potential_two_forms",
         float(np.max(np.abs(q_vals - qp.q_log_form.values)[region])) / q_scale,
         tol=tolerance("quantum_potential_two_forms", backend, h, k_edge=k_edge),
     )
 
+
+def _check_spinor_current(entry: _Entry, params: PhysicalParams, backend: str, record) -> tuple:
+    """The Pauli current against rho * (drift + internal velocity); returns
+    the spin vector, curl(rho s)/m and the internal velocity."""
     spinor = _Jet(states.attach_spinor(entry.psi, entry.chi), params, backend)
     sv = spin_density(spinor, params)
     current = pauli_current(spinor, params, backend=backend)
+    total = current.total.values
+    spin_div = float(np.max(np.abs(divergence(current.spin, backend).values)))
+    del current  # frees its convective part before the velocities are built
     decomp = velocity_decomposition(spinor, params, backend=backend)
-    del spinor  # frees its current and rho s; the 128^3 fd2 level sets peak memory
-    hest = hestenes_residual(sv.rho, sv.s, backend)
+    del spinor  # frees its state, current and rho s before the comparison below
 
     record(
         "current_decomposition",
-        float(np.max(np.abs(rho_total_current(decomp, sv.rho).values - current.total.values))),
+        float(np.max(np.abs(rho_total_current(decomp, sv.rho).values - total))),
     )
-    record(
-        "spin_current_divergence",
-        float(np.max(np.abs(divergence(current.spin, backend).values))),
-    )
+    record("spin_current_divergence", spin_div)
+    return sv, decomp.spin_current, decomp.zbw
 
+
+def _check_hestenes(entry: _Entry, jet: _Jet, sv: SpinVector, params: PhysicalParams, backend: str, record) -> float:
+    """The Hestenes constraints; returns the measured max |grad(rho).s|."""
+    hest = hestenes_residual(sv.rho, sv.s, backend)
     if entry.violation:
         # isotropic unit-width Gaussian with spin up: grad(rho).s = -(hbar/2) z rho
-        z = grid.coords()[2]
-        expected = -(params.hbar / 2.0) * z * rho.values
+        z = jet.grid.coords()[2]
+        expected = -(params.hbar / 2.0) * z * jet.rho
         err = float(np.max(np.abs(hest.grad_rho_dot_s.values - expected)))
         detected = hest.dot_max >= DETECTION_FRACTION * float(np.max(np.abs(expected)))
-        tol = tolerance("spin_constraint_violation_3d", backend, h)
+        tol = tolerance("spin_constraint_violation_3d", backend, float(max(jet.grid.spacing)))
         record("spin_constraint_violation_3d", err, passed=(err <= tol and detected))
     elif entry.planar:
         record("spin_constraints_planar", max(hest.div_max, hest.dot_max))
+    return hest.dot_max
 
+
+def _check_uniform_spin(
+    entry: _Entry, jet: _Jet, s: VectorField, spin_current: VectorField, zbw: VectorField, params, backend, record
+) -> None:
+    """Route equalities that hold only for a position-independent spin."""
+    grid = jet.grid
+    rho = jet.rho
+    grad_rho = jet.grad_rho
     s_const = states.spin_vector(entry.chi, params)
     s_mag = float(np.sqrt(np.sum(s_const * s_const)))
     # smallest resolvable flux: density of this size varying on the box scale
-    flux_floor = s_mag * rho_max / (max(grid.extents) * params.mass)
+    flux_floor = s_mag * float(np.max(rho)) / (max(grid.extents) * params.mass)
 
-    if hest.dot_max <= CONSTRAINT_TOL:
-        flux_cross = cross(grad_rho, _uniform(grid, s_const)).values / params.mass
-        flux_scale = max(float(np.max(np.abs(flux_cross))), flux_floor)
+    flux_cross = cross(grad_rho, _uniform(grid, s_const)).values / params.mass
+    flux_scale = max(float(np.max(np.abs(flux_cross))), flux_floor)
+    record(
+        "zbw_curl_vs_cross",
+        float(np.max(np.abs(spin_current.values - flux_cross))) / flux_scale,
+    )
+
+    speed = zbw_speed(jet, params, backend)
+    rho_speed = rho * speed.values
+    rho_vmag = rho * magnitude(zbw).values
+    record(
+        "zbw_speed_vs_field",
+        float(np.max(np.abs(rho_vmag - rho_speed))) / max(float(np.max(rho_speed)), flux_floor),
+    )
+
+    vsq = vsq_from_spin(jet, s, params, backend)
+    grad_sq = dot(grad_rho, grad_rho).values
+    dot_term = dot(grad_rho, s).values
+    reduced_flux_sq = dot(s, s).values * grad_sq / params.mass**2
+    flux_sq_scale = max(float(np.max(reduced_flux_sq)), flux_floor**2)
+    if vsq.reduced_valid:
+        # full - reduced is exactly the dropped (grad rho . s)^2 term
         record(
-            "zbw_curl_vs_cross",
-            float(np.max(np.abs(decomp.spin_current.values - flux_cross))) / flux_scale,
+            "vsq_full_vs_reduced",
+            float(np.max(dot_term**2)) / params.mass**2 / flux_sq_scale,
         )
+    flux_sq = np.einsum("c...,c...->...", spin_current.values, spin_current.values)
+    safe = np.where(vsq.node_mask, 1.0, rho)
+    full_flux_sq = np.where(vsq.node_mask, 0.0, vsq.full.values * (params.mass * safe) ** 2)
+    flux_sq = np.where(vsq.node_mask, 0.0, flux_sq)
+    record(
+        "vsq_full_vs_flux_square",
+        float(np.max(np.abs(full_flux_sq - flux_sq))) / flux_sq_scale,
+    )
 
-        speed = zbw_speed(jet, params, backend)
-        rho_speed = rho.values * speed.values
-        rho_vmag = rho.values * magnitude(decomp.zbw).values
-        record(
-            "zbw_speed_vs_field",
-            float(np.max(np.abs(rho_vmag - rho_speed))) / max(float(np.max(rho_speed)), flux_floor),
-        )
+    budget = koenig_energy(jet, None, params, chi=entry.chi, backend=backend)
+    scale = max(abs(budget.internal), abs(budget.total), 1e-300)
+    record("internal_energy_two_forms", abs(budget.internal - budget.internal_zbw) / scale)
 
-        vsq = vsq_from_spin(jet, sv.s, params, backend)
-        grad_sq = dot(grad_rho, grad_rho).values
-        dot_term = dot(grad_rho, sv.s).values
-        reduced_flux_sq = dot(sv.s, sv.s).values * grad_sq / params.mass**2
-        flux_sq_scale = max(float(np.max(reduced_flux_sq)), flux_floor**2)
-        if vsq.reduced_valid:
-            # full - reduced is exactly the dropped (grad rho . s)^2 term
-            record(
-                "vsq_full_vs_reduced",
-                float(np.max(dot_term**2)) / params.mass**2 / flux_sq_scale,
-            )
-        flux_sq = np.einsum(
-            "c...,c...->...", decomp.spin_current.values, decomp.spin_current.values
-        )
-        safe = np.where(vsq.node_mask, 1.0, rho.values)
-        full_flux_sq = np.where(vsq.node_mask, 0.0, vsq.full.values * (params.mass * safe) ** 2)
-        flux_sq = np.where(vsq.node_mask, 0.0, flux_sq)
-        record(
-            "vsq_full_vs_flux_square",
-            float(np.max(np.abs(full_flux_sq - flux_sq))) / flux_sq_scale,
-        )
 
-        budget = koenig_energy(jet, None, params, chi=entry.chi, backend=backend)
-        scale = max(abs(budget.internal), abs(budget.total), 1e-300)
-        record("internal_energy_two_forms", abs(budget.internal - budget.internal_zbw) / scale)
-    else:
-        for identity in _UNIFORM_SPIN_IDENTITIES:
-            gated_out.append(
-                {"state": entry.name, "identity": identity, "gate_residual": hest.dot_max}
-            )
-
-    # analytic stationary triple: the phase rotates at e0, everything else frozen
+def _check_stationary(entry: _Entry, jet: _Jet, params: PhysicalParams, backend: str, record) -> None:
+    """The spin and plain HJ residuals of an analytic stationary triple and,
+    for a plane wave, the spin and plain dispersion residuals."""
+    grid = jet.grid
+    # the phase rotates at e0, everything else frozen
     e0, dt = 0.7, 1e-3
     phase = np.exp(-1j * e0 * dt / params.hbar)
     triple = (
@@ -321,6 +355,9 @@ def _check_entry(
             float(np.max(np.abs(res_spin.values - res_std.values))),
         )
 
+
+def _check_cross_square(entry: _Entry, record) -> None:
+    grid = entry.psi.grid
     rng = np.random.default_rng(1000 + len(entry.name))
     a = VectorField(grid, rng.standard_normal((3,) + grid.shape))
     b = VectorField(grid, rng.standard_normal((3,) + grid.shape))

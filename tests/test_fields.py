@@ -27,9 +27,26 @@ from mzbw import (
     overlap,
     plane_wave,
 )
+from mzbw.fields import _axis_derivative, _laplacian_values
 
 
 class TestGrid:
+    @pytest.mark.parametrize("points", [(6,), (4, 6), (4, 6, 8)])
+    def test_coords_are_read_only_axis_views(self, points):
+        grid = Grid(points, 5.0)
+        coords = grid.coords()
+        assert len(coords) == grid.dims
+        for axis, x in enumerate(coords):
+            assert x.shape == grid.shape
+            assert not x.flags.writeable
+            # stride 0 on every other axis: no dense mesh is built or cached
+            assert all(stride == 0 for a, stride in enumerate(x.strides) if a != axis)
+            assert x.strides[axis] == x.itemsize
+            index = [0] * grid.dims
+            index[axis] = slice(None)
+            assert x[tuple(index)].tobytes() == grid.axes[axis].tobytes()
+        assert not any(isinstance(v, np.ndarray) and v.shape == grid.shape for v in vars(grid).values())
+
     def test_axes_are_origin_centered(self):
         grid = Grid((8,), (4.0,))
         assert grid.spacing == (0.5,)
@@ -200,6 +217,31 @@ class TestFiniteDifferences:
             errors.append(np.max(np.abs(lap + k * k * np.cos(k * x))))
         assert errors[0] / errors[1] > 3.5
         assert errors[1] / errors[2] > 3.5
+
+    @pytest.mark.parametrize("points", [(8,), (2,), (6, 4), (2, 10), (4, 6, 8), (6, 2, 4)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_fd2_stencils_match_the_roll_form_bytes(self, points, dtype):
+        grid = Grid(points, (3.0, 5.0, 7.0)[: len(points)])
+        rng = np.random.default_rng(sum(points))
+        values = rng.standard_normal(points)
+        if dtype is complex:
+            values = values + 1j * rng.standard_normal(points)
+        # signed zeros next to each other and next to nonzero values
+        values[rng.random(points) < 0.3] = -0.0
+        values[rng.random(points) < 0.2] = 0.0
+        if dtype is complex:
+            values[rng.random(points) < 0.2] = complex(-0.0, -0.0)
+
+        def same(got, want):
+            return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+        lap = np.zeros_like(values)
+        for axis in range(grid.dims):
+            h = grid.spacing[axis]
+            up, down = np.roll(values, -1, axis=axis), np.roll(values, 1, axis=axis)
+            assert same(_axis_derivative(values, grid, axis, "fd2"), (up - down) / (2.0 * h))
+            lap = lap + (up - 2.0 * values + down) / (h * h)
+        assert same(_laplacian_values(values, grid, "fd2"), lap)
 
     def test_unknown_backend_rejected(self):
         grid = Grid((8,), (4.0,))

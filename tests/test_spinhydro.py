@@ -114,6 +114,14 @@ class TestPauliCurrent:
         total = cur.convective.values + cur.diamagnetic.values + cur.spin.values
         assert np.array_equal(cur.total.values, total)
 
+    def test_absent_diamagnetic_term_is_a_zero_view(self, params):
+        grid = Grid((16, 12), (8.0, 6.0))
+        psi = attach_spinor(gaussian(grid, boost=(0.3, 0.2)), constant_spinor(0.9, 0.4))
+        cur = pauli_current(psi, params)
+        dia = cur.diamagnetic.values
+        assert dia.shape == (3,) + grid.shape and not dia.flags.writeable
+        assert not np.any(dia) and not np.any(np.signbit(dia))
+
     def test_diamagnetic_term(self):
         params = PhysicalParams(charge=2.0)
         grid = Grid((64,), (20.0,))

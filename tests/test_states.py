@@ -25,6 +25,33 @@ from mzbw.fields import RealField
 from mzbw.madelung import NODE_EPS
 
 
+def _coordinate_outputs(grid: Grid) -> list[bytes]:
+    """Bytes of every constructor and observable that reads grid.coords()."""
+    params = PhysicalParams(hbar=0.9, mass=1.3)
+    k = tuple(2.0 * np.pi * (a + 1) / L for a, L in enumerate(grid.extents))
+    psi = gaussian(grid, sigma=(0.9, 1.1, 0.7)[: grid.dims], center=0.3, boost=(0.5, -0.4, 0.2)[: grid.dims])
+    pot = harmonic_potential(grid, omega=1.7, center=(-0.2, 0.1, 0.4)[: grid.dims], params=params)
+    obs = observables(psi, pot, params)
+    return [
+        plane_wave(grid, k).values.tobytes(),
+        psi.values.tobytes(),
+        harmonic_ground(grid, omega=0.8, params=params).values.tobytes(),
+        random_smooth_state(grid, seed=5, params=params).values.tobytes(),
+        pot.values.tobytes(),
+        np.array([obs.norm, obs.energy]).tobytes(),
+        obs.mean.tobytes(),
+        obs.width.tobytes(),
+    ]
+
+
+@pytest.mark.parametrize("points", [(16,), (12, 10), (8, 6, 10)])
+def test_coordinate_views_give_the_meshgrid_bytes(points, monkeypatch):
+    grid = Grid(points, (6.0, 5.0, 7.0)[: len(points)])
+    views = _coordinate_outputs(grid)
+    monkeypatch.setattr(Grid, "coords", lambda self: tuple(np.meshgrid(*self.axes, indexing="ij")))
+    assert _coordinate_outputs(grid) == views
+
+
 class TestScalarStates:
     def test_plane_wave_rejects_non_lattice_k(self):
         grid = Grid((32,), (8.0,))

@@ -5,9 +5,12 @@ the versioned tolerance table, gate uniform-spin identities off states with a
 position-dependent spin projection, and detect a deliberately injected fault.
 """
 
+import tracemalloc
+
 import pytest
 
-from mzbw.verify import format_report, run_battery, tolerance
+from mzbw.fields import PhysicalParams
+from mzbw.verify import _battery_entries, _check_entry, format_report, run_battery, tolerance
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +131,31 @@ class TestToleranceTable:
 
     def test_algebraic_identities_keep_floor_on_fd2(self):
         assert tolerance("cross_square", "fd2", h=0.3) == 1e-12
+
+
+class TestEntryMemory:
+    """Traced peak of one entry's checks, in real fields of its grid (8
+    bytes per point): the fd2 3D Gaussian at 32^3, the level whose 128^3
+    twin sets the battery's peak memory.
+
+    At the peak, inside `velocity_decomposition`, these are alive:
+    * the scalar jet's density, safe density, grad(rho), lap(rho) and
+      lap(sqrt(rho)), 7 fields (its state is the entry's, built before);
+    * the spinor jet: state 4, density and safe density 2, current,
+      momentum, rho s and curl(rho s) 12, so 18 fields;
+    * the spin vector 3 and the Pauli total 3;
+    * drift, internal velocity and their sum, 9.
+    That is 40 fields and the masks; the bound leaves 8 for temporaries.
+    Keeping every section's arrays alive until the entry ends measured 65.7."""
+
+    def test_gaussian_3d_fd2_peak(self):
+        entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
+        records: list = []
+        tracemalloc.start()
+        try:
+            _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rec["passed"] for rec in records)
+        assert peak <= 48 * 8 * entry.psi.grid.size
