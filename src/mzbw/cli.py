@@ -176,24 +176,29 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
     chi = cfgmod.build_spinor(cfg)
     vector_potential = cfgmod.build_vector_potential(cfg, grid)
 
+    # each array is freed once nothing written or summarised reads it; the
+    # files are written only after every number is computed
     jet = _Jet(attach_spinor(psi, chi), params, args.backend)
+    del psi
     sv = spin_density(jet, params)
-    current = pauli_current(jet, params, vector_potential, args.backend)
+    current = pauli_current(jet, params, vector_potential, args.backend).total
+    jet.drop("rho_s")  # curl(rho s) is cached by now
     decomp = velocity_decomposition(jet, params, vector_potential, args.backend)
-    hest = hestenes_residual(sv.rho, sv.s, args.backend)
-    consistency = float(
-        np.max(np.abs(rho_total_current(decomp, sv.rho).values - current.total.values))
-    )
-    constraints_pass = max(hest.div_max, hest.dot_max) <= CONSTRAINT_TOL
-
-    os.makedirs(out_dir, exist_ok=True)
+    del jet  # its state and current; decomp holds momentum and curl(rho s)
+    consistency = float(np.max(np.abs(rho_total_current(decomp, sv.rho).values - current.values)))
+    masked_fraction = float(np.mean(decomp.node_mask))
     outputs = {
         "spin.mzbw": sv.s,
-        "current.mzbw": current.total,
+        "current.mzbw": current,
         "drift.mzbw": decomp.drift,
         "zbw.mzbw": decomp.zbw,
         "total.mzbw": decomp.total,
     }
+    del current, decomp
+    hest = hestenes_residual(sv.rho, sv.s, args.backend)
+    constraints_pass = max(hest.div_max, hest.dot_max) <= CONSTRAINT_TOL
+
+    os.makedirs(out_dir, exist_ok=True)
     for name, field in outputs.items():
         fieldio.write_field(os.path.join(out_dir, name), field)
     fieldio.write_json(
@@ -212,7 +217,7 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
                 "passed": bool(constraints_pass),
             },
             "current_consistency_max": consistency,
-            "masked_fraction": float(np.mean(decomp.node_mask)),
+            "masked_fraction": masked_fraction,
             "outputs": sorted(outputs),
         },
     )

@@ -6,7 +6,10 @@ store one value (or one 3-vector, or one 2-spinor) per grid point.  Two
 differentiation backends are provided:
 
 * ``spectral``: FFT wavenumber multiplication.  Exact for band-limited data,
-  used as the verification reference.
+  used as the verification reference.  Real fields go through the real-input
+  transforms (``rfft``/``irfft``, ``rfftn``/``irfftn``) and come back real;
+  complex fields use the full complex transforms.  Odd derivatives drop the
+  Nyquist mode on both paths.
 * ``fd2``: second-order central differences with periodic wrap-around.
 
 All operations are pure functions of immutable inputs; reductions use a fixed
@@ -216,9 +219,14 @@ def _axis_derivative(values: np.ndarray, grid: Grid, axis: int, backend: str) ->
     if backend == "spectral":
         k = grid.wavenumbers()[axis].copy()
         k[k.size // 2] = 0.0  # unpaired Nyquist mode carries no sign; drop it in odd derivatives
-        fhat = np.fft.fft(values, axis=axis)
-        out = np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
-        return out if np.iscomplexobj(values) else out.real
+        if np.iscomplexobj(values):
+            fhat = np.fft.fft(values, axis=axis)
+            return np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
+        # real input: the half spectrum, whose last bin is the zeroed Nyquist mode
+        n = values.shape[axis]
+        fhat = np.fft.rfft(values, axis=axis)
+        fhat *= 1j * grid._axis_shape(k[: n // 2 + 1], axis)
+        return np.fft.irfft(fhat, n=n, axis=axis)
     # (a[i+1] - a[i-1]) / 2h with periodic wrap: the interior from shifted
     # slices, the two wrap rows from one-row slices.  These are the
     # subtractions of the rolled-copy form, so the bits are the same.
@@ -232,8 +240,11 @@ def _axis_derivative(values: np.ndarray, grid: Grid, axis: int, backend: str) ->
 
 def _laplacian_values(values: np.ndarray, grid: Grid, backend: str) -> np.ndarray:
     if backend == "spectral":
-        out = np.fft.ifftn(-grid.k_squared() * np.fft.fftn(values))
-        return out if np.iscomplexobj(values) else out.real
+        if np.iscomplexobj(values):
+            return np.fft.ifftn(-grid.k_squared() * np.fft.fftn(values))
+        fhat = np.fft.rfftn(values)
+        fhat *= -grid.k_squared()[..., : values.shape[-1] // 2 + 1]
+        return np.fft.irfftn(fhat, s=values.shape, axes=tuple(range(values.ndim)))
     # per axis ((a[i+1] - 2 a[i]) + a[i-1]) / h^2, added onto zero: the
     # rolled-copy form's operations in its order, from slices into one
     # scratch array

@@ -97,6 +97,11 @@ class _Jet:
             raise ValueError(f"{kind} is identically zero")
         return self
 
+    def drop(self, *names: str) -> None:
+        """Free the cached intermediates `names`; a later read computes them again."""
+        for name in names:
+            self.__dict__.pop(name, None)
+
     def divided(self, flux: np.ndarray) -> np.ndarray:
         """flux / rho for a (3, *grid) flux, zero on the node mask."""
         out = flux / self.safe

@@ -203,6 +203,7 @@ def _check_entry(
     # every scalar quantity below reads the derivatives of this one jet
     jet = _Jet(entry.psi, params, backend)
     _check_two_forms(jet, params, backend, h, fault, record)
+    jet.drop("lap_sqrt_rho")  # only the two-form check reads it; the stationary triple reads lap(rho)
     sv, spin_current, zbw = _check_spinor_current(entry, params, backend, record)
     dot_max = _check_hestenes(entry, jet, sv, params, backend, record)
     if dot_max <= CONSTRAINT_TOL:
@@ -243,11 +244,12 @@ def _check_spinor_current(entry: _Entry, params: PhysicalParams, backend: str, r
     spinor = _Jet(states.attach_spinor(entry.psi, entry.chi), params, backend)
     sv = spin_density(spinor, params)
     current = pauli_current(spinor, params, backend=backend)
+    spinor.drop("rho_s")  # curl(rho s) is cached by now
     total = current.total.values
     spin_div = float(np.max(np.abs(divergence(current.spin, backend).values)))
     del current  # frees its convective part before the velocities are built
     decomp = velocity_decomposition(spinor, params, backend=backend)
-    del spinor  # frees its state, current and rho s before the comparison below
+    del spinor  # frees its state and current before the comparison below
 
     record(
         "current_decomposition",

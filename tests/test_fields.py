@@ -181,6 +181,42 @@ class TestSpectralDerivatives:
         f = RealField(grid, np.cos(k_nyq * x))
         assert np.max(np.abs(gradient(f).values[0])) < 1e-12
 
+    @given(
+        points=st.lists(st.sampled_from([2, 4, 6, 8, 10, 16]), min_size=1, max_size=3),
+        extent=st.floats(min_value=0.5, max_value=20.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        white=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_real_input_transforms_match_the_complex_path(self, points, extent, seed, white):
+        # real fields take rfft/irfft; the complex path on the same values is
+        # the reference, up to roundoff scaled by k_max^p max|f| for order p
+        grid = Grid(points, extent)
+        rng = np.random.default_rng(seed)
+        if white:  # every mode up to and including Nyquist
+            values = rng.standard_normal(grid.shape)
+        else:  # a few resolved modes
+            values = np.zeros(grid.shape)
+            for _ in range(3):
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                for axis, x in enumerate(grid.coords()):
+                    m = rng.integers(0, points[axis] // 2 + 1)
+                    phase = phase + 2.0 * np.pi * m * x / extent
+                values = values + rng.standard_normal() * np.cos(phase)
+        scale = np.max(np.abs(values))
+
+        def agrees(got, want, k_max_p):
+            assert got.dtype == np.float64 and got.shape == grid.shape and got.base is None
+            return np.max(np.abs(got - want.real)) <= 1e-14 * k_max_p * scale
+
+        as_complex = values.astype(complex)
+        for axis in range(grid.dims):
+            k_max = np.max(np.abs(grid.wavenumbers()[axis]))
+            want = _axis_derivative(as_complex, grid, axis, "spectral")
+            assert agrees(_axis_derivative(values, grid, axis, "spectral"), want, k_max)
+        want = _laplacian_values(as_complex, grid, "spectral")
+        assert agrees(_laplacian_values(values, grid, "spectral"), want, np.max(grid.k_squared()))
+
 
 class TestFiniteDifferences:
     def test_fd2_matches_single_mode(self):

@@ -13,6 +13,7 @@ The FFT-count tests pin how many transforms the CLI commands make on a small
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,17 +74,24 @@ def ref_axis_derivative(values, grid, axis, backend):
     if backend == "spectral":
         k = grid.wavenumbers()[axis].copy()
         k[k.size // 2] = 0.0
-        fhat = np.fft.fft(values, axis=axis)
-        out = np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
-        return out if np.iscomplexobj(values) else out.real
+        if np.iscomplexobj(values):
+            fhat = np.fft.fft(values, axis=axis)
+            return np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
+        n = values.shape[axis]
+        fhat = np.fft.rfft(values, axis=axis)
+        return np.fft.irfft(1j * grid._axis_shape(k[: n // 2 + 1], axis) * fhat, n=n, axis=axis)
     h = grid.spacing[axis]
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
 def ref_laplacian(values, grid, backend):
     if backend == "spectral":
-        out = np.fft.ifftn(-grid.k_squared() * np.fft.fftn(values))
-        return out if np.iscomplexobj(values) else out.real
+        if np.iscomplexobj(values):
+            return np.fft.ifftn(-grid.k_squared() * np.fft.fftn(values))
+        half = grid.k_squared()[..., : values.shape[-1] // 2 + 1]
+        return np.fft.irfftn(
+            -half * np.fft.rfftn(values), s=values.shape, axes=tuple(range(values.ndim))
+        )
     out = np.zeros_like(values)
     for axis in range(grid.dims):
         h = grid.spacing[axis]
@@ -567,6 +575,15 @@ def test_spinor_and_scalar_jet_densities_stay_apart():
     assert same(_Jet(psi, PARAMS, "spectral").rho, psi.values.real**2 + psi.values.imag**2)
 
 
+def test_dropped_intermediates_are_freed_and_recomputed():
+    spinor = attach_spinor(scalar_state(3, False), constant_spinor(0.8, 0.3))
+    jet = _Jet(spinor, PARAMS, "spectral")
+    rho_s, spin_current = jet.rho_s.copy(), jet.spin_current
+    jet.drop("rho_s", "lap_rho")  # one cached, one never computed
+    assert "rho_s" not in vars(jet) and jet.spin_current is spin_current
+    assert same(jet.rho_s, rho_s)
+
+
 # ---------------------------------------------------------------------------
 # per-state rules: backend check, zero-density guard, trajectory table
 
@@ -733,6 +750,27 @@ def test_cli_fft_counts(tmp_path, fft_calls, command, calls):
     code = _run(tmp_path, command, BASE_3D, command)
     assert code in (0, 3)  # the isotropic 3D Gaussian violates grad(rho).s = 0
     assert fft_calls["calls"] == calls
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd2"])
+def test_spin_command_peak(tmp_path, backend):
+    """Traced peak of `spin` at 32^3 in real fields of the grid.  The command
+    frees psi once the spinor is built, the Pauli current's convective and
+    spin parts at once, rho s once curl(rho s) is cached, the spinor jet after
+    the velocity decomposition, and the momentum and curl(rho s) before the
+    Hestenes check.  Holding every intermediate until the end measured 50.4
+    (spectral) and 47.3 (fd2); the scoped command 32.7 and 31.7."""
+    cfg = dict(BASE_3D, grid={"points": [32, 32, 32], "extent": [16.0, 16.0, 16.0]})
+    path = tmp_path / "spin.json"
+    path.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        code = cli.main(["spin", "--config", str(path), "--out", str(tmp_path / "out"), "--backend", backend])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3  # the isotropic 3D Gaussian violates grad(rho).s = 0
+    assert peak <= 40 * 8 * 32**3
 
 
 def test_evolve_residual_triple_fft_count(tmp_path, fft_calls):

@@ -159,3 +159,19 @@ class TestEntryMemory:
             tracemalloc.stop()
         assert all(rec["passed"] for rec in records)
         assert peak <= 48 * 8 * entry.psi.grid.size
+
+    def test_gaussian_3d_fd2_peak_without_dead_intermediates(self):
+        """The spinor jet's rho s (3 fields) is freed once curl(rho s) is
+        cached, and the scalar jet's lap(sqrt(rho)) (1) once the two-form
+        check is done, both before `velocity_decomposition` sets the peak.
+        Keeping them measured 41.7 fields; freeing them 37.7."""
+        entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
+        records: list = []
+        tracemalloc.start()
+        try:
+            _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rec["passed"] for rec in records)
+        assert peak <= 40 * 8 * entry.psi.grid.size
