@@ -39,16 +39,8 @@ from .config import ConfigError
 from .evolve import iter_propagate
 from .fields import RealField, integrate
 from .madelung import REGION_EPS, _Jet, decompose, quantum_potential, residual_sups
-from .spinhydro import (
-    CONSTRAINT_TOL,
-    hestenes_residual,
-    koenig_energy,
-    pauli_current,
-    rho_total_current,
-    spin_density,
-    velocity_decomposition,
-)
-from .states import attach_spinor, spin_vector
+from .spinhydro import CONSTRAINT_TOL, koenig_energy, spin_split
+from .states import spin_vector
 
 
 def _seed(text: str) -> int:
@@ -172,31 +164,20 @@ def _cmd_decompose(cfg: dict, out_dir: str, args) -> int:
 
 
 def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
-    grid, params, psi = _inputs(cfg)
+    grid, params = cfgmod.build_grid(cfg), cfgmod.build_params(cfg)
     chi = cfgmod.build_spinor(cfg)
     vector_potential = cfgmod.build_vector_potential(cfg, grid)
-
-    # each array is freed once nothing written or summarised reads it; the
-    # files are written only after every number is computed
-    jet = _Jet(attach_spinor(psi, chi), params, args.backend)
-    del psi
-    sv = spin_density(jet, params)
-    current = pauli_current(jet, params, vector_potential, args.backend).total
-    jet.drop("rho_s")  # curl(rho s) is cached by now
-    decomp = velocity_decomposition(jet, params, vector_potential, args.backend)
-    del jet  # its state and current; decomp holds momentum and curl(rho s)
-    consistency = float(np.max(np.abs(rho_total_current(decomp, sv.rho).values - current.values)))
-    masked_fraction = float(np.mean(decomp.node_mask))
-    outputs = {
-        "spin.mzbw": sv.s,
-        "current.mzbw": current,
-        "drift.mzbw": decomp.drift,
-        "zbw.mzbw": decomp.zbw,
-        "total.mzbw": decomp.total,
-    }
-    del current, decomp
-    hest = hestenes_residual(sv.rho, sv.s, args.backend)
+    # the state is passed unnamed, so the split frees it once the spinor is built
+    split = spin_split(cfgmod.build_state(cfg, grid, params), chi, params, vector_potential, args.backend)
+    hest = split.hestenes
     constraints_pass = max(hest.div_max, hest.dot_max) <= CONSTRAINT_TOL
+    outputs = {
+        "spin.mzbw": split.spin.s,
+        "current.mzbw": split.current,
+        "drift.mzbw": split.velocity.drift,
+        "zbw.mzbw": split.velocity.zbw,
+        "total.mzbw": split.velocity.total,
+    }
 
     os.makedirs(out_dir, exist_ok=True)
     for name, field in outputs.items():
@@ -216,8 +197,8 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
                 "tolerance": CONSTRAINT_TOL,
                 "passed": bool(constraints_pass),
             },
-            "current_consistency_max": consistency,
-            "masked_fraction": masked_fraction,
+            "current_consistency_max": split.consistency,
+            "masked_fraction": float(np.mean(split.velocity.node_mask)),
             "outputs": sorted(outputs),
         },
     )
@@ -266,7 +247,7 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
     seed = run["seed"] if args.seed is None else args.seed
     spin = spin_vector(cfgmod.build_spinor(cfg), params) if run["mode"] == "total" else None
     # one jet of the initial state serves the sampler and, for a static
-    # source, the velocity table and the equivariance check
+    # source, the velocity table
     jet = _Jet(psi, params, args.backend)
     source = iter_propagate(psi, cfgmod.build_evolution(cfg, grid, params)) if run["source"] == "evolve" else jet
 
@@ -305,9 +286,8 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
         "files": [data_file],
     }
     equiv_failed = False
-    if run["equivariance"]:
-        # a static source ends where it starts
-        final = jet if source is jet else _Jet(source.last.state, params, args.backend)
+    if run["equivariance"]:  # an evolve source only
+        final = _Jet(source.last.state, params, args.backend)
         report = trajectories.equivariance_check(traj, RealField(grid, final.rho))
         manifest["equivariance"] = {
             "statistic": report.statistic,

@@ -292,6 +292,10 @@ def read_trajectories(cfg: dict) -> dict | None:
     # a static source takes one RK4 step per record; a spelled-out default changes nothing
     if static and substeps != 4:
         raise ConfigError("trajectories.substeps applies only to source 'evolve'")
+    # a static source has no final density to check against: its frozen flow
+    # carries the ensemble away from the initial one unless that is stationary
+    if static and run["equivariance"]:
+        raise ConfigError("trajectories.equivariance applies only to source 'evolve'")
     if not static and "evolution" not in cfg:
         raise ConfigError("trajectories.source 'evolve' requires an evolution section")
     run["time"] = _number(traj, "time", where, positive=True) if static else None

@@ -79,10 +79,9 @@ def write_field(path: str, field) -> None:
         kind,
         ncomp,
     )
-    data = np.ascontiguousarray(field.values).astype("<c16" if is_complex else "<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(np.ascontiguousarray(field.values, dtype="<c16" if is_complex else "<f8"))
 
 
 def read_field(path: str):
@@ -231,10 +230,10 @@ def write_trajectories_binary(path: str, traj: TrajectorySet, record_stride: int
     header = struct.pack("<5sBIIq", TRAJ_MAGIC, mode_code, n, len(keep), seed)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(traj.times[keep].astype("<f8").tobytes())
-        fh.write(traj.paths[:, keep].astype("<f8").tobytes())
-        fh.write(np.ascontiguousarray(traj.seeds).astype("<f8").tobytes())
-        fh.write(traj.frozen.astype("<u1").tobytes())
+        fh.write(np.ascontiguousarray(traj.times[keep], dtype="<f8"))
+        fh.write(np.ascontiguousarray(traj.paths[:, keep], dtype="<f8"))
+        fh.write(np.ascontiguousarray(traj.seeds, dtype="<f8"))
+        fh.write(np.ascontiguousarray(traj.frozen, dtype="<u1"))
 
 
 def read_trajectories_binary(path: str) -> TrajectorySet:

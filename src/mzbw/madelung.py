@@ -98,7 +98,9 @@ class _Jet:
         return self
 
     def drop(self, *names: str) -> None:
-        """Free the cached intermediates `names`; a later read computes them again."""
+        """Free the cached intermediates `names`; a later read computes them
+        again.  The state may be dropped too, as "state", but it cannot be
+        recomputed: every intermediate read after that must be cached."""
         for name in names:
             self.__dict__.pop(name, None)
 
@@ -120,9 +122,9 @@ class _Jet:
         comps = self.state.values if spinor else (self.state.values,)
         out = np.zeros((3,) + self.grid.shape)
         for axis in range(self.grid.dims):
-            parts = [(np.conj(c) * _axis_derivative(c, self.grid, axis, self.backend)).imag for c in comps]
-            # spinor components are summed onto zero; a scalar's one part is used as is
-            out[axis] = self.params.hbar * (sum(parts) if spinor else parts[0])
+            parts = ((np.conj(c) * _axis_derivative(c, self.grid, axis, self.backend)).imag for c in comps)
+            # spinor components are summed onto zero, each as it is formed; a scalar's one part is used as is
+            out[axis] = self.params.hbar * (sum(parts) if spinor else next(parts))
         return out
 
     @cached_property

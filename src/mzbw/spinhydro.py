@@ -36,8 +36,8 @@ from .fields import (
     divergence,
     dot,
 )
-from .madelung import ResidualField, _hj_residual, _jet
-from .states import spin_vector
+from .madelung import ResidualField, _hj_residual, _jet, _Jet
+from .states import attach_spinor, spin_vector
 
 # max |div(rho s)| and |grad(rho).s| that count as zero: below it the Hestenes
 # constraints hold and the uniform-spin identities apply
@@ -77,6 +77,15 @@ class HestenesResidual:
     div_weighted: float
     dot_max: float
     dot_weighted: float
+
+
+@dataclass(frozen=True)
+class SpinSplit:
+    spin: SpinVector
+    current: VectorField  # the Pauli current's total
+    velocity: VelocityDecomposition
+    consistency: float  # max |rho * total velocity - Pauli current|
+    hestenes: HestenesResidual
 
 
 @dataclass(frozen=True)
@@ -324,3 +333,28 @@ def spin_hj_residual(
 def rho_total_current(decomp: VelocityDecomposition, rho: RealField) -> VectorField:
     """rho * total velocity, for direct comparison with the Pauli current."""
     return VectorField(rho.grid, rho.values * decomp.total.values)
+
+
+def spin_split(
+    psi: ComplexField,
+    chi,
+    params: PhysicalParams,
+    vector_potential: VectorField | None = None,
+    backend: str = "spectral",
+) -> SpinSplit:
+    """The scalar state `psi` with the constant spinor `chi` attached, taken
+    from the spin density and Pauli current through the velocity split to the
+    Hestenes constraints, in the arithmetic of those public calls.  One jet
+    holds the spinor; each of its intermediates is freed once nothing returned
+    reads it, the state and current once the momentum is cached."""
+    jet = _Jet(attach_spinor(psi, chi), params, backend)
+    del psi  # freed here if the caller holds no other reference
+    spin = spin_density(jet, params)
+    current = pauli_current(jet, params, vector_potential, backend).total
+    jet.drop("rho_s")  # curl(rho s) is cached by now
+    jet.momentum  # cached, so the current and state can go
+    jet.drop("current", "state")
+    velocity = velocity_decomposition(jet, params, vector_potential, backend)
+    del jet  # its safe density
+    consistency = float(np.max(np.abs(rho_total_current(velocity, spin.rho).values - current.values)))
+    return SpinSplit(spin, current, velocity, consistency, hestenes_residual(spin.rho, spin.s, backend))

@@ -53,15 +53,10 @@ from .fields import (
 from .madelung import REGION_EPS, _Jet, hj_residual, quantum_potential, zbw_speed
 from .spinhydro import (
     CONSTRAINT_TOL,
-    SpinVector,
-    hestenes_residual,
     koenig_energy,
-    pauli_current,
-    rho_total_current,
-    spin_density,
     spin_hj_residual,
     spin_schrodinger_residual,
-    velocity_decomposition,
+    spin_split,
     vsq_from_spin,
 )
 
@@ -180,9 +175,8 @@ def _check_entry(
     """Append the entry's records, in a fixed order, to `records`.
 
     Each section is its own function, so its arrays are freed when it
-    returns; only the scalar jet, the spin vector, curl(rho s)/m, the
-    internal velocity and the measured grad(rho).s sup pass between them.
-    The 128^3 fd2 level sets the battery's peak memory."""
+    returns; only the scalar jet passes between them.  The 128^3 fd2 level
+    sets the battery's peak memory."""
     grid = entry.psi.grid
     h = float(max(grid.spacing))
 
@@ -204,14 +198,7 @@ def _check_entry(
     jet = _Jet(entry.psi, params, backend)
     _check_two_forms(jet, params, backend, h, fault, record)
     jet.drop("lap_sqrt_rho")  # only the two-form check reads it; the stationary triple reads lap(rho)
-    sv, spin_current, zbw = _check_spinor_current(entry, params, backend, record)
-    dot_max = _check_hestenes(entry, jet, sv, params, backend, record)
-    if dot_max <= CONSTRAINT_TOL:
-        _check_uniform_spin(entry, jet, sv.s, spin_current, zbw, params, backend, record)
-    else:
-        for identity in _UNIFORM_SPIN_IDENTITIES:
-            gated_out.append({"state": entry.name, "identity": identity, "gate_residual": dot_max})
-    del sv, spin_current, zbw
+    _check_spin(entry, jet, params, backend, record, gated_out)
     _check_stationary(entry, jet, params, backend, record)
     del jet
     _check_cross_square(entry, record)
@@ -238,30 +225,15 @@ def _check_two_forms(jet: _Jet, params: PhysicalParams, backend: str, h: float, 
     )
 
 
-def _check_spinor_current(entry: _Entry, params: PhysicalParams, backend: str, record) -> tuple:
-    """The Pauli current against rho * (drift + internal velocity); returns
-    the spin vector, curl(rho s)/m and the internal velocity."""
-    spinor = _Jet(states.attach_spinor(entry.psi, entry.chi), params, backend)
-    sv = spin_density(spinor, params)
-    current = pauli_current(spinor, params, backend=backend)
-    spinor.drop("rho_s")  # curl(rho s) is cached by now
-    total = current.total.values
-    spin_div = float(np.max(np.abs(divergence(current.spin, backend).values)))
-    del current  # frees its convective part before the velocities are built
-    decomp = velocity_decomposition(spinor, params, backend=backend)
-    del spinor  # frees its state and current before the comparison below
-
-    record(
-        "current_decomposition",
-        float(np.max(np.abs(rho_total_current(decomp, sv.rho).values - total))),
-    )
-    record("spin_current_divergence", spin_div)
-    return sv, decomp.spin_current, decomp.zbw
-
-
-def _check_hestenes(entry: _Entry, jet: _Jet, sv: SpinVector, params: PhysicalParams, backend: str, record) -> float:
-    """The Hestenes constraints; returns the measured max |grad(rho).s|."""
-    hest = hestenes_residual(sv.rho, sv.s, backend)
+def _check_spin(entry: _Entry, jet: _Jet, params: PhysicalParams, backend: str, record, gated_out: list) -> None:
+    """The Pauli current against rho * (drift + internal velocity), the
+    Hestenes constraints and, where the measured max |grad(rho).s| passes
+    the gate, the uniform-spin route equalities."""
+    split = spin_split(entry.psi, entry.chi, params, backend=backend)
+    spin_current, zbw = split.velocity.spin_current, split.velocity.zbw
+    record("current_decomposition", split.consistency)
+    record("spin_current_divergence", float(np.max(np.abs(divergence(spin_current, backend).values))))
+    hest = split.hestenes
     if entry.violation:
         # isotropic unit-width Gaussian with spin up: grad(rho).s = -(hbar/2) z rho
         z = jet.grid.coords()[2]
@@ -272,7 +244,11 @@ def _check_hestenes(entry: _Entry, jet: _Jet, sv: SpinVector, params: PhysicalPa
         record("spin_constraint_violation_3d", err, passed=(err <= tol and detected))
     elif entry.planar:
         record("spin_constraints_planar", max(hest.div_max, hest.dot_max))
-    return hest.dot_max
+    if hest.dot_max <= CONSTRAINT_TOL:
+        _check_uniform_spin(entry, jet, split.spin.s, spin_current, zbw, params, backend, record)
+    else:
+        for identity in _UNIFORM_SPIN_IDENTITIES:
+            gated_out.append({"state": entry.name, "identity": identity, "gate_residual": hest.dot_max})
 
 
 def _check_uniform_spin(

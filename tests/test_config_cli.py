@@ -103,6 +103,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="substeps applies only to source 'evolve'"):
             validate_config(cfg)
 
+    def test_equivariance_rejected_for_static_source(self):
+        for traj in ({"n": 10, "time": 1.0, "equivariance": True}, {"n": 10, "equivariance": True}):
+            with pytest.raises(ConfigError, match="equivariance applies only to source 'evolve'"):
+                validate_config({"trajectories": traj})
+        assert read_trajectories({"trajectories": {"n": 10, "time": 1.0, "equivariance": False}})["equivariance"] is False
+
     def test_substeps_is_none_for_static_source(self):
         for traj in ({"n": 10, "time": 1.0}, {"n": 10, "time": 1.0, "substeps": 4}):
             assert read_trajectories({"trajectories": traj})["substeps"] is None
@@ -409,6 +415,22 @@ class TestCliBehavior:
         out = tmp_path / "out"
         assert cli.main(["trajectories", "--config", cfg_path, "--out", str(out)]) == 1
         assert "substeps" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_static_equivariance_exits_1_without_output(self, tmp_path, capsys):
+        """A static source has no final density: the ensemble moves along the
+        frozen velocity and stays distributed like the initial density only
+        where that flow leaves it stationary.  This boosted Gaussian,
+        transported correctly, failed the check with exit 3."""
+        cfg = {
+            "grid": {"points": [32, 32], "extent": [16.0, 16.0]},
+            "state": {"family": "gaussian", "sigma": 1.0, "boost": [0.4, -0.3]},
+            "trajectories": {"n": 500, "mode": "total", "time": 0.6, "equivariance": True},
+        }
+        cfg_path = write_config(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main(["trajectories", "--config", cfg_path, "--out", str(out)]) == 1
+        assert "equivariance" in capsys.readouterr().err
         assert not out.exists()
 
     def test_binary_keeps_the_csv_rows_at_a_stride(self, tmp_path):

@@ -7,6 +7,7 @@ byte-identical so reruns can be diffed.
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ def sample_fields():
     yield SpinorField(
         g1, rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
     )
+    yield VectorField(g3, np.asfortranarray(rng.standard_normal((3, 6, 6, 6))))  # not C-contiguous
 
 
 class TestFieldRoundTrip:
@@ -70,6 +72,17 @@ class TestFieldRoundTrip:
         write_field(str(a), field)
         write_field(str(b), field)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_write_allocates_less_than_one_copy(self, tmp_path):
+        grid = Grid((32, 32, 32), (4.0, 4.0, 4.0))
+        field = VectorField(grid, np.random.default_rng(5).standard_normal((3,) + grid.shape))
+        tracemalloc.start()
+        try:
+            write_field(str(tmp_path / "v.mzbw"), field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field.values.nbytes
 
 
 class TestFieldValidation:

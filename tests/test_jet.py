@@ -44,6 +44,7 @@ from mzbw import (
     quantum_potential,
     random_smooth_state,
     random_spinor_field,
+    rho_total_current,
     spin_density,
     spin_hj_residual,
     spin_schrodinger_residual,
@@ -55,6 +56,7 @@ from mzbw import (
     zbw_velocity_uniform,
 )
 from mzbw.madelung import _Jet, node_mask
+from mzbw.spinhydro import spin_split
 from mzbw.trajectories import _build_table, _VelocityTable
 
 PARAMS = PhysicalParams(hbar=0.7, mass=1.3, charge=0.45)
@@ -555,6 +557,36 @@ def test_spinor_quantities_match_reference(dims, backend, nodes, shared, with_a)
     assert same(got, ref_koenig_energy(psi, u, PARAMS, None, backend))
 
 
+@pytest.mark.parametrize("dims, backend, nodes", CASES)
+@pytest.mark.parametrize("with_a", [False, True], ids=["no-A", "uniform-A"])
+def test_spin_split_matches_the_separate_calls(dims, backend, nodes, with_a):
+    """`spin_split` frees intermediates as it goes; what it returns equals
+    the public calls made one by one, each on the spinor field itself."""
+    psi = scalar_state(dims, nodes)
+    chi = constant_spinor(0.8, 0.3)
+    a = uniform_a(psi.grid) if with_a else None
+    split = spin_split(psi, chi, PARAMS, a, backend)
+
+    spinor = attach_spinor(psi, chi)
+    sv = spin_density(spinor, PARAMS)
+    current = pauli_current(spinor, PARAMS, a, backend).total
+    decomp = velocity_decomposition(spinor, PARAMS, a, backend)
+    hest = hestenes_residual(sv.rho, sv.s, backend)
+    consistency = np.max(np.abs(rho_total_current(decomp, sv.rho).values - current.values))
+
+    assert same(split.spin.s.values, sv.s.values) and same(split.spin.rho.values, sv.rho.values)
+    assert same(split.spin.node_mask, sv.node_mask) and same(split.velocity.node_mask, decomp.node_mask)
+    assert bool(np.any(decomp.node_mask)) == nodes
+    assert same(split.current.values, current.values)
+    for name in ("drift", "zbw", "total", "momentum", "spin_current"):
+        assert same(getattr(split.velocity, name).values, getattr(decomp, name).values), name
+    assert same(split.consistency, consistency)
+    assert same(split.hestenes.div_rho_s.values, hest.div_rho_s.values)
+    assert same(split.hestenes.grad_rho_dot_s.values, hest.grad_rho_dot_s.values)
+    for name in ("div_max", "div_weighted", "dot_max", "dot_weighted"):
+        assert same(getattr(split.hestenes, name), getattr(hest, name)), name
+
+
 def test_jet_is_rebuilt_for_other_settings():
     psi = scalar_state(2, False)
     jet = _Jet(psi, PARAMS, "spectral")
@@ -582,6 +614,17 @@ def test_dropped_intermediates_are_freed_and_recomputed():
     jet.drop("rho_s", "lap_rho")  # one cached, one never computed
     assert "rho_s" not in vars(jet) and jet.spin_current is spin_current
     assert same(jet.rho_s, rho_s)
+
+
+def test_dropped_state_leaves_the_cached_intermediates():
+    spinor = attach_spinor(scalar_state(2, False), constant_spinor(0.8, 0.3))
+    jet = _Jet(spinor, PARAMS, "spectral")
+    momentum = jet.momentum
+    jet.drop("state", "current")
+    assert "state" not in vars(jet) and "current" not in vars(jet)
+    assert jet.momentum is momentum
+    with pytest.raises(AttributeError):
+        jet.spin_current  # needs rho s, which needs the state
 
 
 # ---------------------------------------------------------------------------
@@ -754,12 +797,14 @@ def test_cli_fft_counts(tmp_path, fft_calls, command, calls):
 
 @pytest.mark.parametrize("backend", ["spectral", "fd2"])
 def test_spin_command_peak(tmp_path, backend):
-    """Traced peak of `spin` at 32^3 in real fields of the grid.  The command
-    frees psi once the spinor is built, the Pauli current's convective and
-    spin parts at once, rho s once curl(rho s) is cached, the spinor jet after
-    the velocity decomposition, and the momentum and curl(rho s) before the
-    Hestenes check.  Holding every intermediate until the end measured 50.4
-    (spectral) and 47.3 (fd2); the scoped command 32.7 and 31.7."""
+    """Traced peak of `spin` at 32^3 in real fields of the grid.  The
+    command's `spin_split` frees psi once the spinor is built, the Pauli
+    current's convective and spin parts at once, rho s once curl(rho s) is
+    cached, and the spinor's state and current once the momentum is cached;
+    the peak is in its Hestenes check.  Holding every intermediate until the
+    end measured 50.4 (spectral) and 47.3 (fd2); the command freeing them
+    itself, with the spinor's state and current alive through the velocity
+    split, 32.7 and 31.7; the split 30.4 and 29.3."""
     cfg = dict(BASE_3D, grid={"points": [32, 32, 32], "extent": [16.0, 16.0, 16.0]})
     path = tmp_path / "spin.json"
     path.write_text(json.dumps(cfg))

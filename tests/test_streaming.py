@@ -295,22 +295,23 @@ class TestStreamMemory:
     one snapshot S = 16 bytes per point (a real field is S/2).
 
     Transport through the stream (total mode, three live columns):
-    * held for the whole run, 8.5 S: the kinetic phase factor S, the grid's
-      |k|^2 S/2 and two coordinate meshes S, and the table's window of three
-      snapshots of three velocity columns and a density, 6 S;
+    * held for the whole run, 7.5 S: the kinetic phase factor S, the grid's
+      |k|^2 S/2, and the table's window of three snapshots of three velocity
+      columns and a density, 6 S (the coordinate meshes are views);
     * the heaviest step, 12 S: building one snapshot's row while the
       previous state is still referenced, 2 S, with its jet's density, safe
       density, current, momentum and grad(rho), 5.5 S (and the mask), the
       drift and internal velocities and their sum, 4.5 S;
-    * a margin of 3.5 S for numpy's FFT scratch and small objects.
-    Bound: paths + workspace + the ensemble's (n,) arrays + 24 S.
+    * a margin of 4.5 S for numpy's FFT scratch and small objects.
+    Bound: paths + workspace + the ensemble's (n,) arrays + 24 S; measured
+    19.1 S (11 snapshots) and 18.1 S (41).
 
     Residual sups through the stream:
-    * held, 2.5 S: the phase factor, |k|^2 and the coordinate meshes;
+    * held, 1.5 S: the phase factor and |k|^2;
     * the window, 8 S: three states 3 S, the previous and next densities
       1 S, the middle one's density, current, grad(rho) and lap(rho) 4 S;
-    * one window's residual temporaries, 4 S, and a margin of 3.5 S.
-    Bound: 18 S.
+    * one window's residual temporaries, 4 S, and a margin of 4.5 S.
+    Bound: 18 S; measured 13.9 S.
 
     The materialized design held every state and, for transport, the
     stacked tables, so its peak grew by at least 2.5 S per snapshot."""

@@ -138,15 +138,16 @@ class TestEntryMemory:
     bytes per point): the fd2 3D Gaussian at 32^3, the level whose 128^3
     twin sets the battery's peak memory.
 
-    At the peak, inside `velocity_decomposition`, these are alive:
-    * the scalar jet's density, safe density, grad(rho), lap(rho) and
-      lap(sqrt(rho)), 7 fields (its state is the entry's, built before);
-    * the spinor jet: state 4, density and safe density 2, current,
-      momentum, rho s and curl(rho s) 12, so 18 fields;
-    * the spin vector 3 and the Pauli total 3;
-    * drift, internal velocity and their sum, 9.
-    That is 40 fields and the masks; the bound leaves 8 for temporaries.
-    Keeping every section's arrays alive until the entry ends measured 65.7."""
+    At the peak, inside the Hestenes check at the end of `spin_split`, these
+    are alive:
+    * the scalar jet's density, safe density, grad(rho) and lap(rho), 6
+      fields (its state is the entry's, built before);
+    * the split's spin vector 3, spinor density 2 (the real view of a
+      complex einsum), Pauli total 3, and drift, internal velocity, their
+      sum, momentum and curl(rho s)/m 15, so 23 fields;
+    * the check's grad(rho) 3 and rho s 3.
+    That is 35 fields and the masks, measured 35.3.  Keeping every
+    section's arrays alive until the entry ends measured 65.7."""
 
     def test_gaussian_3d_fd2_peak(self):
         entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
@@ -163,8 +164,8 @@ class TestEntryMemory:
     def test_gaussian_3d_fd2_peak_without_dead_intermediates(self):
         """The spinor jet's rho s (3 fields) is freed once curl(rho s) is
         cached, and the scalar jet's lap(sqrt(rho)) (1) once the two-form
-        check is done, both before `velocity_decomposition` sets the peak.
-        Keeping them measured 41.7 fields; freeing them 37.7."""
+        check is done, both before the velocity split.  Keeping them
+        measured 41.7 fields; freeing them 37.7."""
         entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
         records: list = []
         tracemalloc.start()
@@ -175,3 +176,19 @@ class TestEntryMemory:
             tracemalloc.stop()
         assert all(rec["passed"] for rec in records)
         assert peak <= 40 * 8 * entry.psi.grid.size
+
+    def test_gaussian_3d_fd2_peak_with_one_spin_pass(self):
+        """`spin_split` also frees the spinor's state (4 fields) and current
+        (3) once the momentum is cached, so the velocity split no longer
+        sets the peak.  Calling the spin functions one by one measured 37.65
+        fields; the split 35.28."""
+        entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
+        records: list = []
+        tracemalloc.start()
+        try:
+            _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rec["passed"] for rec in records)
+        assert peak <= 36.5 * 8 * entry.psi.grid.size
