@@ -227,6 +227,7 @@ def _cmd_evolve(cfg: dict, out_dir: str, args) -> int:
     summary = {
         "command": "evolve",
         "backend": args.backend,
+        "propagator": "split-step spectral",
         "grid": _grid_summary(grid),
         "snapshots": len(stream.times),
         "time_range": [float(stream.times[0]), float(stream.times[-1])],

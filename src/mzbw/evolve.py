@@ -176,13 +176,21 @@ def _snapshots(psi0, config, times, half_kick, kinetic_factor) -> Iterator[Snaps
     psi = psi0.values.copy()
     for record, time in enumerate(times):
         if record:
-            # every factor makes a new array, so a yielded state is never written to
+            # one new array per interval, the state it yields: every kick and
+            # transform of the interval writes into it, so a state already
+            # yielded is never written to.  The kinetic factor is always the
+            # first operand: the two orders of a complex product round
+            # differently, and an out-of-place `K * fftn(psi)` leaves the order
+            # to numpy's temporary elision, which swaps it above 256 KiB.
+            psi = psi.copy()
             for _ in range(config.snapshot_stride):
                 if half_kick is not None:
-                    psi = half_kick * psi
-                psi = np.fft.ifftn(kinetic_factor * np.fft.fftn(psi))
+                    np.multiply(half_kick, psi, out=psi)
+                np.fft.fftn(psi, out=psi)
+                np.multiply(kinetic_factor, psi, out=psi)
+                np.fft.ifftn(psi, out=psi)
                 if half_kick is not None:
-                    psi = half_kick * psi
+                    np.multiply(half_kick, psi, out=psi)
         state = ComplexField(grid, psi)
         obs = observables(state, config.potential, config.params)
         yield Snapshot(time, state, obs.norm, obs.energy)

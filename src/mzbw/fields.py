@@ -220,8 +220,10 @@ def _axis_derivative(values: np.ndarray, grid: Grid, axis: int, backend: str) ->
         k = grid.wavenumbers()[axis].copy()
         k[k.size // 2] = 0.0  # unpaired Nyquist mode carries no sign; drop it in odd derivatives
         if np.iscomplexobj(values):
+            # one owned buffer: the spectrum, multiplied and inverted in place
             fhat = np.fft.fft(values, axis=axis)
-            return np.fft.ifft(1j * grid._axis_shape(k, axis) * fhat, axis=axis)
+            np.multiply(1j * grid._axis_shape(k, axis), fhat, out=fhat)
+            return np.fft.ifft(fhat, axis=axis, out=fhat)
         # real input: the half spectrum, whose last bin is the zeroed Nyquist mode
         n = values.shape[axis]
         fhat = np.fft.rfft(values, axis=axis)
@@ -241,7 +243,10 @@ def _axis_derivative(values: np.ndarray, grid: Grid, axis: int, backend: str) ->
 def _laplacian_values(values: np.ndarray, grid: Grid, backend: str) -> np.ndarray:
     if backend == "spectral":
         if np.iscomplexobj(values):
-            return np.fft.ifftn(-grid.k_squared() * np.fft.fftn(values))
+            # every axis pass of both transforms writes into one owned buffer
+            fhat = np.fft.fftn(values, out=np.empty_like(values))
+            np.multiply(-grid.k_squared(), fhat, out=fhat)
+            return np.fft.ifftn(fhat, out=fhat)
         fhat = np.fft.rfftn(values)
         fhat *= -grid.k_squared()[..., : values.shape[-1] // 2 + 1]
         return np.fft.irfftn(fhat, s=values.shape, axes=tuple(range(values.ndim)))

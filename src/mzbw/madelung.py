@@ -76,8 +76,9 @@ class _Jet:
         if isinstance(self.state, RealField):
             return v
         if isinstance(self.state, SpinorField):
-            # psi^dag psi by einsum; it rounds differently from |up|^2 + |down|^2
-            return np.einsum("c...,c...->...", np.conj(v), v).real
+            # psi^dag psi by einsum; it rounds differently from |up|^2 + |down|^2.
+            # The copy owns one real field; the .real view would keep both halves.
+            return np.einsum("c...,c...->...", np.conj(v), v).real.copy()
         return v.real**2 + v.imag**2
 
     @cached_property

@@ -340,6 +340,20 @@ class TestCliBehavior:
         assert len(manifest["files"]) == 5
         assert manifest["config"] == cfg
 
+    def test_evolve_summary_names_the_propagator(self, tmp_path):
+        # --backend picks the residuals' derivatives; the propagation stays spectral
+        cfg = {
+            "grid": {"points": [64], "extent": [20.0]},
+            "state": {"family": "harmonic_ground"},
+            "evolution": {"dt": 1e-3, "steps": 4, "snapshot_stride": 2, "residuals": True},
+        }
+        cfg_path = write_config(tmp_path / "run.json", cfg)
+        out = tmp_path / "out"
+        assert cli.main(["evolve", "--config", cfg_path, "--out", str(out), "--backend", "fd2"]) == 0
+        summary = read_json(str(out / "summary.json"))
+        assert summary["backend"] == "fd2"
+        assert summary["propagator"] == "split-step spectral"
+
     def test_trajectories_static_csv(self, tmp_path):
         cfg = {
             "grid": {"points": [128], "extent": [30.0]},

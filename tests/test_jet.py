@@ -55,6 +55,7 @@ from mzbw import (
     zbw_speed,
     zbw_velocity_uniform,
 )
+from mzbw.fields import _axis_derivative, _laplacian_values
 from mzbw.madelung import _Jet, node_mask
 from mzbw.spinhydro import spin_split
 from mzbw.trajectories import _build_table, _VelocityTable
@@ -432,6 +433,22 @@ pytestmark = pytest.mark.filterwarnings("ignore:wavefunction norm:RuntimeWarning
 
 
 # ---------------------------------------------------------------------------
+# complex spectral cores, which transform in place in one owned buffer
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [*GRIDS.values(), Grid((32, 24, 24), (7.0, 6.0, 5.0))],  # the last one above numpy's 256 KiB elision size
+    ids=["1d", "2d", "3d", "3d-large"],
+)
+def test_complex_spectral_cores_match_reference(grid):
+    values = random_smooth_state(grid, 11).values
+    for axis in range(grid.dims):
+        assert same(_axis_derivative(values, grid, axis, "spectral"), ref_axis_derivative(values, grid, axis, "spectral"))
+    assert same(_laplacian_values(values, grid, "spectral"), ref_laplacian(values, grid, "spectral"))
+
+
+# ---------------------------------------------------------------------------
 # scalar quantities
 
 
@@ -788,9 +805,14 @@ BASE_3D = {
 }
 
 
-@pytest.mark.parametrize("command, calls", [("decompose", 16), ("spin", 36)])
+EVOLVE_3D = dict(BASE_3D, evolution={"dt": 1e-3, "steps": 4, "snapshot_stride": 2, "residuals": True})
+
+
+@pytest.mark.parametrize("command, calls", [("decompose", 16), ("spin", 36), ("evolve", 34)])
 def test_cli_fft_counts(tmp_path, fft_calls, command, calls):
-    code = _run(tmp_path, command, BASE_3D, command)
+    """evolve makes 8 transforms for its 4 steps, 6 for one Laplacian per
+    snapshot (3) and 20 for its one residual triple."""
+    code = _run(tmp_path, command, EVOLVE_3D if command == "evolve" else BASE_3D, command)
     assert code in (0, 3)  # the isotropic 3D Gaussian violates grad(rho).s = 0
     assert fft_calls["calls"] == calls
 
@@ -804,7 +826,8 @@ def test_spin_command_peak(tmp_path, backend):
     the peak is in its Hestenes check.  Holding every intermediate until the
     end measured 50.4 (spectral) and 47.3 (fd2); the command freeing them
     itself, with the spinor's state and current alive through the velocity
-    split, 32.7 and 31.7; the split 30.4 and 29.3."""
+    split, 32.7 and 31.7; the split 30.4 and 29.3; with the spinor density
+    an owned real array, 29.5 and 28.3."""
     cfg = dict(BASE_3D, grid={"points": [32, 32, 32], "extent": [16.0, 16.0, 16.0]})
     path = tmp_path / "spin.json"
     path.write_text(json.dumps(cfg))

@@ -31,6 +31,7 @@ from mzbw import (
     advect,
     cli,
     continuity_residual,
+    harmonic_potential,
     hj_residual,
     iter_propagate,
     propagate,
@@ -225,6 +226,39 @@ def test_stream_yields_what_propagate_collects():
     assert [s.norm for s in snaps] == stream.norms and stream.last is snaps[-1]
     with pytest.raises(ValueError, match="only once"):
         advect(np.zeros((1, 1)), stream, params=PARAMS)
+
+
+def reference_strang_states(psi0, config):
+    """The split-step loop out of place: every kick and transform makes a new
+    array, and the kinetic factor is the first operand of its product."""
+    p = config.params
+    kinetic_factor = np.exp(-1j * (p.hbar * psi0.grid.k_squared() * config.dt / (2.0 * p.mass)))
+    kicks = [] if config.potential is None else [np.exp(-0.5j * config.potential.values * config.dt / p.hbar)]
+    psi = psi0.values.copy()
+    states = [psi]
+    for _ in range(config.steps // config.snapshot_stride):
+        for _ in range(config.snapshot_stride):
+            for kick in kicks:
+                psi = np.multiply(kick, psi)
+            psi = np.fft.ifftn(np.multiply(kinetic_factor, np.fft.fftn(psi)))
+            for kick in kicks:
+                psi = np.multiply(kick, psi)
+        states.append(psi)
+    return states
+
+
+@pytest.mark.parametrize("points", [(256,), (32, 32, 32)])  # below and above numpy's 256 KiB elision size
+@pytest.mark.parametrize("potential", [False, True])
+def test_held_snapshots_match_the_out_of_place_loop(points, potential):
+    grid = Grid(points, (10.0,) * len(points))
+    psi = random_smooth_state(grid, 4, params=PARAMS)
+    pot = harmonic_potential(grid, 0.7, params=PARAMS) if potential else None
+    config = EvolutionConfig(dt=1e-3, steps=6, snapshot_stride=2, potential=pot, params=PARAMS)
+    held = [snap.state.values for snap in iter_propagate(psi, config)]  # every state kept to the end
+    want = reference_strang_states(psi, config)
+    assert len(held) == len(want) == 4
+    for got, ref in zip(held, want):
+        assert same(got, ref)
 
 
 def test_stream_checks_inputs_before_any_step():

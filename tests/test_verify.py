@@ -142,11 +142,12 @@ class TestEntryMemory:
     are alive:
     * the scalar jet's density, safe density, grad(rho) and lap(rho), 6
       fields (its state is the entry's, built before);
-    * the split's spin vector 3, spinor density 2 (the real view of a
-      complex einsum), Pauli total 3, and drift, internal velocity, their
-      sum, momentum and curl(rho s)/m 15, so 23 fields;
+    * the split's spin vector 3, spinor density 1 (an owned copy of the
+      complex einsum's real part), Pauli total 3, and drift, internal
+      velocity, their sum, momentum and curl(rho s)/m 15, so 22 fields;
     * the check's grad(rho) 3 and rho s 3.
-    That is 35 fields and the masks, measured 35.3.  Keeping every
+    That is 34 fields and the masks, measured 34.3 (35.3 while the density
+    was the einsum's real view, which kept both halves).  Keeping every
     section's arrays alive until the entry ends measured 65.7."""
 
     def test_gaussian_3d_fd2_peak(self):
