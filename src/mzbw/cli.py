@@ -216,6 +216,7 @@ def _cmd_evolve(cfg: dict, out_dir: str, args) -> int:
     grid, params, psi = _inputs(cfg)
     evolution = cfgmod.build_evolution(cfg, grid, params)
     stream = iter_propagate(psi, evolution)
+    del psi  # the stream holds the initial state, and yields it as snapshot 0
     snapshots = fieldio.stream_snapshot_series(os.path.join(out_dir, "snapshots"), stream, config_echo=cfg)
     phase_sup, continuity_sup = [], []
     if cfgmod.read_evolution(cfg)["residuals"]:

@@ -18,13 +18,14 @@ into a `SnapshotSeries`.
 
 from __future__ import annotations
 
+import threading
 import warnings
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ComplexField, PhysicalParams, RealField, laplacian, overlap
+from .fields import ComplexField, PhysicalParams, RealField, _laplacian_values, laplacian, overlap
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,12 @@ class SnapshotStream:
 
     `grid` and `times` are known up front.  Iterating, which can be done
     once, runs the propagator and yields each `Snapshot`; `norms` and
-    `energies` log the snapshots yielded so far, and `last` is the latest."""
+    `energies` log the snapshots yielded so far, and `last` is the latest.
+    The propagator runs in a worker thread one snapshot ahead of the
+    reader, so the two overlap; an exception it raises is raised to the
+    reader, and an iterator closed or dropped half-read stops and joins it."""
 
-    def __init__(self, grid, times: np.ndarray, snapshots: Iterator[Snapshot]):
+    def __init__(self, grid, times: np.ndarray, snapshots: Generator[Snapshot, None, None]):
         self.grid = grid
         self.times = times
         self.norms: list[float] = []
@@ -103,11 +107,70 @@ class SnapshotStream:
         if self._read:
             raise ValueError("a snapshot stream can be read only once")
         self._read = True
-        for snap in self._snapshots:
-            self.norms.append(snap.norm)
-            self.energies.append(snap.energy)
-            self.last = snap
-            yield snap
+        ahead = _ReadAhead(self._snapshots)
+        self._snapshots = None
+        try:
+            while (snap := ahead.take()) is not None:
+                self.norms.append(snap.norm)
+                self.energies.append(snap.energy)
+                self.last = snap
+                yield snap
+        finally:
+            ahead.stop()
+
+
+class _ReadAhead:
+    """Runs a snapshot iterator in one worker thread, one snapshot ahead of
+    its consumer: the worker computes snapshot n+1 while the consumer holds
+    snapshot n, then waits until n+1 is taken.  The FFTs and elementwise
+    work of the two threads overlap because numpy releases the GIL in them.
+    An exception raised by the iterator is raised again by `take`."""
+
+    def __init__(self, snapshots: Generator[Snapshot, None, None]):
+        self._snapshots = snapshots
+        self._item = None  # the finished snapshot, an exception, or None at the end
+        self._ready = threading.Semaphore(0)  # the worker has set _item
+        self._taken = threading.Semaphore(0)  # the consumer took it, or stops
+        self._stopping = False
+        self._thread = threading.Thread(target=self._work, name="mzbw-snapshots", daemon=True)
+        self._thread.start()
+
+    def _work(self) -> None:
+        item = None
+        try:
+            for snap in self._snapshots:
+                self._item = snap
+                self._ready.release()
+                self._taken.acquire()
+                if self._stopping:
+                    return
+        except BaseException as exc:  # raised again in the consumer by take()
+            item = exc
+        finally:
+            self._snapshots.close()
+            self._snapshots = None
+        self._item = item
+        self._ready.release()
+
+    def take(self) -> Snapshot | None:
+        """The next snapshot, or None after the last; the worker then starts
+        on the one after it."""
+        self._ready.acquire()
+        item, self._item = self._item, None
+        if isinstance(item, BaseException):
+            try:
+                raise item
+            finally:
+                item = None  # the frame would hold the exception, and it the frame
+        self._taken.release()
+        return item
+
+    def stop(self) -> None:
+        """Stop the worker after the snapshot it is computing and join it."""
+        self._stopping = True
+        self._taken.release()
+        self._thread.join()
+        self._item = None
 
 
 def observables(
@@ -141,7 +204,8 @@ def iter_propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotStrea
     warnings raised, before any step: a warning when the highest grid mode
     advances more than pi of kinetic phase per step (dt too large for the
     grid), and when psi0 is not normalized.  No yielded state is written to
-    afterwards, so a consumer may keep any of them."""
+    afterwards, so a consumer may keep any of them; snapshot 0 is psi0
+    itself."""
     grid = psi0.grid
     params = config.params
     norm0 = float(np.sum(psi0.values.real**2 + psi0.values.imag**2) * grid.cell_volume)
@@ -171,9 +235,10 @@ def iter_propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotStrea
     return SnapshotStream(grid, times, _snapshots(psi0, config, times, half_kick, kinetic_factor))
 
 
-def _snapshots(psi0, config, times, half_kick, kinetic_factor) -> Iterator[Snapshot]:
+def _snapshots(psi0, config, times, half_kick, kinetic_factor) -> Generator[Snapshot, None, None]:
     grid = psi0.grid
-    psi = psi0.values.copy()
+    state = psi0  # snapshot 0 is the initial state itself, not a copy
+    del psi0
     for record, time in enumerate(times):
         if record:
             # one new array per interval, the state it yields: every kick and
@@ -182,7 +247,7 @@ def _snapshots(psi0, config, times, half_kick, kinetic_factor) -> Iterator[Snaps
             # first operand: the two orders of a complex product round
             # differently, and an out-of-place `K * fftn(psi)` leaves the order
             # to numpy's temporary elision, which swaps it above 256 KiB.
-            psi = psi.copy()
+            psi = state.values.copy()
             for _ in range(config.snapshot_stride):
                 if half_kick is not None:
                     np.multiply(half_kick, psi, out=psi)
@@ -191,9 +256,35 @@ def _snapshots(psi0, config, times, half_kick, kinetic_factor) -> Iterator[Snaps
                 np.fft.ifftn(psi, out=psi)
                 if half_kick is not None:
                     np.multiply(half_kick, psi, out=psi)
-        state = ComplexField(grid, psi)
-        obs = observables(state, config.potential, config.params)
-        yield Snapshot(time, state, obs.norm, obs.energy)
+            state = ComplexField(grid, psi)
+        yield Snapshot(time, state, *_norm_energy(state, config.potential, config.params))
+
+
+_BLOCK = 1 << 15  # points per block of the energy's elementwise products
+
+
+def _norm_energy(psi: ComplexField, potential: RealField | None, params: PhysicalParams) -> tuple[float, float]:
+    """The norm and energy of `observables`, by the same operations in the same
+    order, without the centroid and width; the energy's products are chained
+    in the Laplacian's buffer."""
+    grid, values = psi.grid, psi.values
+    norm = float(np.sum(values.real**2 + values.imag**2) * grid.cell_volume)
+    if norm == 0.0:
+        raise ValueError("wavefunction is identically zero")
+    h_psi = _laplacian_values(values, grid, "spectral")
+    h_psi *= -(params.hbar * params.hbar / (2.0 * params.mass))  # a real factor rounds alike in either order
+    # the elementwise products block by block, so no other field is allocated
+    flat_h, flat_psi = h_psi.reshape(-1), values.reshape(-1)
+    flat_u = None if potential is None else potential.values.reshape(-1)
+    for start in range(0, flat_h.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        if flat_u is not None:
+            flat_h[block] += flat_u[block] * flat_psi[block]
+        np.multiply(np.conj(flat_psi[block]), flat_h[block], out=flat_h[block])
+    energy = float((np.sum(h_psi) * grid.cell_volume).real)
+    if not np.isfinite(energy):
+        raise ValueError(f"energy of the snapshot is not finite ({energy})")
+    return norm, energy
 
 
 def propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotSeries:

@@ -45,7 +45,6 @@ from .fields import (
     _check_backend,
     _laplacian_values,
     curl,
-    divergence,
     gradient,
 )
 
@@ -60,7 +59,9 @@ def node_mask(rho_values: np.ndarray) -> np.ndarray:
 
 class _Jet:
     """A ComplexField, SpinorField or bare density RealField and its real
-    intermediates, each computed on first use and kept (never complex grad psi)."""
+    intermediates, each computed on first use and kept (never complex grad psi).
+    A window over a series may also set `phase_in`, the phase increment into
+    this state from the previous jet's (see `residual_sups`)."""
 
     def __init__(self, state, params: PhysicalParams | None, backend: str | None):
         if backend is not None:
@@ -261,22 +262,30 @@ def zbw_speed(rho: RealField, params: PhysicalParams, backend: str = "spectral")
 # snapshot-based residuals
 
 
-def _phase_rate(
-    prev: ComplexField, mid: ComplexField, nxt: ComplexField, dt: float, mask: np.ndarray, hbar: float
-) -> np.ndarray:
+def _phase_rate(prev: _Jet, mid: _Jet, nxt: _Jet, dt: float, mask: np.ndarray, hbar: float) -> np.ndarray:
     """Central-difference d(phi)/dt from phase increments between snapshots.
 
     Increments are principal args of ratio bilinears, so no global unwrapping
     is needed; a pointwise increment at the +/-pi boundary means the snapshot
     spacing aliases the phase evolution and the input is rejected."""
-    d_plus = np.angle(nxt.values * np.conj(mid.values))
-    d_minus = np.angle(mid.values * np.conj(prev.values))
+    d_minus = _phase_increment(prev, mid)
+    mid.drop("phase_in")  # a kept increment into the middle snapshot serves this triple only
+    d_plus = _phase_increment(mid, nxt)
     jump = max(np.max(np.abs(d_plus[~mask]), initial=0.0), np.max(np.abs(d_minus[~mask]), initial=0.0))
     if jump >= np.pi * (1.0 - 1e-9):
         raise ValueError(
             f"phase jump {jump:.6f} rad between snapshots reaches pi; time spacing too large"
         )
     return hbar * (d_plus + d_minus) / (2.0 * dt)
+
+
+def _phase_increment(earlier: _Jet, later: _Jet) -> np.ndarray:
+    """angle(psi_later conj(psi_earlier)), or the increment `later` keeps as
+    `phase_in` = (earlier, increment) for this pair (see `residual_sups`)."""
+    kept = later.__dict__.get("phase_in")
+    if kept is not None and kept[0] is earlier:
+        return kept[1]
+    return np.angle(later.state.values * np.conj(earlier.state.values))
 
 
 def _triple_jet(snapshots, dt: float, params: PhysicalParams, backend: str) -> tuple:
@@ -305,7 +314,7 @@ def hj_terms(
     mask = jet.mask | prev.mask | nxt.mask
     safe = np.where(mask, 1.0, jet.rho)
 
-    dphi_dt = _phase_rate(prev.state, jet.state, nxt.state, dt, mask, params.hbar)
+    dphi_dt = _phase_rate(prev, jet, nxt, dt, mask, params.hbar)
 
     kinetic = np.zeros(jet.grid.shape)
     for j_axis in jet.current[: jet.grid.dims]:
@@ -347,7 +356,9 @@ def continuity_residual(
     prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
     grid = jet.grid
     drho_dt = (nxt.rho - prev.rho) / (2.0 * dt)
-    div_flux = divergence(VectorField(grid, jet.current / params.mass), backend).values
+    div_flux = np.zeros(grid.shape)  # div(j / m), one axis of the flux at a time
+    for axis in range(grid.dims):
+        div_flux = div_flux + _axis_derivative(jet.current[axis] / params.mass, grid, axis, backend)
     values = RealField(grid, drho_dt + div_flux)
     return ResidualField(values=values, node_mask=np.zeros(grid.shape, dtype=bool))
 
@@ -357,41 +368,60 @@ def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams
     snapshot of a series, over the points where |psi|^2 >= REGION_EPS times
     its maximum, so tail roundoff does not dominate.
 
-    `snapshots` yields `Snapshot`s (a `SnapshotSeries` or `SnapshotStream`);
-    the spacing is that of the first two.  One pass keeps a window of three
+    `snapshots` yields `Snapshot`s (a `SnapshotSeries` or `SnapshotStream`)
+    at a uniform spacing: a ValueError is raised when a spacing differs from
+    the first by more than 1e-9 of it.  One pass keeps a window of three
     jets, so each snapshot's density and mask are computed once and the
-    middle one's derivatives are shared by both residuals; a middle jet that
-    moves on to be the previous one keeps only its density and mask.
-    Returns two lists with one entry per interior snapshot, empty for fewer
-    than three snapshots."""
+    middle one's derivatives are shared by both residuals.  The phase
+    increment into each snapshot is computed once, as the snapshot arrives,
+    and its jet keeps it for the two triples that read it.  A jet keeps its
+    state only while it is read: the first jet's until the increment out of
+    it exists, a middle jet's until its current does.  Returns two lists
+    with one entry per interior snapshot, empty for fewer than three
+    snapshots."""
     phase_sup, continuity_sup = [], []
-    window, times = [], []
+    window, dt, last_time = [], None, None
     for snap in snapshots:
-        window.append(_Jet(snap.state, params, backend))
-        if len(times) < 2:
-            times.append(snap.time)
+        if last_time is not None:
+            spacing = float(snap.time - last_time)
+            if dt is None:
+                dt = spacing
+            elif abs(spacing - dt) > 1e-9 * abs(dt):
+                raise ValueError(
+                    f"snapshot spacing {spacing!r} at time {snap.time!r} differs from the first, {dt!r}"
+                )
+        last_time = snap.time
+        jet = _Jet(snap.state, params, backend)
+        if window:
+            jet.phase_in = (window[-1], _phase_increment(window[-1], jet))
+        if len(window) == 1:  # the first jet is never a middle one
+            window[0].mask  # computed while the state is there
+            window[0].drop("state")
+        window.append(jet)
         if len(window) == 3:
-            hj_sup, ct_sup = _sups(window, float(times[1] - times[0]), potential, params, backend)
+            hj_sup, ct_sup = _sups(window, dt, potential, params, backend)
             phase_sup.append(hj_sup)
             continuity_sup.append(ct_sup)
-            window = [_density_jet(window[1]), window[2]]
+            window[1].drop("current")  # the next triples read only its density and mask
+            window = window[1:]
     return phase_sup, continuity_sup
 
 
 def _sups(window, dt, potential, params, backend) -> tuple[float, float]:
     """The two residual sups of one (prev, mid, next) window."""
-    rho = np.abs(window[1].state.values) ** 2  # not the jet's rho: it rounds differently, moving the region
+    mid = window[1]
+    rho = np.abs(mid.state.values) ** 2  # not the jet's rho: it rounds differently, moving the region
     keep = rho >= REGION_EPS * rho.max()
+    del rho
+    # the residuals read the middle state only through its density and
+    # current, so it is freed before their other intermediates are made, and
+    # the continuity residual runs without the bracket's derivatives
+    mid.mask, mid.current  # computed while the state is there
+    mid.drop("state")
     hj = hj_residual(window, dt, potential, params, backend)
+    mid.drop("grad_rho", "lap_rho")
     ct = continuity_residual(window, dt, params, backend)
     return float(np.max(np.abs(hj.values.values[keep]))), float(np.max(np.abs(ct.values.values[keep])))
-
-
-def _density_jet(jet: _Jet) -> _Jet:
-    """A jet of the same state holding only the density and mask `jet` computed."""
-    bare = _Jet(jet.state, None, None)
-    bare.rho, bare.mask = jet.rho, jet.mask
-    return bare
 
 
 @dataclass(frozen=True)

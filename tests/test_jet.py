@@ -13,6 +13,7 @@ The FFT-count tests pin how many transforms the CLI commands make on a small
 """
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -777,12 +778,16 @@ FFT_NAMES = ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn")
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Count calls to the numpy.fft entry points, as the perfbench tracer does."""
+    """Count calls to the numpy.fft entry points, as the perfbench tracer does.
+    The count is kept under a lock: the snapshot stream's worker thread makes
+    the propagator's and the snapshot energies' calls."""
     counter = {"calls": 0}
+    lock = threading.Lock()
 
     def wrap(fn):
         def counted(*args, **kwargs):
-            counter["calls"] += 1
+            with lock:
+                counter["calls"] += 1
             return fn(*args, **kwargs)
 
         return counted

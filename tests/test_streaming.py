@@ -14,7 +14,11 @@ snapshot, S = 16 bytes per grid point; the bound is derived from the design
 and must hold for 11 and for 41 snapshots alike.
 """
 
+import gc
 import json
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -38,7 +42,8 @@ from mzbw import (
     random_smooth_state,
     zbw_velocity_uniform,
 )
-from mzbw.evolve import SnapshotStream
+from mzbw import evolve
+from mzbw.evolve import SnapshotStream, observables
 from mzbw.fieldio import read_json, stream_snapshot_series
 from mzbw.madelung import NODE_EPS, REGION_EPS, _Jet, residual_sups
 from mzbw.trajectories import _build_table, _interp_into, _transport, _Workspace
@@ -300,6 +305,137 @@ def test_evolve_failing_mid_run_leaves_the_snapshots_so_far(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def count_snapshots(monkeypatch, fail_at=None, exc=None):
+    """A list that grows by one as the stream's worker computes each
+    snapshot; the worker raises `exc` computing snapshot `fail_at`."""
+    real = evolve._norm_energy
+    calls = []
+
+    def norm_energy(psi, potential, params):
+        calls.append(None)
+        if len(calls) - 1 == fail_at:
+            raise exc
+        return real(psi, potential, params)
+
+    monkeypatch.setattr(evolve, "_norm_energy", norm_energy)
+    return calls
+
+
+def new_threads(before):
+    return [t for t in threading.enumerate() if t not in before]
+
+
+@pytest.mark.parametrize("exc", [ValueError("injected"), MemoryError("injected")], ids=["ValueError", "MemoryError"])
+def test_worker_failure_is_raised_by_the_consumer(monkeypatch, exc):
+    count_snapshots(monkeypatch, 2, exc)
+    psi, config = small_run(6)
+    before = threading.enumerate()
+    stream = iter_propagate(psi, config)
+    got = []
+    with pytest.raises(type(exc), match="^injected$"):
+        for snap in stream:
+            got.append(snap.time)
+    assert got == list(stream.times[:2]) and len(stream.norms) == 2
+    assert new_threads(before) == []
+
+
+@pytest.mark.parametrize("command", ["evolve", "trajectories"])
+def test_out_of_memory_in_the_worker_exits_2(tmp_path, capsys, monkeypatch, command):
+    count_snapshots(monkeypatch, 2, MemoryError("injected"))
+    cfg = {
+        "grid": {"points": [16], "extent": [10.0]},
+        "state": {"family": "gaussian", "sigma": 1.0},
+        "evolution": {"dt": 1e-3, "steps": 8, "snapshot_stride": 2, "residuals": True},
+        "trajectories": {"n": 10, "source": "evolve"},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    before = threading.enumerate()
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["out of memory: injected"]
+    assert new_threads(before) == []  # joined before main returns
+    if command == "evolve":
+        assert sorted(p.name for p in (out / "snapshots").iterdir()) == ["psi_000000.mzbw", "psi_000001.mzbw"]
+
+
+def test_stream_computes_one_snapshot_ahead_and_no_further(monkeypatch):
+    computed = count_snapshots(monkeypatch)
+    psi, config = small_run(6)
+    snaps = iter(iter_propagate(psi, config))
+    for n in range(4):
+        next(snaps)
+        deadline = time.monotonic() + 10.0
+        while len(computed) < n + 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.05)  # ample time to run further ahead on a 32-point grid
+        assert len(computed) == n + 2
+    snaps.close()
+
+
+def test_streams_read_at_once_hand_over_every_snapshot_once():
+    psi, config = small_run(12)
+    want = propagate(psi, config).states
+    got = {}
+
+    def read(k):
+        got[k] = [snap.state.values for snap in iter_propagate(psi, config)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=read, args=(k,)) for k in range(4)]  # and four workers
+        for reader in readers:
+            reader.start()
+        for reader in readers:
+            reader.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(reader.is_alive() for reader in readers)
+    for k in range(4):
+        assert len(got[k]) == len(want) and all(same(a, b.values) for a, b in zip(got[k], want))
+
+
+@pytest.mark.parametrize("how", ["close", "abandon"])
+def test_a_stream_left_half_read_stops_its_worker(how):
+    psi, config = small_run(6)
+    baseline = threading.active_count()
+    before = threading.enumerate()
+    snaps = iter(iter_propagate(psi, config))
+    next(snaps), next(snaps)
+    workers = new_threads(before)
+    assert len(workers) == 1 and threading.active_count() == baseline + 1
+    if how == "close":
+        snaps.close()
+    else:
+        del snaps
+        gc.collect()
+    after = threading.active_count()  # the stream joined its worker as it stopped
+    workers[0].join(timeout=10.0)
+    assert not workers[0].is_alive()
+    assert after == baseline
+
+
+@pytest.mark.parametrize("points", [(256,), (128, 128), (48, 40, 36)])  # the last spans three blocks
+@pytest.mark.parametrize("potential", [False, True])
+def test_snapshot_norm_and_energy_are_those_of_observables(points, potential):
+    grid = Grid(points, (10.0,) * len(points))
+    psi = random_smooth_state(grid, 4, params=PARAMS)
+    pot = harmonic_potential(grid, 0.7, params=PARAMS) if potential else None
+    obs = observables(psi, pot, PARAMS)
+    assert same(evolve._norm_energy(psi, pot, PARAMS), (obs.norm, obs.energy))
+
+
+def test_residual_sups_reject_a_nonuniform_spacing():
+    psi, config = small_run(5)
+    series = propagate(psi, config)
+    assert same(series.times, [0.0, 0.002, 0.004, 0.006, 0.008])
+    assert len(residual_sups(series, None, PARAMS)[0]) == 3
+    series.times = np.array([0.0, 0.002, 0.004, 0.010, 0.012])
+    with pytest.raises(ValueError, match="spacing 0.006.* differs from the first, 0.002"):
+        residual_sups(series, None, PARAMS)
+
+
 def test_table_window_only_moves_forward():
     psi, config = small_run(6)
     table, times = _build_table(iter_propagate(psi, config), "drift", None, PARAMS, "spectral")
@@ -336,16 +472,24 @@ class TestStreamMemory:
       previous state is still referenced, 2 S, with its jet's density, safe
       density, current, momentum and grad(rho), 5.5 S (and the mask), the
       drift and internal velocities and their sum, 4.5 S;
-    * a margin of 4.5 S for numpy's FFT scratch and small objects.
+    * the read-ahead, 2.5 S: the next snapshot S, which the stream's worker
+      thread computes while the consumer works, and its energy's Laplacian
+      buffer S and -|k|^2 factor S/2;
+    * a margin of 2 S for numpy's FFT scratch and small objects.
     Bound: paths + workspace + the ensemble's (n,) arrays + 24 S; measured
-    19.1 S (11 snapshots) and 18.1 S (41).
+    22.1 S (11 snapshots) and 21.2 S (41), 19.1 S and 18.1 S before the
+    read-ahead.
 
     Residual sups through the stream:
     * held, 1.5 S: the phase factor and |k|^2;
-    * the window, 8 S: three states 3 S, the previous and next densities
-      1 S, the middle one's density, current, grad(rho) and lap(rho) 4 S;
-    * one window's residual temporaries, 4 S, and a margin of 4.5 S.
-    Bound: 18 S; measured 13.9 S.
+    * the window, 7.5 S: the middle and next states 2 S (the previous state
+      is freed once its density and the phase increment out of it exist,
+      the middle one once its current does), three densities 1.5 S, the
+      kept phase increment S/2, the middle one's current, grad(rho) and
+      lap(rho) 3.5 S;
+    * the read-ahead, 2.5 S, as above;
+    * one window's residual temporaries, 4 S, and a margin of 2.5 S.
+    Bound: 18 S; measured 14.4 S, 13.9 S before the read-ahead.
 
     The materialized design held every state and, for transport, the
     stacked tables, so its peak grew by at least 2.5 S per snapshot."""
