@@ -20,11 +20,18 @@ Each file is written as its snapshot arrives and the manifest last.
 Trajectories: CSV with one row per (particle, time): particle, t, x, y, z,
 mode, frozen, every float as %.17g.  The writer formats one %-template of
 all kept rows per particle (times pre-formatted once) and writes each
-particle's block in one call.  The binary variant mirrors the field header
-idea: magic b"MZBWT", mode code (0 drift, 1 total), n, nt and seed, then
-times, paths, seeds and frozen flags; like field files it is rejected on a
-bad header, an unknown mode code, a wrong size or trailing bytes.  All JSON
-is dumped with sorted keys so reruns are byte-identical.
+particle's block in one call.  `_format_g17` formats the live coordinates
+of a block of particles at once, in numpy, with the bytes of %.17g for
+finite 1e-4 <= |x| < 1e16 (no exponent): x * 10**(16 - X), X the decimal
+exponent, is formed exactly as a Dekker product hi + lo and rounded
+half-even to 17 digits as hi + rint(lo), hi being an even integer.  Zeros,
+subnormals, non-finite and out-of-range values, and a rounding that carries
+into an 18th digit, go through b"%.17g" one by one.  The binary variant
+mirrors the field header idea: magic b"MZBWT", mode code (0 drift, 1 total),
+n, nt and seed, then times, paths, seeds and frozen flags; like field files
+it is rejected on a bad header, an unknown mode code, a wrong size or
+trailing bytes.  All JSON is dumped with sorted keys so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -107,15 +114,18 @@ def read_field(path: str):
     cls, want_ncomp, is_complex = _KINDS[kind]
     if ncomp != want_ncomp:
         raise ValueError(f"{path}: kind {kind} expects {want_ncomp} components, header says {ncomp}")
-    grid = Grid(points, extents)
-    count = ncomp * grid.size
-    dtype = "<c16" if is_complex else "<f8"
-    expected = head_size + count * np.dtype(dtype).itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=head_size)
-    shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
-    return cls(grid, flat.reshape(shape).copy())
+    try:
+        grid = Grid(points, extents)
+        count = ncomp * grid.size
+        dtype = "<c16" if is_complex else "<f8"
+        expected = head_size + count * np.dtype(dtype).itemsize
+        if len(raw) != expected:
+            raise ValueError(f"expected {expected} bytes, got {len(raw)}")
+        flat = np.frombuffer(raw, dtype=dtype, count=count, offset=head_size)
+        shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
+        return cls(grid, flat.reshape(shape).copy())
+    except ValueError as exc:  # a bad grid, size or non-finite data
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -201,24 +211,108 @@ def _kept_times(nt: int, record_stride: int) -> list:
     return keep
 
 
+def _pattern(neg: int, X: int, length: int) -> bytes:
+    """The characters around the digits of a value with sign `neg`, decimal
+    exponent X and `length` digit bytes, with "0" on each digit."""
+    if X < 0:
+        return b"-" * neg + b"0." + b"0" * (length - X - 1)
+    return b"-" * neg + b"0" * (X + 1) + (b"." + b"0" * (length - X - 2) if length > X + 1 else b"")
+
+
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
+_IPOW10 = 10 ** np.arange(17, dtype=np.int64)
+# _pattern of row (20 * neg + X + 4) * 19 + length as three little-endian
+# words, one column per row
+_PATTERNS = np.frombuffer(
+    b"".join(_pattern(n, X, k).ljust(24, b"\0") for n in (0, 1) for X in range(-4, 16) for k in range(19)),
+    dtype="<u8",
+).reshape(-1, 3).T.astype(np.uint64, order="C")
+_CSV_BLOCK_VALUES = 4096  # keeps a block's arrays under glibc's 128 KiB mmap threshold
+
+
+def _digit_words(values: np.ndarray):
+    """The 17 significant digits of each value, rounded half-even, with a
+    zero digit for "." after the X + 1 integer digits (after all 17 if
+    X < 0), as bytes 0..17 (each 0..9) of three little-endian words, one row
+    per word; X, the decimal exponent; and the indices to format one by one,
+    where the rounded digits D fall outside (10**16, 10**17): values out of
+    range (set to 1, so 10**16), an X that log10 put one off near a power of
+    ten, and a carry into an 18th digit."""
+    a = np.abs(values)
+    a[~((a >= 1e-4) & (a < 1e16))] = 1.0
+    X = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+    # Dekker's exact product hi + lo = a * p, by Veltkamp's split at 2**27 + 1
+    p = _POW10[16 - X]
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    c = 134217729.0 * p
+    ph = c - (c - p)
+    hi = a * p
+    lo = ((ah * ph - hi) + ah * (p - ph) + (a - ah) * ph) + (a - ah) * (p - ph)
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # hi is even: half-even
+    slow = np.flatnonzero((D <= 10**16) | (D >= 10**17)).tolist()
+    D = (10 * D - 9 * (D % _IPOW10[np.where(X >= 0, 16 - X, 0)])).astype(np.uint64)
+    g = np.empty((2, len(D)), dtype=np.uint64)
+    g[0] = D // 10**8 % 10**8
+    g[1] = D % 10**8
+    # 8 digits to 8 bytes in one word: // 10**4, then // 100 in each 32-bit
+    # half and // 10 in each 16-bit quarter, by multiply and shift
+    g = (g // 10000) | ((g % 10000) << 32)
+    q = ((g * 5243) >> 19) & 0x0000007F0000007F
+    g = q | ((g - q * 100) << 16)
+    q = ((g * 103) >> 10) & 0x000F000F000F000F
+    g = q | ((g - q * 10) << 8)
+    w = np.empty((3, len(D)), dtype=np.uint64)
+    w[0] = (D // 10**17) | ((D // 10**16 % 10) << 8) | (g[0] << 16)
+    w[1] = (g[0] >> 48) | (g[1] << 16)
+    w[2] = g[1] >> 48
+    return w, X, slow
+
+
+def _format_g17(values: np.ndarray) -> list:
+    """[b"%.17g" % v for v in values], vectorized (see the module docstring)."""
+    w, X, slow = _digit_words(values)
+    # digits up to the last nonzero one: the highest nonzero byte, from the
+    # float exponent of its word (no byte exceeds 9, so rounding cannot cross one)
+    nbytes = (np.frexp(w.astype(np.float64))[1] + 7) // 8
+    length = np.where(w[2] != 0, 16 + nbytes[2], np.where(w[1] != 0, 8 + nbytes[1], nbytes[0]))
+    # room on the left for the sign and "0.000", then OR in the characters
+    neg = np.signbit(values)
+    shift = (8 * (neg + np.where(X < 0, 1 - X, 0))).astype(np.uint64)
+    out = w << shift
+    out[1:] |= w[:-1] >> (64 - shift)
+    out |= _PATTERNS.take((20 * neg + X + 4) * 19 + length, axis=1)
+    out = out.T.astype("<u8", order="C")
+    strs = out.view("S24").ravel().tolist()
+    for i in slow:
+        strs[i] = b"%.17g" % values[i]
+    return strs
+
+
 def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 1) -> None:
     keep = _kept_times(len(traj.times), record_stride)
+    paths = np.ascontiguousarray(traj.paths, dtype=np.float64)
     # a column that is +0.0 at every recorded time is written as the literal
     # "0" (what %.17g gives); the bit test reads each column in place
-    bits = np.ascontiguousarray(traj.paths, dtype=np.float64).view(np.uint64)
-    cells = ["0" if not np.any(bits[:, :, c]) else "%.17g" for c in range(3)]
+    bits = paths.view(np.uint64)
+    cells = ["0" if not np.any(bits[:, :, c]) else "%s" for c in range(3)]
     take = np.array([3 * i + c for i in keep for c in range(3) if cells[c] != "0"], dtype=np.intp)
     # one %-template per particle block for each frozen flag, row tails in
     # place; "\0" stands for the particle index, spliced in after formatting
     cols = ",".join(cells)
     heads = [f"\0,{traj.times[i]:.17g},{cols}" for i in keep]
     tails = [f",{traj.mode},{flag}\n".replace("%", "%%") for flag in (0, 1)]
-    blocks = ["".join(head + tail for head in heads) for tail in tails]
-    with open(path, "w") as fh:
-        fh.write("particle,t,x,y,z,mode,frozen\n")
-        for p in range(traj.paths.shape[0]):
-            rows = blocks[int(traj.frozen[p])] % tuple(traj.paths[p].take(take).tolist())
-            fh.write(rows.replace("\0", str(p)))
+    blocks = ["".join(head + tail for head in heads).encode() for tail in tails]
+    k = len(take)
+    step = max(1, _CSV_BLOCK_VALUES // max(k, 1))  # particles formatted together
+    with open(path, "wb") as fh:
+        fh.write(b"particle,t,x,y,z,mode,frozen\n")
+        for first in range(0, len(paths), step):
+            part = paths[first : first + step]
+            strs = _format_g17(part.reshape(len(part), -1).take(take, axis=1).ravel())
+            for j in range(len(part)):
+                rows = blocks[int(traj.frozen[first + j])] % tuple(strs[j * k : (j + 1) * k])
+                fh.write(rows.replace(b"\0", b"%d" % (first + j)))
 
 
 def write_trajectories_binary(path: str, traj: TrajectorySet, record_stride: int = 1) -> None:

@@ -6,8 +6,11 @@ byte-identical so reruns can be diffed.
 """
 
 import json
+import os
 import re
+import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ from mzbw import (
     propagate,
 )
 from mzbw.fieldio import (
+    _CSV_BLOCK_VALUES,
+    _format_g17,
+    _kept_times,
     read_field,
     read_json,
     read_snapshot_series,
@@ -117,6 +123,27 @@ class TestFieldValidation:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises((OSError, ValueError)):
             read_field(str(tmp_path / "absent.mzbw"))
+
+    # offsets in a 1D real field file: points (uint32) at 6, extent at 10, data at 20
+    @pytest.mark.parametrize(
+        "offset,patch,message",
+        [
+            (6, struct.pack("<I", 3), "points per axis"),
+            (6, struct.pack("<I", 0), "points per axis"),
+            (10, struct.pack("<d", np.nan), "extents"),
+            (10, struct.pack("<d", np.inf), "extents"),
+            (20, struct.pack("<d", np.nan), "non-finite"),
+        ],
+        ids=["odd-points", "zero-points", "nan-extent", "inf-extent", "nan-data"],
+    )
+    def test_bad_grid_or_data_names_the_file(self, tmp_path, offset, patch, message):
+        path = tmp_path / "field.mzbw"
+        write_field(str(path), RealField(Grid((4,), (1.0,)), np.arange(4.0)))
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(patch)] = patch
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + message):
+            read_field(str(path))
 
 
 class TestJson:
@@ -444,3 +471,105 @@ class TestCsvLiteralColumns:
         write_trajectories_csv(str(got), traj, record_stride=3)
         row_csv_reference(str(want), traj, record_stride=3)
         assert got.read_bytes() == want.read_bytes()
+
+
+def g17_reference(values):
+    return [b"%.17g" % v for v in np.asarray(values, dtype=np.float64).tolist()]
+
+
+def g17_ties():
+    """Values whose 18th significant digit is an exact 5 and nothing follows:
+    x = m / 2**(17 - X) with m odd lies half-way between two 17-digit
+    decimals, for each decimal exponent X of the kernel's range."""
+    out = []
+    for X in range(-4, 16):
+        low = Fraction(10) ** X * 2 ** (17 - X)
+        high = min(Fraction(10) ** (X + 1) * 2 ** (17 - X), 2**53)  # m exact as a double
+        for m in (int(low) + 1, int((low + high) / 2), int(high) - 2):
+            m |= 1
+            x = Fraction(m, 2 ** (17 - X))
+            assert (x * Fraction(10) ** (16 - X)).denominator == 2 and float(x) == x
+            out.append(float(x))
+    return out
+
+
+def g17_specials():
+    powers = [float(Fraction(10) ** k) for k in range(-8, 21)] + [1e-4, 1e16]
+    around = [float(np.nextafter(p, d)) for p in powers for d in (0.0, np.inf)]
+    # each lies just below a power of ten and rounds up to it at 17 digits,
+    # a carry into an 18th digit (all out of the kernel's range: none is in it)
+    carries = [1e-14, 1e-70, 1e-243]
+    specials = [0.0, 5e-324, 2.2250738585072014e-308, 1e-310, np.nan, np.inf, 1e15 + 0.25, 1e15 + 0.75]
+    values = powers + around + carries + specials + g17_ties()
+    return np.array(values + [-v for v in values])
+
+
+class TestFormatG17:
+    def test_specials_ties_and_range_edges(self):
+        values = g17_specials()
+        assert _format_g17(values.copy()) == g17_reference(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_matches_percent_g_on_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert _format_g17(values.copy()) == g17_reference(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats() | st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4) | st.floats(-100.0, 100.0),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    def test_matches_percent_g_on_floats(self, floats):
+        values = np.array(floats, dtype=np.float64)
+        assert _format_g17(values.copy()) == g17_reference(values)
+
+
+def block_trajectories(n, nt, live):
+    """n particles over nt times with `live` nonzero columns: values across
+    the kernel's range and a few it leaves to %.17g; every third frozen."""
+    rng = np.random.default_rng(n + 7 * live)
+    paths = np.zeros((n, nt, 3))
+    paths[:, :, :live] = rng.standard_normal((n, nt, live)) * 10.0 ** rng.integers(-6, 18, (n, nt, live))
+    specials = [1.0, -0.0, 1e-310, 1e16, np.nan, -2.5, 1e15 + 0.25, 1e-5]
+    paths[::7, ::3, live - 1] = np.resize(specials, paths[::7, ::3, live - 1].shape)
+    times = np.linspace(0.0, 1.0, nt)
+    return TrajectorySet(seeds=paths[:, 0].copy(), times=times, paths=paths, mode="drift", frozen=np.arange(n) % 3 == 0)
+
+
+class TestCsvBlocks:
+    @pytest.mark.parametrize("live", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_matches_row_writer_around_a_block(self, live, stride, extra, tmp_path):
+        nt = 11
+        per_block = _CSV_BLOCK_VALUES // (live * len(_kept_times(nt, stride)))
+        traj = block_trajectories(per_block + extra, nt, live)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectories_csv(str(got), traj, record_stride=stride)
+        row_csv_reference(str(want), traj, record_stride=stride)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_peak_memory_stays_bounded(self):
+        # 201 times and one live column, as in the README example.  The
+        # per-particle writer this replaced peaked at 0.07 MB here, with 2e3
+        # or 1e4 particles alike; a block of formatted values may add less
+        # than 1 MB.  The peak is per block, and 2e3 particles (100 blocks)
+        # keep the traced run short.
+        n, nt = 2_000, 201
+        paths = np.zeros((n, nt, 3))
+        paths[:, :, 0] = np.random.default_rng(5).standard_normal((n, nt))
+        traj = TrajectorySet(
+            seeds=paths[:, 0].copy(), times=np.linspace(0.0, 2.0, nt), paths=paths, mode="drift", frozen=np.arange(n) % 5 == 0
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_trajectories_csv(os.devnull, traj)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
