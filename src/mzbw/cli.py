@@ -254,6 +254,7 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
     source = iter_propagate(psi, cfgmod.build_evolution(cfg, grid, params)) if run["source"] == "evolve" else jet
 
     seeds = trajectories.sample_initial(RealField(grid, jet.rho), run["n"], seed)
+    del psi, jet  # an evolve source holds the state as snapshot 0, a static one is the jet
     traj = trajectories.advect(
         seeds,
         source,

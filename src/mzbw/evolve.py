@@ -10,17 +10,17 @@ Each factor is a pointwise phase, so the map is unitary to round-off and the
 splitting error is O(dt^2).  Snapshots are recorded every snapshot_stride
 steps together with norm and energy so conservation can be audited.
 
-`iter_propagate` is the one stepping loop: it hands each snapshot on as
-soon as it is reached, so a consumer that writes, measures or transports it
-holds no more of the run than it needs.  `propagate` collects that stream
-into a `SnapshotSeries`.
+`iter_propagate` is the one stepping loop, run on a one-worker executor one
+snapshot ahead of its reader: it hands each snapshot on as soon as it is
+reached, so a consumer that writes, measures or transports it holds no more
+of the run than it needs.  `propagate` collects it into a `SnapshotSeries`.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
 from collections.abc import Generator, Iterator
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,9 +90,12 @@ class SnapshotStream:
     `grid` and `times` are known up front.  Iterating, which can be done
     once, runs the propagator and yields each `Snapshot`; `norms` and
     `energies` log the snapshots yielded so far, and `last` is the latest.
-    The propagator runs in a worker thread one snapshot ahead of the
-    reader, so the two overlap; an exception it raises is raised to the
-    reader, and an iterator closed or dropped half-read stops and joins it."""
+    A one-worker executor computes snapshot n+1 while the reader holds n,
+    then waits; numpy releases the GIL in the FFTs and elementwise work, so
+    the two overlap.  The worker's exceptions are raised to the reader, and
+    an iterator closed or dropped half-read waits for the snapshot in
+    progress and joins the worker, whose thread is no daemon: interpreter
+    exit waits for it too."""
 
     def __init__(self, grid, times: np.ndarray, snapshots: Generator[Snapshot, None, None]):
         self.grid = grid
@@ -107,87 +110,32 @@ class SnapshotStream:
         if self._read:
             raise ValueError("a snapshot stream can be read only once")
         self._read = True
-        ahead = _ReadAhead(self._snapshots)
-        self._snapshots = None
-        try:
-            while (snap := ahead.take()) is not None:
-                self.norms.append(snap.norm)
-                self.energies.append(snap.energy)
-                self.last = snap
-                yield snap
-        finally:
-            ahead.stop()
-
-
-class _ReadAhead:
-    """Runs a snapshot iterator in one worker thread, one snapshot ahead of
-    its consumer: the worker computes snapshot n+1 while the consumer holds
-    snapshot n, then waits until n+1 is taken.  The FFTs and elementwise
-    work of the two threads overlap because numpy releases the GIL in them.
-    An exception raised by the iterator is raised again by `take`."""
-
-    def __init__(self, snapshots: Generator[Snapshot, None, None]):
-        self._snapshots = snapshots
-        self._item = None  # the finished snapshot, an exception, or None at the end
-        self._ready = threading.Semaphore(0)  # the worker has set _item
-        self._taken = threading.Semaphore(0)  # the consumer took it, or stops
-        self._stopping = False
-        self._thread = threading.Thread(target=self._work, name="mzbw-snapshots", daemon=True)
-        self._thread.start()
-
-    def _work(self) -> None:
-        item = None
-        try:
-            for snap in self._snapshots:
-                self._item = snap
-                self._ready.release()
-                self._taken.acquire()
-                if self._stopping:
-                    return
-        except BaseException as exc:  # raised again in the consumer by take()
-            item = exc
-        finally:
-            self._snapshots.close()
-            self._snapshots = None
-        self._item = item
-        self._ready.release()
-
-    def take(self) -> Snapshot | None:
-        """The next snapshot, or None after the last; the worker then starts
-        on the one after it."""
-        self._ready.acquire()
-        item, self._item = self._item, None
-        if isinstance(item, BaseException):
+        snapshots, self._snapshots = self._snapshots, None
+        with ThreadPoolExecutor(1, thread_name_prefix="mzbw-snapshots") as worker:
+            pending = worker.submit(next, snapshots, None)
             try:
-                raise item
+                while (snap := pending.result()) is not None:
+                    pending = worker.submit(next, snapshots, None)
+                    self.norms.append(snap.norm)
+                    self.energies.append(snap.energy)
+                    self.last = snap
+                    yield snap
             finally:
-                item = None  # the frame would hold the exception, and it the frame
-        self._taken.release()
-        return item
-
-    def stop(self) -> None:
-        """Stop the worker after the snapshot it is computing and join it."""
-        self._stopping = True
-        self._taken.release()
-        self._thread.join()
-        self._item = None
+                wait([pending])  # a generator cannot be closed while the worker runs it
+                pending = None  # it may hold an exception, whose traceback holds this frame
+                snapshots.close()
 
 
 def observables(
     psi: ComplexField, potential: RealField | None, params: PhysicalParams
 ) -> Observables:
-    """Norm, energy expectation, and per-axis centroid and width."""
+    """Norm and energy expectation, those of each snapshot, and per-axis
+    centroid and width."""
     grid = psi.grid
+    if potential is not None and potential.grid != grid:
+        raise ValueError("potential must live on the wavefunction grid")
+    norm, energy = _norm_energy(psi, potential, params)
     rho = psi.values.real**2 + psi.values.imag**2
-    norm = float(np.sum(rho) * grid.cell_volume)
-    if norm == 0.0:
-        raise ValueError("wavefunction is identically zero")
-    h_psi = -(params.hbar * params.hbar / (2.0 * params.mass)) * laplacian(psi).values
-    if potential is not None:
-        if potential.grid != grid:
-            raise ValueError("potential must live on the wavefunction grid")
-        h_psi = h_psi + potential.values * psi.values
-    energy = float((np.sum(np.conj(psi.values) * h_psi) * grid.cell_volume).real)
     mean = np.empty(grid.dims)
     width = np.empty(grid.dims)
     for axis, x in enumerate(grid.coords()):
@@ -264,9 +212,9 @@ _BLOCK = 1 << 15  # points per block of the energy's elementwise products
 
 
 def _norm_energy(psi: ComplexField, potential: RealField | None, params: PhysicalParams) -> tuple[float, float]:
-    """The norm and energy of `observables`, by the same operations in the same
-    order, without the centroid and width; the energy's products are chained
-    in the Laplacian's buffer."""
+    """The norm and energy expectation of a state, the one definition behind
+    each snapshot and `observables`; the energy's products are chained in
+    the Laplacian's buffer."""
     grid, values = psi.grid, psi.values
     norm = float(np.sum(values.real**2 + values.imag**2) * grid.cell_volume)
     if norm == 0.0:

@@ -205,6 +205,8 @@ def _kept_times(nt: int, record_stride: int) -> list:
     `record_stride`-th one, and always the endpoint."""
     if record_stride < 1:
         raise ValueError(f"record_stride must be >= 1, got {record_stride}")
+    if nt < 1:
+        raise ValueError("a trajectory set needs at least one recorded time")
     keep = list(range(0, nt, record_stride))
     if keep[-1] != nt - 1:
         keep.append(nt - 1)
@@ -342,6 +344,8 @@ def read_trajectories_binary(path: str) -> TrajectorySet:
     _, mode_code, n, nt, seed = struct.unpack_from(head_fmt, raw)
     if mode_code not in _TRAJ_MODES:
         raise ValueError(f"{path}: unknown mode code {mode_code}")
+    if nt == 0:
+        raise ValueError(f"{path}: no recorded times")
     expected = head + 8 * (nt + 3 * n * nt + 3 * n) + n
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, got {len(raw)}")

@@ -3,12 +3,33 @@ finite-difference snapshot triples at matched physical time.
 
 Both are session-scoped because the 512-point evolutions dominate the suite
 runtime and every consumer treats them as read-only.
+
+Every test must also leave no snapshot stream's worker thread running.
 """
+
+import gc
+import threading
 
 import numpy as np
 import pytest
 
 from mzbw import EvolutionConfig, Grid, PhysicalParams, gaussian, propagate
+
+
+def snapshot_workers():
+    return [t.name for t in threading.enumerate() if t.name.startswith("mzbw-snapshots")]
+
+
+@pytest.fixture(autouse=True)
+def no_snapshot_worker_left():
+    """Fail a test that leaves a snapshot stream's worker alive.  A stream
+    dropped inside a reference cycle joins its worker only when the cycle is
+    collected, so when a worker is found one collection runs before a second
+    look; collecting after every test would double the suite's time."""
+    yield
+    if snapshot_workers():
+        gc.collect()
+        assert snapshot_workers() == [], "a snapshot stream's worker thread outlived the test"
 
 
 @pytest.fixture(scope="session")

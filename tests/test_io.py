@@ -30,6 +30,7 @@ from mzbw import (
     propagate,
 )
 from mzbw.fieldio import (
+    TRAJ_MAGIC,
     _CSV_BLOCK_VALUES,
     _format_g17,
     _kept_times,
@@ -408,6 +409,22 @@ class TestTrajectoryBinaryValidation:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="frozen"):
             read_trajectories_binary(str(path))
+
+    def test_no_recorded_times_rejected(self, tmp_path):
+        path = tmp_path / "traj.bin"
+        n = 2
+        header = struct.pack("<5sBIIq", TRAJ_MAGIC, 0, n, 0, -1)
+        path.write_bytes(header + np.zeros(3 * n).tobytes() + bytes(n))  # seeds and frozen flags only
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no recorded times")):
+            read_trajectories_binary(str(path))
+
+    @pytest.mark.parametrize("write", [write_trajectories_csv, write_trajectories_binary])
+    def test_writers_reject_a_set_without_times(self, write, tmp_path):
+        traj = TrajectorySet(
+            seeds=np.zeros((2, 3)), times=np.zeros(0), paths=np.zeros((2, 0, 3)), mode="drift", frozen=np.zeros(2, bool)
+        )
+        with pytest.raises(ValueError, match="at least one recorded time"):
+            write(str(tmp_path / "traj.out"), traj)
 
     @pytest.mark.parametrize(
         "make,read",
