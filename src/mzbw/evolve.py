@@ -8,7 +8,9 @@ One step of Strang splitting for i hbar d(psi)/dt = (-hbar^2/2m lap + U) psi:
 
 Each factor is a pointwise phase, so the map is unitary to round-off and the
 splitting error is O(dt^2).  Snapshots are recorded every snapshot_stride
-steps together with norm and energy so conservation can be audited.
+steps together with norm and energy so conservation can be audited; the
+energy's kinetic part comes from one forward transform of the snapshot, by
+Parseval, rather than from its Laplacian.
 
 `iter_propagate` is the one stepping loop, run on a one-worker executor one
 snapshot ahead of its reader: it hands each snapshot on as soon as it is
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ComplexField, PhysicalParams, RealField, _laplacian_values, laplacian, overlap
+from .fields import ComplexField, PhysicalParams, RealField, laplacian, overlap
 
 
 @dataclass(frozen=True)
@@ -208,28 +210,29 @@ def _snapshots(psi0, config, times, half_kick, kinetic_factor) -> Generator[Snap
         yield Snapshot(time, state, *_norm_energy(state, config.potential, config.params))
 
 
-_BLOCK = 1 << 15  # points per block of the energy's elementwise products
-
-
 def _norm_energy(psi: ComplexField, potential: RealField | None, params: PhysicalParams) -> tuple[float, float]:
     """The norm and energy expectation of a state, the one definition behind
-    each snapshot and `observables`; the energy's products are chained in
-    the Laplacian's buffer."""
+    each snapshot and `observables`.  The energy is kinetic plus potential,
+    the kinetic part by Parseval from one forward transform:
+
+        (hbar^2/2m) (dV/N) sum_k |k|^2 |psi_k|^2  +  dV sum_x U |psi|^2"""
     grid, values = psi.grid, psi.values
-    norm = float(np.sum(values.real**2 + values.imag**2) * grid.cell_volume)
+    density = values.real**2 + values.imag**2
+    norm = float(np.sum(density) * grid.cell_volume)
     if norm == 0.0:
         raise ValueError("wavefunction is identically zero")
-    h_psi = _laplacian_values(values, grid, "spectral")
-    h_psi *= -(params.hbar * params.hbar / (2.0 * params.mass))  # a real factor rounds alike in either order
-    # the elementwise products block by block, so no other field is allocated
-    flat_h, flat_psi = h_psi.reshape(-1), values.reshape(-1)
-    flat_u = None if potential is None else potential.values.reshape(-1)
-    for start in range(0, flat_h.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        if flat_u is not None:
-            flat_h[block] += flat_u[block] * flat_psi[block]
-        np.multiply(np.conj(flat_psi[block]), flat_h[block], out=flat_h[block])
-    energy = float((np.sum(h_psi) * grid.cell_volume).real)
+    potential_energy = 0.0
+    if potential is not None:
+        density *= potential.values
+        potential_energy = float(np.sum(density) * grid.cell_volume)
+    del density
+    fhat = np.fft.fftn(values, out=np.empty_like(values))
+    power = np.square(fhat.real)
+    power += np.square(fhat.imag, out=fhat.imag)  # the spectrum is not read again
+    del fhat
+    power *= grid.k_squared()
+    kinetic = params.hbar * params.hbar / (2.0 * params.mass) * grid.cell_volume / grid.size * float(np.sum(power))
+    energy = kinetic + potential_energy
     if not np.isfinite(energy):
         raise ValueError(f"energy of the snapshot is not finite ({energy})")
     return norm, energy

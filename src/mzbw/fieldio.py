@@ -139,10 +139,30 @@ def read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def stream_snapshot_series(directory: str, series, config_echo: dict | None = None):
+class _Passing:
+    """An iterator over snapshots that carries their series' `times`."""
+
+    def __init__(self, times, snapshots):
+        self.times = times
+        self._snapshots = snapshots
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._snapshots)
+
+
+def stream_snapshot_series(directory: str, series, config_echo: dict | None = None) -> _Passing:
     """Write each snapshot of `series` (a SnapshotSeries or SnapshotStream)
     as it passes through, yielding it on; the manifest is written after the
-    last one, so a series cut short by an error has no manifest."""
+    last one, so a series cut short by an error has no manifest.  The
+    returned iterator has the series' `times`, so a reader such as
+    `residual_sups` knows the count up front."""
+    return _Passing(series.times, _write_each(directory, series, config_echo))
+
+
+def _write_each(directory, series, config_echo):
     os.makedirs(directory, exist_ok=True)
     files = []
     for i, snap in enumerate(series):

@@ -61,7 +61,8 @@ class _Jet:
     """A ComplexField, SpinorField or bare density RealField and its real
     intermediates, each computed on first use and kept (never complex grad psi).
     A window over a series may also set `phase_in`, the phase increment into
-    this state from the previous jet's (see `residual_sups`)."""
+    this state from the previous jet's, and `keep`, the region its residual
+    sups are taken over (see `residual_sups`)."""
 
     def __init__(self, state, params: PhysicalParams | None, backend: str | None):
         if backend is not None:
@@ -271,7 +272,8 @@ def _phase_rate(prev: _Jet, mid: _Jet, nxt: _Jet, dt: float, mask: np.ndarray, h
     d_minus = _phase_increment(prev, mid)
     mid.drop("phase_in")  # a kept increment into the middle snapshot serves this triple only
     d_plus = _phase_increment(mid, nxt)
-    jump = max(np.max(np.abs(d_plus[~mask]), initial=0.0), np.max(np.abs(d_minus[~mask]), initial=0.0))
+    live = ~mask
+    jump = max(np.max(np.abs(d), where=live, initial=0.0) for d in (d_plus, d_minus))
     if jump >= np.pi * (1.0 - 1e-9):
         raise ValueError(
             f"phase jump {jump:.6f} rad between snapshots reaches pi; time spacing too large"
@@ -319,8 +321,8 @@ def hj_terms(
     kinetic = np.zeros(jet.grid.shape)
     for j_axis in jet.current[: jet.grid.dims]:
         p_axis = j_axis / safe
-        kinetic = kinetic + p_axis * p_axis
-    kinetic = kinetic / (2.0 * params.mass)
+        kinetic += np.multiply(p_axis, p_axis, out=p_axis)
+    kinetic /= 2.0 * params.mass
 
     bracket = _log_form_bracket(jet, safe)
     u = np.zeros(jet.grid.shape) if potential is None else potential.values
@@ -329,8 +331,12 @@ def hj_terms(
 
 def _hj_residual(snapshots, dt, potential, params, backend, coeff: float) -> ResidualField:
     """d(phi)/dt + kinetic + coeff * bracket + U, zero on the node mask."""
-    dphi_dt, kinetic, bracket, u, mask = hj_terms(snapshots, dt, potential, params, backend)
-    residual = np.where(mask, 0.0, dphi_dt + kinetic + coeff * bracket + u)
+    residual, kinetic, bracket, u, mask = hj_terms(snapshots, dt, potential, params, backend)
+    residual += kinetic  # the sum chained left to right in the phase rate's buffer
+    bracket *= coeff
+    residual += bracket
+    residual += u
+    np.copyto(residual, 0.0, where=mask)
     return ResidualField(values=RealField(snapshots[1].grid, residual), node_mask=mask)
 
 
@@ -368,20 +374,25 @@ def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams
     snapshot of a series, over the points where |psi|^2 >= REGION_EPS times
     its maximum, so tail roundoff does not dominate.
 
-    `snapshots` yields `Snapshot`s (a `SnapshotSeries` or `SnapshotStream`)
-    at a uniform spacing: a ValueError is raised when a spacing differs from
-    the first by more than 1e-9 of it.  One pass keeps a window of three
-    jets, so each snapshot's density and mask are computed once and the
-    middle one's derivatives are shared by both residuals.  The phase
-    increment into each snapshot is computed once, as the snapshot arrives,
-    and its jet keeps it for the two triples that read it.  A jet keeps its
-    state only while it is read: the first jet's until the increment out of
-    it exists, a middle jet's until its current does.  Returns two lists
-    with one entry per interior snapshot, empty for fewer than three
+    `snapshots` yields `Snapshot`s at a uniform spacing: a ValueError is
+    raised when a spacing differs from the first by more than 1e-9 of it.
+    One pass keeps a window of three jets, so each snapshot's density and
+    mask are computed once and the middle one's derivatives are shared by
+    both residuals.  A snapshot with a successor gets everything that
+    depends on it alone (mask, region, current, grad(rho), lap(rho)) as it
+    arrives, which on a stream overlaps the propagation of the next one.
+    Whether it has one is read from the series' `times` (a `SnapshotSeries`,
+    a `SnapshotStream` or `fieldio.stream_snapshot_series`); an iterable
+    without them gets that work for its last snapshot too, giving the same
+    sups.  The phase increment into each snapshot is computed once, as it
+    arrives, and its jet keeps it for the two triples that read it.  A
+    jet's state is freed once the increment out of it exists.  Returns two
+    lists with one entry per interior snapshot, empty for fewer than three
     snapshots."""
+    count = len(snapshots.times) if hasattr(snapshots, "times") else None
     phase_sup, continuity_sup = [], []
     window, dt, last_time = [], None, None
-    for snap in snapshots:
+    for index, snap in enumerate(snapshots):
         if last_time is not None:
             spacing = float(snap.time - last_time)
             if dt is None:
@@ -393,35 +404,46 @@ def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams
         last_time = snap.time
         jet = _Jet(snap.state, params, backend)
         if window:
-            jet.phase_in = (window[-1], _phase_increment(window[-1], jet))
-        if len(window) == 1:  # the first jet is never a middle one
-            window[0].mask  # computed while the state is there
-            window[0].drop("state")
+            prev = window[-1]
+            jet.phase_in = (prev, _phase_increment(prev, jet))
+            prev.drop("state")
         window.append(jet)
         if len(window) == 3:
             hj_sup, ct_sup = _sups(window, dt, potential, params, backend)
             phase_sup.append(hj_sup)
             continuity_sup.append(ct_sup)
-            window[1].drop("current")  # the next triples read only its density and mask
+            window[1].drop("keep", "current")  # the next triples read only its density and mask
             window = window[1:]
+        if count is None or index + 1 < count:
+            _own_work(jet, middle=index > 0)
     return phase_sup, continuity_sup
 
 
+def _own_work(jet: _Jet, middle: bool) -> None:
+    """What the window needs of one snapshot alone, computed while its state
+    is there: the mask and, for a middle snapshot, the region its sups are
+    taken over (`keep`), its current, grad(rho) and lap(rho)."""
+    jet.mask
+    if middle:
+        rho = np.abs(jet.state.values) ** 2  # not the jet's rho: it rounds differently, moving the region
+        jet.keep = rho >= REGION_EPS * rho.max()
+        del rho
+        jet.current, jet.grad_rho, jet.lap_rho
+
+
 def _sups(window, dt, potential, params, backend) -> tuple[float, float]:
-    """The two residual sups of one (prev, mid, next) window."""
+    """The two residual sups of one (prev, mid, next) window, each taken as
+    soon as its residual exists; the continuity residual runs without the
+    bracket's derivatives."""
     mid = window[1]
-    rho = np.abs(mid.state.values) ** 2  # not the jet's rho: it rounds differently, moving the region
-    keep = rho >= REGION_EPS * rho.max()
-    del rho
-    # the residuals read the middle state only through its density and
-    # current, so it is freed before their other intermediates are made, and
-    # the continuity residual runs without the bracket's derivatives
-    mid.mask, mid.current  # computed while the state is there
-    mid.drop("state")
-    hj = hj_residual(window, dt, potential, params, backend)
+    hj = _sup(hj_residual(window, dt, potential, params, backend), mid.keep)
     mid.drop("grad_rho", "lap_rho")
-    ct = continuity_residual(window, dt, params, backend)
-    return float(np.max(np.abs(hj.values.values[keep]))), float(np.max(np.abs(ct.values.values[keep])))
+    return hj, _sup(continuity_residual(window, dt, params, backend), mid.keep)
+
+
+def _sup(residual: ResidualField, keep: np.ndarray) -> float:
+    values = residual.values.values
+    return float(np.max(np.abs(values, out=values), where=keep, initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from mzbw import (
 from mzbw import evolve
 from mzbw.evolve import SnapshotStream, observables
 from mzbw.fieldio import read_json, stream_snapshot_series
+from mzbw.fields import _laplacian_values
 from mzbw.madelung import NODE_EPS, REGION_EPS, _Jet, residual_sups
 from mzbw.trajectories import _build_table, _interp_into, _transport, _Workspace
 
@@ -446,7 +447,10 @@ def test_a_worker_failure_leaves_no_snapshot_in_a_reference_cycle(monkeypatch):
     assert kept < 16 * grid.size
 
 
-@pytest.mark.parametrize("points", [(256,), (128, 128), (48, 40, 36)])  # the last spans three blocks
+ENERGY_GRIDS = [(256,), (128, 128), (48, 40, 36)]
+
+
+@pytest.mark.parametrize("points", ENERGY_GRIDS)
 @pytest.mark.parametrize("potential", [False, True])
 def test_snapshot_norm_and_energy_are_those_of_observables(points, potential):
     grid = Grid(points, (10.0,) * len(points))
@@ -454,6 +458,44 @@ def test_snapshot_norm_and_energy_are_those_of_observables(points, potential):
     pot = harmonic_potential(grid, 0.7, params=PARAMS) if potential else None
     obs = observables(psi, pot, PARAMS)
     assert same(evolve._norm_energy(psi, pot, PARAMS), (obs.norm, obs.energy))
+
+
+def laplacian_form_energy(psi, potential, params):
+    """dV Re sum conj(psi) (-(hbar^2/2m) lap(psi) + U psi), the snapshot
+    energy with the spectral Laplacian, as it was before Parseval."""
+    h_psi = _laplacian_values(psi.values, psi.grid, "spectral")
+    h_psi *= -(params.hbar * params.hbar / (2.0 * params.mass))
+    if potential is not None:
+        h_psi += potential.values * psi.values
+    return float((np.sum(np.conj(psi.values) * h_psi) * psi.grid.cell_volume).real)
+
+
+@pytest.mark.parametrize("points", ENERGY_GRIDS)
+@pytest.mark.parametrize("potential", [False, True])
+def test_parseval_energy_matches_the_laplacian_form(points, potential):
+    grid = Grid(points, (10.0,) * len(points))
+    psi = random_smooth_state(grid, 4, params=PARAMS)
+    pot = harmonic_potential(grid, 0.7, params=PARAMS) if potential else None
+    want = laplacian_form_energy(psi, pot, PARAMS)
+    assert abs(evolve._norm_energy(psi, pot, PARAMS)[1] - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd2"])
+def test_residual_sups_are_the_same_from_every_source(tmp_path, backend):
+    # a stream, a series and the writer's iterator have `times`, so the
+    # last snapshot is not worked on; a plain generator has none, and its
+    # last snapshot gets the same work as the others
+    psi, config = small_run(7, dims=2)
+    series = propagate(psi, config)
+    want = residual_sups(series, None, PARAMS, backend)
+    assert len(want[0]) == 5
+    sources = [
+        iter_propagate(psi, config),
+        (snap for snap in iter_propagate(psi, config)),
+        stream_snapshot_series(str(tmp_path / "snaps"), iter_propagate(psi, config)),
+    ]
+    for source in sources:
+        assert same(residual_sups(source, None, PARAMS, backend), want)
 
 
 def test_residual_sups_reject_a_nonuniform_spacing():
@@ -503,23 +545,31 @@ class TestStreamMemory:
       density, current, momentum and grad(rho), 5.5 S (and the mask), the
       drift and internal velocities and their sum, 4.5 S;
     * the read-ahead, 2.5 S: the next snapshot S, which the stream's worker
-      thread computes while the consumer works, and its energy's Laplacian
-      buffer S and -|k|^2 factor S/2;
+      thread computes while the consumer works, and its energy's spectrum
+      psi_k S and power |psi_k|^2 S/2;
     * a margin of 2 S for numpy's FFT scratch and small objects.
-    Bound: paths + workspace + the ensemble's (n,) arrays + 24 S; measured
-    22.1 S (11 snapshots) and 21.2 S (41), 19.1 S and 18.1 S before the
-    read-ahead.
+    Bound: paths + workspace + the ensemble's (n,) arrays + 24 S; over 20
+    runs the traced peak read 19.6 to 21.1 S (11 snapshots) and 20.2 to
+    21.7 S (41).
 
     Residual sups through the stream:
     * held, 1.5 S: the phase factor and |k|^2;
-    * the window, 7.5 S: the middle and next states 2 S (the previous state
-      is freed once its density and the phase increment out of it exist,
-      the middle one once its current does), three densities 1.5 S, the
-      kept phase increment S/2, the middle one's current, grad(rho) and
-      lap(rho) 3.5 S;
+    * the window at its heaviest step, the middle snapshot's phase residual,
+      7 S: the next state S (each state is freed once the phase increment
+      out of it exists, and an interior snapshot's density, mask, current
+      and derivatives were computed as it arrived), three densities 1.5 S,
+      the kept phase increments into the middle and next snapshots S, the
+      middle one's current, grad(rho) and lap(rho) 3.5 S;
     * the read-ahead, 2.5 S, as above;
-    * one window's residual temporaries, 4 S, and a margin of 2.5 S.
-    Bound: 18 S; measured 14.4 S, 13.9 S before the read-ahead.
+    * one window's residual temporaries, 4 S, and a margin of 3 S.
+    Bound: 18 S; over 20 runs the traced peak read 12.4 to 14.4 S, and over
+    20 runs 12.4 to 14.9 S when the window worked on the middle snapshot
+    only once the next one had arrived.
+
+    Both peaks also move with how the worker's and the reader's allocations
+    interleave, not only with the inputs: identical runs spread over
+    1.5 to 2.5 S, about 1.2 real fields on the 48^3 trajectories command
+    below, so each bound keeps that much above the measured peaks.
 
     The materialized design held every state and, for transport, the
     stacked tables, so its peak grew by at least 2.5 S per snapshot."""
@@ -551,6 +601,26 @@ class TestStreamMemory:
         (phase, _), peak = traced_peak(lambda: residual_sups(iter_propagate(psi, config), None, PARAMS))
         assert len(phase) == nt - 2
         assert peak <= 18 * self.S
+
+
+def test_evolve_command_works_on_each_snapshot_as_it_arrives(tmp_path):
+    # a 48^3 evolve with residuals, in units of one real field R: with the
+    # window computing the middle snapshot's current and derivatives only
+    # once the next snapshot had arrived, while the worker propagated the
+    # one after, the traced peak read 30.8 to 32.3 R over 20 runs; with that
+    # work done as the middle snapshot arrives, 27.7 to 28.0 R over 20 runs
+    cfg = {
+        "grid": {"points": [48, 48, 48], "extent": [16.0, 16.0, 16.0]},
+        "state": {"family": "gaussian", "sigma": 1.5},
+        "potential": {"family": "harmonic", "omega": 0.5},
+        "evolution": {"dt": 1e-2, "steps": 40, "snapshot_stride": 4, "residuals": True},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["evolve", "--config", str(path), "--out", str(tmp_path / "out")]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    assert peak <= 29.5 * 8 * 48**3
 
 
 def test_trajectories_command_frees_the_initial_state(tmp_path):
