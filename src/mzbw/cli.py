@@ -286,6 +286,8 @@ def _cmd_trajectories(cfg: dict, out_dir: str, args) -> int:
         "source": run["source"],
         "frozen": int(np.sum(traj.frozen)),
         "time_range": [float(traj.times[0]), float(traj.times[-1])],
+        "time_blend": traj.time_blend,
+        "max_step_per_spacing": traj.max_step_per_spacing,
         "files": [data_file],
     }
     equiv_failed = False

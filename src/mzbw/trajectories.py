@@ -2,7 +2,11 @@
 
 Seeds are drawn from rho (quantum equilibrium) and advected with a classical
 RK4 step through grid-sampled velocity tables: multilinear interpolation in
-space, linear interpolation in time between snapshots.  Two velocity modes:
+space, linear interpolation in time between snapshots.  The time blend is
+done on the grid, once per RK4 stage time, when the grid has no more points
+than the corner values one evaluation gathers per row (n * 2**dims for n
+particles), and at the particles otherwise; the two orders round
+differently, and each table keeps one.  Two velocity modes:
 
 * ``drift``: v = p/m from the phase gradient (the guidance law),
 * ``total``: v = p/m + grad(rho) x s / (m rho) with a constant spin vector,
@@ -17,9 +21,13 @@ The RK4 loop steps the whole ensemble every substep, frozen particles
 included, and keeps a new position only where the particle still moves.  A
 substep allocates no per-particle array.  A `_Workspace` holds, sized for
 the ensemble, the stage positions, k1-k4, the per-axis interpolation
-intermediates, the corner index/weight, the gather and the blend result;
-every substep writes into it with ``out=``.  Only the live velocity columns
-are integrated: the others have velocity +0.0 and keep their seed value.
+intermediates, the corner index/weight, the gather and the blend result
+(sized for the grid, the time blends of a grid-order table); every substep
+writes into it with ``out=``.  The node check after a step interpolates the
+velocity with the density, which is the next step's k1 whenever that step
+starts at the checked time, as it does unless rounding moves it.  Only the
+live velocity columns are integrated: the others have velocity +0.0 and
+keep their seed value.
 A static state's live columns are its nonzero ones; a snapshot series is
 read a few snapshots at a time, so its live columns are the ones the grid
 axes, the mode and the spin can move.  Gathers use ``np.take(..., mode="clip")``:
@@ -92,15 +100,25 @@ def sample_initial(rho0: RealField, n: int, seed: int) -> np.ndarray:
     return np.concatenate(accepted)[:n]
 
 
+def _time_blend(grid, n: int) -> str:
+    """Where a table on `grid` evaluated at n positions blends snapshots in
+    time: "grid" when the grid has no more points than one evaluation
+    gathers corner values per row (n * 2**dims), else "particles"."""
+    return "grid" if grid.size <= n * 2**grid.dims else "particles"
+
+
 class _Workspace:
     """Work arrays for evaluating tables at `n` positions, allocated once.
 
     Each array, and each row prefix of one, is C-contiguous: `np.take(...,
     out=)` copies into a hidden array otherwise.  `rows` bounds the
-    components gathered at once; `live` sizes the RK4 stage buffers (`k`,
-    `stage`)."""
+    components gathered at once; `live` sizes the RK4 stage buffers (`k`
+    for k2-k4, `stage`, and `step`, k1 over the density).  A grid-order
+    table (`blend` rows per snapshot) keeps its time blends here instead of
+    `both`: two (blend, grid.size) buffers, each under the (snapshot,
+    theta) key it was blended for, and a scratch one."""
 
-    def __init__(self, grid, n: int, rows: int, live: int = 0):
+    def __init__(self, grid, n: int, rows: int, live: int = 0, blend: int = 0):
         dims = grid.dims
         self.grid = grid
         self.strides = [int(np.prod(grid.points[axis + 1 :])) for axis in range(dims)]
@@ -111,22 +129,27 @@ class _Workspace:
         self.weight = np.empty(n)
         self.wrap = np.empty(n, dtype=bool)
         self.gather = np.empty((rows, n))
-        self.both = np.empty((rows, n))
-        self.k = np.empty((4, live, n))
+        self.both = np.empty((0 if blend else rows, n))
+        self.k = np.empty((3, live, n))
+        self.step = np.empty((live + 1, n))
         self.stage = np.empty((live, n))
-        self.rho = np.empty((1, n))
         self.hit = np.empty(n, dtype=bool)
+        self.blends = np.empty((3, blend, grid.size if blend else 0))
+        self.blend_keys = [None, None]
+        self.blend_next = 0  # the buffer that holds the older blend
 
 
-def _interp_into(ws: _Workspace, flat: np.ndarray, cols, out: np.ndarray) -> None:
-    """Periodic multilinear interpolation of (C, grid.size) data into out (C, m).
+def _interp_into(ws: _Workspace, tables, cols, out: np.ndarray) -> None:
+    """Periodic multilinear interpolation of (C_i, grid.size) tables, stacked
+    in order, into out (sum C_i, m).
 
-    `cols[axis]` holds the m positions along each grid axis.  The table is the
-    row-major flattening of (C, *grid.shape) data.  Each of the 2^dims corners
-    gets one linear index and one weight, and all C components are gathered
-    at once with ``np.take`` along the flat axis.  Corners accumulate in a
-    fixed order onto zeros, so results are bit-identical to per-axis fancy
-    indexing of the unflattened table."""
+    `cols[axis]` holds the m positions along each grid axis.  Each table is
+    the row-major flattening of (C_i, *grid.shape) data.  Each of the 2^dims
+    corners gets one linear index and one weight, shared by every table, and
+    each table's components are gathered at once with ``np.take`` along the
+    flat axis.  Corners accumulate in a fixed order onto zeros, so results
+    are bit-identical to per-axis fancy indexing of the unflattened tables,
+    whichever tables share the call."""
     grid = ws.grid
     offsets = []
     weights = []
@@ -138,7 +161,7 @@ def _interp_into(ws: _Workspace, flat: np.ndarray, cols, out: np.ndarray) -> Non
         np.divide(f, grid.spacing[axis], out=f)
         np.floor(f, out=w)
         np.copyto(i0, w, casting="unsafe")
-        np.subtract(f, i0, out=w)
+        np.subtract(f, w, out=w)  # f - i0, without casting i0 back
         np.subtract(1.0, w, out=w_lo)
         # lo = i0 % n_axis and hi = (i0 + 1) % n_axis, exactly; numpy's
         # floor_divide by a scalar is several times faster than remainder
@@ -152,7 +175,11 @@ def _interp_into(ws: _Workspace, flat: np.ndarray, cols, out: np.ndarray) -> Non
             np.multiply(hi, stride, out=hi)
         offsets.append((lo, hi))
         weights.append((w_lo, w))
-    gather = ws.gather[: flat.shape[0]]
+    gather = ws.gather[: out.shape[0]]
+    parts, row = [], 0
+    for flat in tables:
+        parts.append((flat, gather[row : row + flat.shape[0]]))
+        row += flat.shape[0]
     out.fill(0.0)
     for corner in ws.corners:
         lin = offsets[0][corner[0]]
@@ -162,7 +189,8 @@ def _interp_into(ws: _Workspace, flat: np.ndarray, cols, out: np.ndarray) -> Non
             w = np.multiply(w, weights[a][corner[a]], out=ws.weight)
         # the offsets are already wrapped into range, so "clip" changes no
         # index; the default "raise" would gather into a hidden copy
-        np.take(flat, lin, axis=1, out=gather, mode="clip")
+        for flat, rows in parts:
+            np.take(flat, lin, axis=1, out=rows, mode="clip")
         np.multiply(gather, w, out=gather)
         np.add(out, gather, out=out)
 
@@ -176,7 +204,7 @@ def _interp_components(grid, flat: np.ndarray, positions: np.ndarray) -> np.ndar
     positions; returns (C, n).  See `_interp_into`."""
     n = positions.shape[0]
     out = np.empty((flat.shape[0], n))
-    _interp_into(_Workspace(grid, n, flat.shape[0]), flat, _columns(positions, grid.dims), out)
+    _interp_into(_Workspace(grid, n, flat.shape[0]), (flat,), _columns(positions, grid.dims), out)
     return out
 
 
@@ -185,62 +213,78 @@ class _VelocityTable:
 
     `velocities` and `densities` hold or yield one (3, *grid) velocity and
     one density per time; with `densities` omitted, `velocities` yields
-    (velocity, density) pairs.  They are read forward: the table copies at most
-    three consecutive snapshots into a window, [v_j; v_j+1; v_j+2] and
-    [rho_j; rho_j+1; rho_j+2], whose adjacent pairs are contiguous views.
-    An evaluation between snapshots j and j+1 is a single `_interp_into`
-    call on pair j whose halves are blended (1-theta) a + theta b.  The
-    window holds three because an RK4 stage time t + h in [t_j, t_j+1] can
-    round just past t_j+1 and read pair j+1, while the next interval starts
-    at t_j+1 itself, which reads pair j at theta 1.  The window moves on one
-    snapshot when an evaluation reads past it, and never back.
+    (velocity, density) pairs.  They are read forward: the table copies at
+    most three consecutive snapshots into a window, one block of rows
+    [v_live; rho] per snapshot.  The window holds three because an RK4 stage
+    time t + h in [t_j, t_j+1] can round just past t_j+1 and read pair j+1,
+    while the next interval starts at t_j+1 itself, which reads pair j at
+    theta 1.  The window moves on one snapshot when an evaluation reads past
+    it, and never back.
+
+    An evaluation reads the velocity rows, the density row or both (`vel`,
+    `rho`, `vel_rho`) with one `_interp_into` call.  Between snapshots j and
+    j+1, at theta > 0, it blends them (1-theta) a + theta b in the order
+    `blend` fixes for the table:
+
+    * "particles": the call gathers both snapshots' rows and the two
+      interpolated halves are blended at the positions;
+    * "grid": the blocks are blended on the grid into a workspace buffer,
+      once per (j, theta), so once per RK4 stage time, and the call gathers
+      the blend.  This halves the gathered rows and costs a pass over the
+      grid, so `_time_blend` picks it when the grid is small next to the
+      ensemble.  It rounds differently from "particles".
+
+    At theta == 0 both orders read snapshot j itself, so a one-snapshot
+    (static) table evaluates identically in both.
 
     Only the live velocity components are interpolated; the rest evaluate to
     0.0 (a 1D drift table interpolates one component, not three).  `live`
     defaults to the components nonzero somewhere in `velocities`, which must
     then be a sequence."""
 
-    def __init__(self, grid, times, velocities, densities=None, live=None):
+    def __init__(self, grid, times, velocities, densities=None, live=None, blend="particles"):
+        if blend not in ("grid", "particles"):
+            raise ValueError(f"blend must be 'grid' or 'particles', got {blend!r}")
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         if live is None:
             live = [c for c in range(3) if any(np.any(v[c] != 0) for v in velocities)]
         self.live = live
-        held, size = min(len(self.times), 3), grid.size
+        self.blend = blend
+        width = len(live)
+        self.vel, self.rho, self.vel_rho = slice(0, width), slice(width, width + 1), slice(0, width + 1)
+        held = min(len(self.times), 3)
         self._rows = iter(velocities) if densities is None else zip(velocities, densities)
-        self._vel = np.empty((held, len(live), size))
-        self._rho = np.empty((held, 1, size))
+        self._window = np.empty((held, width + 1, grid.size))
         self.thresholds = []
         for slot in range(held):
             self._load(slot)
         self.base = 0  # the snapshot in slot 0
-        # a window of one snapshot has one "pair": that snapshot
-        pairs = range(max(held - 1, 1))
-        self.vel_pairs = [self._vel[i : i + 2].reshape(-1, size) for i in pairs]
-        self.rho_pairs = [self._rho[i : i + 2].reshape(-1, size) for i in pairs]
 
     def _load(self, slot: int) -> None:
         v, rho = next(self._rows)
         for row, c in enumerate(self.live):
-            self._vel[slot, row] = v[c].reshape(-1)
-        self._rho[slot, 0] = rho.reshape(-1)
+            self._window[slot, row] = v[c].reshape(-1)
+        self._window[slot, -1] = rho.reshape(-1)
         self.thresholds.append(NODE_EPS * np.max(rho))
 
     def _advance(self) -> None:
         """Move the window on by one snapshot."""
         for slot in range(len(self.thresholds) - 1):
-            self._vel[slot] = self._vel[slot + 1]
-            self._rho[slot] = self._rho[slot + 1]
+            self._window[slot] = self._window[slot + 1]
         del self.thresholds[0]
         self._load(len(self.thresholds))
         self.base += 1
 
     def workspace(self, n: int) -> _Workspace:
         """Buffers for evaluating this table, and integrating it, at n positions."""
-        return _Workspace(self.grid, n, 2 * max(len(self.live), 1), len(self.live))
+        rows = len(self.live) + 1
+        if self.blend == "grid":
+            return _Workspace(self.grid, n, rows, len(self.live), blend=rows)
+        return _Workspace(self.grid, n, 2 * rows, len(self.live))
 
     def _bracket(self, t: float):
-        """(window pair i, theta) of the snapshots j = base + i and j + 1 around t."""
+        """(window slot i, theta) of the snapshots j = base + i and j + 1 around t."""
         if len(self.times) == 1:
             return 0, 0.0
         j = min(max(int(np.searchsorted(self.times, t)) - 1, 0), len(self.times) - 2)
@@ -252,44 +296,55 @@ class _VelocityTable:
         theta = min(max(float((t - self.times[j]) / span), 0.0), 1.0)
         return j - self.base, theta
 
-    def _blend_into(self, ws, pair, theta, cols, out):
-        """Into out (width, m): snapshot j's rows of `pair` at theta == 0, else
-        the theta-blend of snapshots j and j+1."""
+    def _grid_blend(self, ws: _Workspace, i: int, theta: float) -> np.ndarray:
+        """Window slots i and i + 1 blended on the grid, in the workspace
+        buffer keyed by (snapshot index, theta): each stage time blends
+        once, and a window advance cannot serve a stale blend."""
+        key = (self.base + i, theta)
+        if key in ws.blend_keys:
+            slot = ws.blend_keys.index(key)
+        else:
+            slot = ws.blend_next
+            ws.blend_keys[slot] = key
+            out, scratch = ws.blends[slot], ws.blends[2]
+            np.multiply(self._window[i], 1.0 - theta, out=out)
+            np.multiply(self._window[i + 1], theta, out=scratch)
+            np.add(out, scratch, out=out)
+        ws.blend_next = 1 - slot
+        return ws.blends[slot]
+
+    def _into(self, ws: _Workspace, cols, t: float, rows: slice, out: np.ndarray):
+        """Rows `rows` of [v_live; rho] at t into out (width, m); returns the
+        node threshold at t.  No rows evaluate nothing and return None."""
         width = out.shape[0]
-        if theta == 0.0:
-            _interp_into(ws, pair[:width], cols, out)
-            return
-        both = ws.both[: 2 * width]
-        _interp_into(ws, pair, cols, both)
-        np.multiply(both[:width], 1.0 - theta, out=both[:width])
-        np.multiply(both[width:], theta, out=both[width:])
-        np.add(both[:width], both[width:], out=out)
-
-    def _velocity_into(self, ws, cols, t: float, out: np.ndarray) -> None:
-        """The live velocity components at t into out (len(live), m)."""
-        if self.live:
-            i, theta = self._bracket(t)
-            self._blend_into(ws, self.vel_pairs[i], theta, cols, out)
-
-    def _density_into(self, ws, cols, t: float, out: np.ndarray):
-        """The density at t into out (1, m); returns the node threshold at t."""
+        if width == 0:
+            return None
         i, theta = self._bracket(t)
-        self._blend_into(ws, self.rho_pairs[i], theta, cols, out)
+        a = self._window[i]
         if theta == 0.0:
+            _interp_into(ws, (a[rows],), cols, out)
             return self.thresholds[i]
+        if self.blend == "grid":
+            _interp_into(ws, (self._grid_blend(ws, i, theta)[rows],), cols, out)
+        else:
+            both = ws.both[: 2 * width]
+            _interp_into(ws, (a[rows], self._window[i + 1][rows]), cols, both)
+            np.multiply(both[:width], 1.0 - theta, out=both[:width])
+            np.multiply(both[width:], theta, out=both[width:])
+            np.add(both[:width], both[width:], out=out)
         return (1.0 - theta) * self.thresholds[i] + theta * self.thresholds[i + 1]
 
     def velocity(self, positions: np.ndarray, t: float) -> np.ndarray:
         n = positions.shape[0]
         out = np.zeros((3, n))
         live = np.empty((len(self.live), n))
-        self._velocity_into(self.workspace(n), _columns(positions, self.grid.dims), t, live)
+        self._into(self.workspace(n), _columns(positions, self.grid.dims), t, self.vel, live)
         out[self.live] = live
         return out.T
 
     def density(self, positions: np.ndarray, t: float):
         rho = np.empty((1, positions.shape[0]))
-        thr = self._density_into(self.workspace(positions.shape[0]), _columns(positions, self.grid.dims), t, rho)
+        thr = self._into(self.workspace(positions.shape[0]), _columns(positions, self.grid.dims), t, self.rho, rho)
         return rho[0], thr
 
 
@@ -314,7 +369,8 @@ def _live_columns(dims: int, mode: str, spin) -> list:
     return [c for c in range(3) if c < dims or np.any(reach[:, c])]
 
 
-def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, np.ndarray]:
+def _build_table(source, mode, spin, params, backend, n: int) -> tuple[_VelocityTable, np.ndarray]:
+    """The velocity table of `source` for an ensemble of n, and its record times."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if mode == "total":
@@ -325,16 +381,17 @@ def _build_table(source, mode, spin, params, backend) -> tuple[_VelocityTable, n
         # one (velocity, density) row per snapshot, computed when the window reads it
         rows = (_row(snap.state, mode, spin, params, backend) for snap in source)
         live = _live_columns(source.grid.dims, mode, spin)
-        return _VelocityTable(source.grid, source.times, rows, live=live), source.times
+        blend = _time_blend(source.grid, n)
+        return _VelocityTable(source.grid, source.times, rows, live=live, blend=blend), source.times
     if isinstance(source, ComplexField) or (isinstance(source, _Jet) and isinstance(source.state, ComplexField)):
         v, rho = _row(source, mode, spin, params, backend)
-        return _VelocityTable(source.grid, [0.0], [v], [rho]), np.array([0.0])
+        return _VelocityTable(source.grid, [0.0], [v], [rho], blend=_time_blend(source.grid, n)), np.array([0.0])
     raise TypeError(f"source must be a SnapshotSeries, SnapshotStream or ComplexField, got {type(source)}")
 
 
 def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals):
-    """RK4 transport of (n, 3) seeds through `table`; returns paths (n, nt, 3)
-    and the frozen flags (n,).
+    """RK4 transport of (n, 3) seeds through `table`; returns paths (n, nt, 3),
+    the frozen flags (n,) and the largest accepted step per grid spacing.
 
     Positions live in rows, pos[c] for coordinate c.  Every substep steps the
     whole ensemble and keeps a new position only where the particle still
@@ -344,7 +401,14 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
     are integrated; the others have velocity +0.0 and keep their value,
     except that a particle's first accepted step adds (h/6)*0.0 there,
     turning a -0.0 seed into +0.0 when h > 0.  A substep allocates no
-    per-particle array."""
+    per-particle array.
+
+    The node check at t + h reads the velocity with the density, from one
+    interpolation, when the next substep starts at t + h exactly: that is
+    the next k1, at the positions the moving particles take (a particle the
+    check freezes moves no more, so its k1 goes unused).  Otherwise k1 is
+    evaluated on its own.  The step size is the largest |increment| of an
+    accepted step along a grid axis over that axis's spacing."""
     n = seeds.shape[0]
     dims = table.grid.dims
     live = table.live
@@ -352,16 +416,32 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
     paths = np.empty((n, len(record_times), 3))
     paths[:, 0] = seeds
     pos = seeds.T.copy()
-    thr = table._density_into(ws, pos[:dims], record_times[0], ws.rho)
-    frozen = ws.rho[0] < thr
+    # each substep's start time, then None for the end of the run
+    starts = [t0 + i * h for t0, t1, nsub in intervals for h in [(t1 - t0) / nsub] for i in range(nsub)]
+    starts.append(None)
+    s = 0  # the next substep
+
+    def node_check(cols, t):
+        """The node threshold at t, with the density at cols in rho and, when
+        substep s starts at t, k1 in step; and whether it did k1."""
+        ready = starts[s] == t
+        rows = table.vel_rho if ready else table.rho
+        return table._into(ws, cols, t, rows, ws.step[rows]), ready
+
+    k1, rho = ws.step[table.vel], ws.step[table.rho]
+    k2, k3, k4 = ws.k
+    stage, hit = ws.stage, ws.hit
+    here = [pos[axis] for axis in range(dims)]
+    moved = [stage[live.index(axis)] if axis in live else pos[axis] for axis in range(dims)]
+    spacings = [(row, table.grid.spacing[c]) for row, c in enumerate(live) if c < dims]
+    max_step = 0.0
+
+    thr, ready = node_check(here, record_times[0])
+    frozen = rho[0] < thr
     moving = ~frozen
     dead = [c for c in range(3) if c not in live]
     negzero = [(c, np.flatnonzero((pos[c] == 0.0) & np.signbit(pos[c]) & moving)) for c in dead]
     negzero = [(c, rows) for c, rows in negzero if rows.size]
-    k1, k2, k3, k4 = ws.k
-    stage, hit = ws.stage, ws.hit
-    here = [pos[axis] for axis in range(dims)]
-    moved = [stage[live.index(axis)] if axis in live else pos[axis] for axis in range(dims)]
 
     for rec, (t0, t1, nsub) in enumerate(intervals, start=1):
         h = (t1 - t0) / nsub
@@ -369,27 +449,33 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
             if not moving.any():
                 break
             t = t0 + i * h
-            table._velocity_into(ws, here, t, k1)
+            s += 1
+            if not ready:
+                table._into(ws, here, t, table.vel, k1)
             for k_in, k_out, dt in ((k1, k2, 0.5 * h), (k2, k3, 0.5 * h), (k3, k4, h)):
                 np.multiply(k_in, dt, out=stage)
                 for row, c in enumerate(live):
                     np.add(pos[c], stage[row], out=stage[row])
-                table._velocity_into(ws, moved, t + dt, k_out)
-            # pos + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                table._into(ws, moved, t + dt, table.vel, k_out)
+            # pos + (h/6) (k1 + 2 k2 + 2 k3 + k4), summed left to right into
+            # k2, so that the node check can take the next k1
             np.multiply(k2, 2.0, out=k2)
-            np.add(k1, k2, out=k1)
+            np.add(k1, k2, out=k2)
             np.multiply(k3, 2.0, out=k3)
-            np.add(k1, k3, out=k1)
-            np.add(k1, k4, out=k1)
-            np.multiply(k1, h / 6.0, out=k1)
+            np.add(k2, k3, out=k2)
+            np.add(k2, k4, out=k2)
+            np.multiply(k2, h / 6.0, out=k2)
             for row, c in enumerate(live):
-                np.add(pos[c], k1[row], out=stage[row])
-            thr = table._density_into(ws, moved, t + h, ws.rho)
+                np.add(pos[c], k2[row], out=stage[row])
+            thr, ready = node_check(moved, t + h)
             # a step into the node region freezes the particle where it was
-            np.logical_or(frozen, np.less(ws.rho[0], thr, out=hit), out=frozen)
+            np.logical_or(frozen, np.less(rho[0], thr, out=hit), out=frozen)
             np.logical_not(frozen, out=moving)
             for row, c in enumerate(live):
                 np.copyto(pos[c], stage[row], where=moving)
+            for row, spacing in spacings:
+                largest = np.max(np.abs(k2[row], out=k2[row]), where=moving, initial=0.0)
+                max_step = max(max_step, float(largest) / spacing)
             if negzero:
                 # the dead columns of an accepted step get pos + (h/6)*0.0
                 zero = (h / 6.0) * 0.0
@@ -399,7 +485,7 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
                         pos[c, rows] += zero
                     negzero = []
         paths[:, rec] = pos.T
-    return paths, frozen
+    return paths, frozen, max_step
 
 
 @dataclass
@@ -410,6 +496,8 @@ class TrajectorySet:
     mode: str
     frozen: np.ndarray  # (n,) True where the particle hit the node region
     rng_seed: int | None = None
+    time_blend: str | None = None  # where the table blended snapshots in time: "grid" or "particles"
+    max_step_per_spacing: float | None = None  # largest accepted RK4 step along a grid axis, in spacings
 
 
 def advect(
@@ -455,7 +543,7 @@ def advect(
         if not np.isfinite(duration) or duration <= 0 or rk_steps < 1:
             raise ValueError(f"bad duration/rk_steps: {duration}, {rk_steps}")
 
-    table, record_times = _build_table(source, mode, spin, params, backend)
+    table, record_times = _build_table(source, mode, spin, params, backend, seeds.shape[0])
     if series:
         intervals = [
             (record_times[j], record_times[j + 1], substeps)
@@ -465,7 +553,7 @@ def advect(
         record_times = np.linspace(0.0, duration, rk_steps + 1)
         intervals = [(record_times[j], record_times[j + 1], 1) for j in range(rk_steps)]
 
-    paths, frozen = _transport(table, seeds, record_times, intervals)
+    paths, frozen, max_step = _transport(table, seeds, record_times, intervals)
     return TrajectorySet(
         seeds=seeds,
         times=np.asarray(record_times, dtype=float),
@@ -473,6 +561,8 @@ def advect(
         mode=mode,
         frozen=frozen,
         rng_seed=rng_seed,
+        time_blend=table.blend,
+        max_step_per_spacing=max_step,
     )
 
 

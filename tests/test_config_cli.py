@@ -369,6 +369,28 @@ class TestCliBehavior:
         lines = (out / "trajectories.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 40 * 21
 
+    def test_trajectories_manifest_reports_time_blend_and_step(self, tmp_path):
+        # a 64-point grid blends on the grid for 50 particles (64 <= 2 * 50)
+        # and at the particles for 20; the paths round differently, the
+        # largest step per spacing stays that of the same flow
+        steps = {}
+        for n, order in ((50, "grid"), (20, "particles")):
+            cfg = {
+                "grid": {"points": [64], "extent": [20.0]},
+                "state": {"family": "gaussian", "boost": [0.5]},
+                "evolution": {"dt": 1e-3, "steps": 20, "snapshot_stride": 5},
+                "trajectories": {"n": n, "source": "evolve", "seed": 5, "format": "binary"},
+            }
+            cfg_path = write_config(tmp_path / f"run{n}.json", cfg)
+            out = tmp_path / f"out{n}"
+            assert cli.main(["trajectories", "--config", cfg_path, "--out", str(out)]) == 0
+            manifest = read_json(str(out / "manifest.json"))
+            assert manifest["time_blend"] == order
+            steps[n] = manifest["max_step_per_spacing"]
+        # boost 0.5 for 5e-3 a substep, over a spacing of 20/64
+        assert steps[50] == pytest.approx(0.5 * 5e-3 / 4 / (20.0 / 64), rel=0.05)
+        assert steps[20] == pytest.approx(steps[50], rel=0.05)
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = {
             "grid": {"points": [128], "extent": [30.0]},

@@ -47,7 +47,7 @@ from mzbw.evolve import SnapshotStream, observables
 from mzbw.fieldio import read_json, stream_snapshot_series
 from mzbw.fields import _laplacian_values
 from mzbw.madelung import NODE_EPS, REGION_EPS, _Jet, residual_sups
-from mzbw.trajectories import _build_table, _interp_into, _transport, _Workspace
+from mzbw.trajectories import _build_table, _interp_into, _time_blend, _transport, _Workspace
 
 PARAMS = PhysicalParams(hbar=0.9, mass=1.1)
 
@@ -58,23 +58,25 @@ PARAMS = PhysicalParams(hbar=0.9, mass=1.1)
 
 class WholeSeriesTable:
     """The velocity table as it was before streaming: every snapshot's
-    live columns stacked into one array, each adjacent pair a view, and live
-    columns scanned over the whole series."""
+    live columns and density stacked into one array, live columns scanned
+    over the whole series, and each time blend computed afresh, on the grid
+    or at the particles as `blend` says."""
 
-    def __init__(self, grid, times, velocities, densities):
+    def __init__(self, grid, times, velocities, densities, blend):
         self.grid = grid
         self.times = np.asarray(times, dtype=float)
         self.live = [c for c in range(3) if any(np.any(v[c] != 0) for v in velocities)]
-        nt, size = len(self.times), grid.size
-        vel = np.stack([v[self.live] for v in velocities]).reshape(nt, len(self.live), size)
-        rho = np.stack(densities).reshape(nt, 1, size)
-        pairs = range(max(nt - 1, 1))
-        self.vel_pairs = [vel[j : j + 2].reshape(-1, size) for j in pairs]
-        self.rho_pairs = [rho[j : j + 2].reshape(-1, size) for j in pairs]
+        self.blend = blend
+        width = len(self.live)
+        self.vel, self.rho, self.vel_rho = slice(0, width), slice(width, width + 1), slice(0, width + 1)
+        self.blocks = np.stack(
+            [np.concatenate([v[self.live], d[np.newaxis]]).reshape(width + 1, -1) for v, d in zip(velocities, densities)]
+        )
         self.thresholds = [NODE_EPS * np.max(d) for d in densities]
 
     def workspace(self, n):
-        return _Workspace(self.grid, n, 2 * max(len(self.live), 1), len(self.live))
+        width = len(self.live)
+        return _Workspace(self.grid, n, 2 * (width + 1), width)
 
     def _bracket(self, t):
         if len(self.times) == 1:
@@ -83,32 +85,28 @@ class WholeSeriesTable:
         span = self.times[j + 1] - self.times[j]
         return j, min(max(float((t - self.times[j]) / span), 0.0), 1.0)
 
-    def _blend_into(self, ws, pair, theta, cols, out):
+    def _into(self, ws, cols, t, rows, out):
         width = out.shape[0]
-        if theta == 0.0:
-            _interp_into(ws, pair[:width], cols, out)
-            return
-        both = ws.both[: 2 * width]
-        _interp_into(ws, pair, cols, both)
-        np.multiply(both[:width], 1.0 - theta, out=both[:width])
-        np.multiply(both[width:], theta, out=both[width:])
-        np.add(both[:width], both[width:], out=out)
-
-    def _velocity_into(self, ws, cols, t, out):
-        if self.live:
-            j, theta = self._bracket(t)
-            self._blend_into(ws, self.vel_pairs[j], theta, cols, out)
-
-    def _density_into(self, ws, cols, t, out):
+        if width == 0:
+            return None
         j, theta = self._bracket(t)
-        self._blend_into(ws, self.rho_pairs[j], theta, cols, out)
+        a = self.blocks[j]
         if theta == 0.0:
+            _interp_into(ws, (a[rows],), cols, out)
             return self.thresholds[j]
+        b = self.blocks[j + 1]
+        if self.blend == "grid":
+            _interp_into(ws, (((1.0 - theta) * a + theta * b)[rows],), cols, out)
+        else:
+            both = np.empty((2 * width, out.shape[1]))
+            _interp_into(ws, (a[rows], b[rows]), cols, both)
+            out[...] = (1.0 - theta) * both[:width] + theta * both[width:]
         return (1.0 - theta) * self.thresholds[j] + theta * self.thresholds[j + 1]
 
 
 def whole_series_transport(seeds, series, mode, spin, substeps, backend):
-    """Paths and frozen flags of `seeds` through the whole-series table."""
+    """Paths and frozen flags of `seeds` through the whole-series table, in
+    the time-blend order `advect` picks for them."""
     velocities, densities = [], []
     for state in series.states:
         jet = _Jet(state, PARAMS, backend).nonzero()
@@ -117,12 +115,13 @@ def whole_series_transport(seeds, series, mode, spin, substeps, backend):
             v = v + zbw_velocity_uniform(jet, spin, PARAMS, backend).values
         velocities.append(v)
         densities.append(jet.rho)
-    table = WholeSeriesTable(series.grid, series.times, velocities, densities)
+    blend = _time_blend(series.grid, seeds.shape[0])
+    table = WholeSeriesTable(series.grid, series.times, velocities, densities, blend)
     times = series.times
     intervals = [(times[j], times[j + 1], substeps) for j in range(len(times) - 1)]
     full = np.zeros((seeds.shape[0], 3))
     full[:, : seeds.shape[1]] = seeds
-    return table, _transport(table, full, times, intervals)
+    return table, _transport(table, full, times, intervals)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +197,9 @@ def test_structurally_live_zero_column_integrates_like_a_dead_one():
     momentum = _Jet(series.states[-1], PARAMS, "fd2").momentum
     assert np.all(momentum[1] == 0.0) and np.any(np.signbit(momentum[1]))
 
-    table, _ = _build_table(iter_propagate(psi, config), "drift", None, PARAMS, "fd2")
-    assert table.live == [0, 1]
     seeds = np.random.default_rng(3).uniform(-4.0, 4.0, (200, 2))
+    table, _ = _build_table(iter_propagate(psi, config), "drift", None, PARAMS, "fd2", len(seeds))
+    assert table.live == [0, 1] and table.blend == "grid"
     seeds[::3, 1] = -0.0
     reference, (paths, frozen) = whole_series_transport(seeds, series, "drift", None, 2, "fd2")
     assert reference.live == [0]
@@ -510,7 +509,7 @@ def test_residual_sups_reject_a_nonuniform_spacing():
 
 def test_table_window_only_moves_forward():
     psi, config = small_run(6)
-    table, times = _build_table(iter_propagate(psi, config), "drift", None, PARAMS, "spectral")
+    table, times = _build_table(iter_propagate(psi, config), "drift", None, PARAMS, "spectral", 4)
     pos = np.zeros((4, 3))
     table.density(pos, times[4])  # pair 3 at theta 1: the window starts at snapshot 2
     assert table.base == 2 and len(table.thresholds) == 3
@@ -590,7 +589,7 @@ class TestStreamMemory:
         traj, peak = traced_peak(
             lambda: advect(seeds, iter_propagate(psi, config), "total", spin=spin, params=PARAMS, substeps=1)
         )
-        ws = _Workspace(self.GRID, n, 6, 3)
+        ws = _Workspace(self.GRID, n, 8, 3)  # the particle-order workspace of three live columns
         ws_bytes = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
         assert len(traj.times) == nt
         assert peak <= traj.paths.nbytes + ws_bytes + 5 * 8 * n + 24 * self.S

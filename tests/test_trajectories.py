@@ -33,8 +33,9 @@ from mzbw import (
     spin_vector,
 )
 from mzbw.spinhydro import zbw_velocity_uniform
+from mzbw import trajectories
 from mzbw.trajectories import KS_COEFF_1PCT, _interp_components, _VelocityTable
-from mzbw.trajectories import _build_table, _transport
+from mzbw.trajectories import _build_table, _time_blend, _transport
 
 
 def node_state(grid):
@@ -371,15 +372,24 @@ def masked_rk4_reference(table, seeds, record_times, intervals):
 
 
 def reference_advect(seeds, source, mode, spin=None, substeps=4, duration=None, rk_steps=None):
-    """`advect`'s table and schedule run through the reference loop."""
+    """`advect`'s table, built for the same ensemble size, and schedule run
+    through the reference loop."""
     seeds = np.asarray(seeds, dtype=float)
-    table, times = _build_table(source, mode, spin, PhysicalParams(), "spectral")
+    table, times = _build_table(source, mode, spin, PhysicalParams(), "spectral", seeds.shape[0])
     if duration is None:
         intervals = [(times[j], times[j + 1], substeps) for j in range(len(times) - 1)]
     else:
         times = np.linspace(0.0, duration, rk_steps + 1)
         intervals = [(times[j], times[j + 1], 1) for j in range(rk_steps)]
     return table, masked_rk4_reference(table, seeds, times, intervals)
+
+
+def both_orders(monkeypatch):
+    """Yields each time-blend order in turn, forced on every table that
+    `_build_table` makes meanwhile (so on `advect`'s and the reference's)."""
+    for order in ("grid", "particles"):
+        monkeypatch.setattr(trajectories, "_time_blend", lambda grid, n, order=order: order)
+        yield order
 
 
 def assert_same_transport(got, want):
@@ -398,48 +408,59 @@ def seeds_with_negative_zeros(n, dims, seed, spread=3.0):
 
 
 class TestWorkspaceTransport:
-    def test_1d_drift_one_live_column(self, free_gaussian_series):
-        seeds = seeds_with_negative_zeros(300, 1, seed=1)
-        table, want = reference_advect(seeds, free_gaussian_series, "drift", substeps=2)
-        assert table.live == [0]
-        got = advect(seeds, free_gaussian_series, mode="drift", substeps=2)
-        assert_same_transport(got, want)
-        # the first step turns the -0.0 seeds of the dead columns into +0.0
-        assert np.all(np.signbit(got.paths[::2, 0, 1:]))
-        assert not np.any(np.signbit(got.paths[:, 1:, 1:]))
+    """`advect` against the masked reference loop, bit for bit, with the
+    tables of both sides blending in time on the grid, then at the
+    particles."""
 
-    def test_1d_total_moves_y(self):
+    def test_1d_drift_one_live_column(self, free_gaussian_series, monkeypatch):
+        seeds = seeds_with_negative_zeros(300, 1, seed=1)
+        assert _time_blend(free_gaussian_series.grid, 300) == "grid"
+        for order in both_orders(monkeypatch):
+            table, want = reference_advect(seeds, free_gaussian_series, "drift", substeps=2)
+            assert table.live == [0] and table.blend == order
+            got = advect(seeds, free_gaussian_series, mode="drift", substeps=2)
+            assert got.time_blend == order
+            assert_same_transport(got, want)
+            # the first step turns the -0.0 seeds of the dead columns into +0.0
+            assert np.all(np.signbit(got.paths[::2, 0, 1:]))
+            assert not np.any(np.signbit(got.paths[:, 1:, 1:]))
+
+    def test_1d_total_moves_y(self, monkeypatch):
         psi = gaussian(Grid((128,), (30.0,)), boost=0.5)
         spin = spin_vector(constant_spinor(0.4, 1.1))
         seeds = seeds_with_negative_zeros(200, 1, seed=2)
-        table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.0, rk_steps=15)
-        assert 1 in table.live
-        assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.0, rk_steps=15), want)
+        for _ in both_orders(monkeypatch):
+            table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.0, rk_steps=15)
+            assert 1 in table.live
+            assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.0, rk_steps=15), want)
 
-    def test_2d_total(self):
+    def test_2d_total(self, monkeypatch):
         psi = gaussian(Grid((32, 32), (16.0, 16.0)), boost=[0.3, -0.2])
         spin = spin_vector(constant_spinor(0.7, 0.3))
         seeds = seeds_with_negative_zeros(150, 2, seed=3)
-        table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.5, rk_steps=12)
-        assert table.live == [0, 1, 2]
-        assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.5, rk_steps=12), want)
+        for _ in both_orders(monkeypatch):
+            table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.5, rk_steps=12)
+            assert table.live == [0, 1, 2]
+            assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.5, rk_steps=12), want)
 
-    def test_2d_dead_axis_inside_the_grid(self):
+    def test_2d_dead_axis_inside_the_grid(self, monkeypatch):
         # a plane wave along x: y is a grid axis whose velocity is dead, and
         # the -0.0 seeds there are read by the interpolation
         psi = plane_wave(Grid((16, 12), (8.0, 6.0)), [2.0 * np.pi / 8.0, 0.0])
         seeds = seeds_with_negative_zeros(40, 1, seed=4)
-        table, want = reference_advect(seeds, psi, "drift", duration=1.0, rk_steps=7)
-        assert table.live == [0]
-        assert_same_transport(advect(seeds, psi, mode="drift", duration=1.0, rk_steps=7), want)
+        for _ in both_orders(monkeypatch):
+            table, want = reference_advect(seeds, psi, "drift", duration=1.0, rk_steps=7)
+            assert table.live == [0]
+            assert_same_transport(advect(seeds, psi, mode="drift", duration=1.0, rk_steps=7), want)
 
-    def test_3d_static(self):
+    def test_3d_static(self, monkeypatch):
         psi = gaussian(Grid((16, 16, 16), (14.0, 14.0, 14.0)), boost=[0.2, 0.0, -0.3])
         spin = spin_vector(constant_spinor(1.9, 2.5))
         seeds = seeds_with_negative_zeros(120, 3, seed=5, spread=2.0)
-        table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.0, rk_steps=9)
-        assert table.live == [0, 1, 2]
-        assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.0, rk_steps=9), want)
+        for _ in both_orders(monkeypatch):
+            table, want = reference_advect(seeds, psi, "total", spin=spin, duration=1.0, rk_steps=9)
+            assert table.live == [0, 1, 2]
+            assert_same_transport(advect(seeds, psi, mode="total", spin=spin, duration=1.0, rk_steps=9), want)
 
     def test_all_dead_table(self):
         # no live column: nothing is integrated, the seed in the node is
@@ -448,36 +469,40 @@ class TestWorkspaceTransport:
         x = grid.coords()[0]
         times = np.array([0.0, 1.0])
         densities = [np.where(np.abs(x) < 0.5 + t, 0.0, 1.0) for t in times]
-        table = _VelocityTable(grid, times, [np.zeros((3,) + grid.shape)] * 2, densities)
-        assert table.live == []
         seeds = np.array([[0.0, -0.0, 0.0], [0.75, -0.0, -0.0], [-3.0, 0.0, -0.0]])
-        paths, frozen = _transport(table, seeds, times, [(0.0, 1.0, 4)])
-        want = masked_rk4_reference(table, seeds, times, [(0.0, 1.0, 4)])
-        assert_same_transport(TrajectorySet(seeds, times, paths, "drift", frozen), want)
-        assert frozen.tolist() == [True, True, False]
+        for order in ("grid", "particles"):
+            table = _VelocityTable(grid, times, [np.zeros((3,) + grid.shape)] * 2, densities, blend=order)
+            assert table.live == []
+            paths, frozen, step = _transport(table, seeds, times, [(0.0, 1.0, 4)])
+            want = masked_rk4_reference(table, seeds, times, [(0.0, 1.0, 4)])
+            assert_same_transport(TrajectorySet(seeds, times, paths, "drift", frozen), want)
+            assert frozen.tolist() == [True, True, False]
+            assert step == 0.0
 
-    def test_frozen_at_start(self):
+    def test_frozen_at_start(self, monkeypatch):
         grid = Grid((64,), (20.0,))
         x = grid.axes[0]
         values = x * np.exp(-x * x / 4.0 + 0.8j * x)
         psi = ComplexField(grid, values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell_volume))
         seeds = np.array([[0.0, -0.0, 0.0], [1.5, -0.0, 0.0], [-2.0, 0.0, -0.0], [0.0, 0.0, -0.0]])
-        _, want = reference_advect(seeds, psi, "drift", duration=0.5, rk_steps=6)
-        got = advect(seeds, psi, mode="drift", duration=0.5, rk_steps=6)
-        assert_same_transport(got, want)
-        assert got.frozen.tolist() == [True, False, False, True]
-        assert np.signbit(got.paths[0, -1, 1]) and not np.signbit(got.paths[1, -1, 1])
+        for _ in both_orders(monkeypatch):
+            _, want = reference_advect(seeds, psi, "drift", duration=0.5, rk_steps=6)
+            got = advect(seeds, psi, mode="drift", duration=0.5, rk_steps=6)
+            assert_same_transport(got, want)
+            assert got.frozen.tolist() == [True, False, False, True]
+            assert np.signbit(got.paths[0, -1, 1]) and not np.signbit(got.paths[1, -1, 1])
 
-    def test_n_equals_one(self, free_gaussian_series):
+    def test_n_equals_one(self, free_gaussian_series, monkeypatch):
         seeds = np.array([[0.7, -0.0, 0.0]])
-        _, want = reference_advect(seeds, free_gaussian_series, "drift", substeps=1)
-        got = advect(seeds, free_gaussian_series, mode="drift", substeps=1)
-        assert_same_transport(got, want)
-        # the returned seeds are the input, not the moved positions
-        assert got.seeds.tobytes() == seeds.tobytes()
+        for _ in both_orders(monkeypatch):
+            _, want = reference_advect(seeds, free_gaussian_series, "drift", substeps=1)
+            got = advect(seeds, free_gaussian_series, mode="drift", substeps=1)
+            assert_same_transport(got, want)
+            # the returned seeds are the input, not the moved positions
+            assert got.seeds.tobytes() == seeds.tobytes()
 
 
-def ramp_table(grid, times, rng):
+def ramp_table(grid, times, rng, blend="particles"):
     """A table whose density vanishes beyond x = 1 and whose x velocity
     pushes every particle there, so particles freeze at different substeps;
     y moves too and z is dead."""
@@ -489,49 +514,55 @@ def ramp_table(grid, times, rng):
         v[1] = np.sin(x + t)
         velocities.append(v)
         densities.append(np.where(x < 1.0 + 0.5 * t, 1.0 + 0.2 * rng.random(grid.shape), 0.0))
-    return _VelocityTable(grid, times, velocities, densities)
+    return _VelocityTable(grid, times, velocities, densities, blend=blend)
 
 
 class TestWorkspaceFreezing:
+    """`_transport` against the masked reference loop, bit for bit, in both
+    time-blend orders."""
+
     @pytest.mark.parametrize("points,extents", [((40,), (20.0,)), ((20, 8), (20.0, 4.0))], ids=["1d", "2d"])
     def test_particles_freeze_mid_run(self, points, extents):
         grid = Grid(points, extents)
         times = np.array([0.0, 1.0, 2.0])
-        table = ramp_table(grid, times, np.random.default_rng(6))
         seeds = seeds_with_negative_zeros(60, grid.dims, seed=7, spread=4.5)
         seeds[:, 0] -= 3.0
         intervals = [(0.0, 1.0, 5), (1.0, 2.0, 5)]
-        paths, frozen = _transport(table, seeds, times, intervals)
-        want = masked_rk4_reference(table, seeds, times, intervals)
-        assert_same_transport(TrajectorySet(seeds, times, paths, "drift", frozen), want)
-        # some froze at the start, more later, and some still move at the end
-        start = masked_rk4_reference(table, seeds, times[:1], [])[1]
-        assert 0 < start.sum() < frozen.sum() < len(seeds)
+        for order in ("grid", "particles"):
+            table = ramp_table(grid, times, np.random.default_rng(6), order)
+            paths, frozen, _ = _transport(table, seeds, times, intervals)
+            want = masked_rk4_reference(table, seeds, times, intervals)
+            assert_same_transport(TrajectorySet(seeds, times, paths, "drift", frozen), want)
+            # some froze at the start, more later, and some still move at the end
+            start = masked_rk4_reference(table, seeds, times[:1], [])[1]
+            assert 0 < start.sum() < frozen.sum() < len(seeds)
 
     def test_every_particle_freezes(self):
         grid = Grid((40,), (20.0,))
         times = np.array([0.0, 1.0, 2.0, 8.0])
-        table = ramp_table(grid, times, np.random.default_rng(8))
         seeds = seeds_with_negative_zeros(25, 1, seed=9, spread=2.0)
         intervals = [(times[j], times[j + 1], 4) for j in range(3)]
-        paths, frozen = _transport(table, seeds, times, intervals)
-        assert frozen.all()
-        # a table's window only moves forward, so the reference reads its own
-        reference = ramp_table(grid, times, np.random.default_rng(8))
-        assert_same_transport(
-            TrajectorySet(seeds, times, paths, "drift", frozen),
-            masked_rk4_reference(reference, seeds, times, intervals),
-        )
+        for order in ("grid", "particles"):
+            table = ramp_table(grid, times, np.random.default_rng(8), order)
+            paths, frozen, _ = _transport(table, seeds, times, intervals)
+            assert frozen.all()
+            # a table's window only moves forward, so the reference reads its own
+            reference = ramp_table(grid, times, np.random.default_rng(8), order)
+            assert_same_transport(
+                TrajectorySet(seeds, times, paths, "drift", frozen),
+                masked_rk4_reference(reference, seeds, times, intervals),
+            )
 
     def test_every_particle_frozen_at_start(self):
         grid = Grid((40,), (20.0,))
         times = np.array([0.0, 1.0])
-        table = ramp_table(grid, times, np.random.default_rng(10))
         seeds = seeds_with_negative_zeros(9, 1, seed=11, spread=0.5)
         seeds[:, 0] += 6.0
-        paths, frozen = _transport(table, seeds, times, [(0.0, 1.0, 3)])
-        assert frozen.all()
-        assert paths.tobytes() == np.repeat(seeds[:, None, :], 2, axis=1).tobytes()
+        for order in ("grid", "particles"):
+            table = ramp_table(grid, times, np.random.default_rng(10), order)
+            paths, frozen, step = _transport(table, seeds, times, [(0.0, 1.0, 3)])
+            assert frozen.all() and step == 0.0
+            assert paths.tobytes() == np.repeat(seeds[:, None, :], 2, axis=1).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -540,8 +571,9 @@ class TestWorkspaceFreezing:
         n=st.integers(1, 12),
         seed=st.integers(0, 2**32 - 1),
         backward=st.booleans(),
+        order=st.sampled_from(["grid", "particles"]),
     )
-    def test_random_tables_match_reference(self, dims, nt, n, seed, backward):
+    def test_random_tables_match_reference(self, dims, nt, n, seed, backward, order):
         rng = np.random.default_rng(seed)
         grid = Grid(tuple(int(p) for p in rng.choice([4, 6], dims)), tuple(rng.uniform(2.0, 5.0, dims)))
         times = np.cumsum(rng.uniform(0.2, 1.0, nt)) - 0.5
@@ -555,7 +587,7 @@ class TestWorkspaceFreezing:
             rho = rng.uniform(0.0, 1.0, grid.shape)
             rho[rng.random(grid.shape) < 0.3] = 0.0
             densities.append(rho)
-        table = _VelocityTable(grid, times, velocities, densities)
+        table = _VelocityTable(grid, times, velocities, densities, blend=order)
         seeds = rng.uniform(-6.0, 6.0, (n, 3))
         seeds[rng.random((n, 3)) < 0.3] = -0.0
         seeds[rng.random((n, 3)) < 0.2] = 0.0
@@ -563,10 +595,87 @@ class TestWorkspaceFreezing:
         if backward:
             edges = edges[::-1]
         intervals = [(edges[j], edges[j + 1], int(rng.integers(1, 4))) for j in range(2)]
-        paths, frozen = _transport(table, seeds.copy(), edges, intervals)
+        paths, frozen, _ = _transport(table, seeds.copy(), edges, intervals)
         want = masked_rk4_reference(table, seeds, edges, intervals)
         assert_same_transport(TrajectorySet(seeds, edges, paths, "drift", frozen), want)
         assert paths[:, 0].tobytes() == seeds.tobytes()
+
+
+class TestTimeBlend:
+    def test_rule_compares_the_grid_with_the_corner_values_an_evaluation_gathers(self):
+        assert _time_blend(Grid((256,), (40.0,)), 10**4) == "grid"
+        # the 48^3, 2000-particle trajectories command of the streaming tests
+        assert _time_blend(Grid((48, 48, 48), (16.0, 16.0, 16.0)), 2000) == "particles"
+        assert _time_blend(Grid((8, 8), (4.0, 4.0)), 16) == "grid"
+        assert _time_blend(Grid((8, 8), (4.0, 4.0)), 15) == "particles"
+
+    @pytest.mark.parametrize("points,extents", GATHER_GRIDS, ids=["1d", "2d", "3d"])
+    def test_grid_blend_matches_particle_blend(self, points, extents):
+        # the two orders round the same multilinear sum differently; the
+        # tolerance, 64 ulps of each table's largest value, is fixed here
+        # before any evaluation, and theta == 0 reads the snapshot in both
+        grid = Grid(points, extents)
+        rng = np.random.default_rng(12)
+        times = np.array([0.0, 0.5, 1.25])
+        velocities = [rng.standard_normal((3,) + grid.shape) for _ in times]
+        densities = [rng.uniform(0.5, 1.0, grid.shape) for _ in times]
+        tol_v = 64 * np.spacing(max(np.max(np.abs(v)) for v in velocities))
+        tol_d = 64 * np.spacing(1.0)
+        table = _VelocityTable(grid, times, velocities, densities, blend="grid")
+        assert table.live == [0, 1, 2]
+        pos = unwrapped_positions(grid, 300, seed=13)
+        for t in (0.0, 0.2, 0.5, 0.9, 1.1, 1.25):
+            j = int(np.clip(np.searchsorted(times, t) - 1, 0, len(times) - 2))
+            theta = float(np.clip((t - times[j]) / (times[j + 1] - times[j]), 0.0, 1.0))
+            v0 = fancy_index_interp(grid, velocities[j], pos)
+            d0 = fancy_index_interp(grid, densities[j][np.newaxis], pos)[0]
+            v1 = fancy_index_interp(grid, velocities[j + 1], pos)
+            d1 = fancy_index_interp(grid, densities[j + 1][np.newaxis], pos)[0]
+            got_v, got_d = table.velocity(pos, t), table.density(pos, t)[0]
+            if theta == 0.0:
+                assert got_v.tobytes() == np.ascontiguousarray(v0.T).tobytes()
+                assert got_d.tobytes() == d0.tobytes()
+            else:
+                assert np.max(np.abs(got_v - ((1.0 - theta) * v0 + theta * v1).T)) <= tol_v
+                assert np.max(np.abs(got_d - ((1.0 - theta) * d0 + theta * d1))) <= tol_d
+
+    def test_node_check_takes_the_next_k1(self, monkeypatch):
+        # a substep interpolates 4 times when it starts at the time of the
+        # node check before it (k2, k3, k4 and the check, which also gives
+        # the next k1), and 5 when rounding moves its start (k1 on its own)
+        calls = []
+        interp = trajectories._interp_into
+        monkeypatch.setattr(trajectories, "_interp_into", lambda *args: calls.append(1) or interp(*args))
+        grid = Grid((40,), (20.0,))
+        seeds = seeds_with_negative_zeros(30, 1, seed=14, spread=0.5)
+        seeds[:, 0] -= 8.0
+        unchained = []
+        for times, nsub in ((np.array([0.0, 1.0, 2.0]), 4), (np.array([0.0, 0.5, 1.3, 2.2]), 5)):
+            intervals = [(times[j], times[j + 1], nsub) for j in range(len(times) - 1)]
+            starts, checks = [], [times[0]]
+            for t0, t1, _ in intervals:
+                h = (t1 - t0) / nsub
+                starts += [t0 + i * h for i in range(nsub)]
+                checks += [t0 + i * h + h for i in range(nsub)]
+            unchained.append(sum(start != check for start, check in zip(starts, checks)))
+            for order in ("grid", "particles"):
+                table = ramp_table(grid, times, np.random.default_rng(15), order)
+                calls.clear()
+                _, frozen, _ = _transport(table, seeds, times, intervals)
+                assert not frozen.any()
+                # the first node check, then 4 or 5 per substep
+                assert len(calls) == 1 + 4 * len(starts) + unchained[-1]
+        assert unchained[0] == 0 and unchained[1] > 0
+
+    def test_max_step_per_spacing(self):
+        # a plane wave along y moves every particle by v h along y each step
+        grid = Grid((16, 12), (8.0, 6.0))
+        k = 2.0 * 2.0 * np.pi / 6.0
+        psi = plane_wave(grid, [0.0, k])
+        seeds = np.random.default_rng(16).uniform(-3.0, 3.0, (20, 2))
+        traj = advect(seeds, psi, mode="drift", duration=1.0, rk_steps=7)
+        v = PhysicalParams().hbar * k / PhysicalParams().mass
+        assert traj.max_step_per_spacing == pytest.approx(v * (1.0 / 7.0) / grid.spacing[1], rel=1e-12)
 
 
 class TestTransportMemory:
@@ -576,7 +685,7 @@ class TestTransportMemory:
         # (positions, flags) whatever the substep count: a (3, n) temporary
         # per substep would add 3 * 8n
         n = 10**4
-        table, _ = _build_table(free_gaussian_series, "drift", None, params, "spectral")
+        table, _ = _build_table(free_gaussian_series, "drift", None, params, "spectral", n)
         seeds = sample_initial(decompose(free_gaussian_series.states[0], params).rho, n, seed=17)
         times = free_gaussian_series.times[:3]
         intervals = [(times[j], times[j + 1], substeps) for j in range(2)]
@@ -584,7 +693,7 @@ class TestTransportMemory:
         ws_bytes = sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
         tracemalloc.start()
         try:
-            paths, _ = _transport(table, seeds, times, intervals)
+            paths, _, _ = _transport(table, seeds, times, intervals)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
