@@ -78,10 +78,6 @@ class SnapshotSeries:
     def grid(self):
         return self.states[0].grid
 
-    @property
-    def snapshot_dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
     def __iter__(self) -> Iterator[Snapshot]:
         return map(Snapshot, self.times, self.states, self.norms, self.energies)
 
@@ -227,8 +223,9 @@ def _norm_energy(psi: ComplexField, potential: RealField | None, params: Physica
         potential_energy = float(np.sum(density) * grid.cell_volume)
     del density
     fhat = np.fft.fftn(values, out=np.empty_like(values))
-    power = np.square(fhat.real)
-    power += np.square(fhat.imag, out=fhat.imag)  # the spectrum is not read again
+    # the power spectrum is formed in the spectrum's own real part, so no third field is held
+    power = np.square(fhat.real, out=fhat.real)
+    power += np.square(fhat.imag, out=fhat.imag)
     del fhat
     power *= grid.k_squared()
     kinetic = params.hbar * params.hbar / (2.0 * params.mass) * grid.cell_volume / grid.size * float(np.sum(power))

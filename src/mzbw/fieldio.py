@@ -186,11 +186,6 @@ def _write_each(directory, series, config_echo):
     )
 
 
-def write_snapshot_series(directory: str, series, config_echo: dict | None = None) -> None:
-    for _ in stream_snapshot_series(directory, series, config_echo):
-        pass
-
-
 def read_snapshot_series(directory: str) -> SnapshotSeries:
     try:
         manifest = read_json(os.path.join(directory, "manifest.json"))

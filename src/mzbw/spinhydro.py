@@ -31,9 +31,9 @@ from .fields import (
     RealField,
     SpinorField,
     VectorField,
+    _axis_derivative,
     _uniform,
     cross,
-    divergence,
     dot,
 )
 from .madelung import ResidualField, _hj_residual, _jet, _Jet
@@ -196,11 +196,18 @@ def hestenes_residual(
         raise ValueError("rho and s must share a grid")
     jet = _jet(rho, backend=backend)
     grid = jet.grid
-    div_vals = divergence(VectorField(grid, jet.rho * s.values), backend).values
     dot_vals = dot(jet.grad_rho, s).values
+    jet.drop("grad_rho")
+    # div(rho s) one component of the flux at a time, added onto zero in
+    # the order of `divergence`
+    div_vals = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        div_vals += _axis_derivative(jet.rho * s.values[axis], grid, axis, backend)
 
     def weighted(res: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(jet.rho * res * res) * grid.cell_volume))
+        term = jet.rho * res
+        term *= res
+        return float(np.sqrt(np.sum(term) * grid.cell_volume))
 
     return HestenesResidual(
         div_rho_s=RealField(grid, div_vals),
@@ -356,5 +363,8 @@ def spin_split(
     jet.drop("current", "state")
     velocity = velocity_decomposition(jet, params, vector_potential, backend)
     del jet  # its safe density
-    consistency = float(np.max(np.abs(rho_total_current(velocity, spin.rho).values - current.values)))
+    gap = spin.rho.values * velocity.total.values  # rho * total velocity, less the Pauli current
+    gap -= current.values
+    consistency = float(np.max(np.abs(gap, out=gap)))
+    del gap
     return SpinSplit(spin, current, velocity, consistency, hestenes_residual(spin.rho, spin.s, backend))

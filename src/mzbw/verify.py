@@ -172,36 +172,48 @@ def _check_entry(
     records: list,
     gated_out: list,
 ) -> None:
-    """Append the entry's records, in a fixed order, to `records`.
+    """Append the entry's records to `records` in a fixed order: the two-form
+    check, the spin section, the stationary section, `cross_square`.
 
     Each section is its own function, so its arrays are freed when it
-    returns; only the scalar jet passes between them.  The 128^3 fd2 level
-    sets the battery's peak memory."""
+    returns; only the scalar jet passes between them.  The stationary
+    section runs before the spin section, and its records are appended after
+    the spin section's, so the scalar jet's current, grad(rho), lap(rho) and
+    safe density are freed before the spin pass: that section starts with
+    only the density and mask alive, and a uniform-spin check that reads a
+    freed derivative computes it again.  The 128^3 fd2 level sets the
+    battery's peak memory."""
     grid = entry.psi.grid
     h = float(max(grid.spacing))
 
-    def record(identity: str, error: float, passed: bool | None = None, tol: float | None = None) -> None:
-        if tol is None:
-            tol = tolerance(identity, backend, h)
-        ok = bool(error <= tol) if passed is None else bool(passed)
-        records.append(
-            {
-                "identity": identity,
-                "state": entry.name,
-                "error": float(error),
-                "tolerance": tol,
-                "passed": ok,
-            }
-        )
+    def recorder(into: list):
+        def record(identity: str, error: float, passed: bool | None = None, tol: float | None = None) -> None:
+            if tol is None:
+                tol = tolerance(identity, backend, h)
+            ok = bool(error <= tol) if passed is None else bool(passed)
+            into.append(
+                {
+                    "identity": identity,
+                    "state": entry.name,
+                    "error": float(error),
+                    "tolerance": tol,
+                    "passed": ok,
+                }
+            )
+
+        return record
 
     # every scalar quantity below reads the derivatives of this one jet
     jet = _Jet(entry.psi, params, backend)
-    _check_two_forms(jet, params, backend, h, fault, record)
+    _check_two_forms(jet, params, backend, h, fault, recorder(records))
     jet.drop("lap_sqrt_rho")  # only the two-form check reads it; the stationary triple reads lap(rho)
-    _check_spin(entry, jet, params, backend, record, gated_out)
-    _check_stationary(entry, jet, params, backend, record)
+    stationary: list = []
+    _check_stationary(entry, jet, params, backend, recorder(stationary))
+    jet.drop("current", "grad_rho", "lap_rho", "safe")
+    _check_spin(entry, jet, params, backend, recorder(records), gated_out)
     del jet
-    _check_cross_square(entry, record)
+    records.extend(stationary)
+    _check_cross_square(entry, recorder(records))
 
 
 def _check_two_forms(jet: _Jet, params: PhysicalParams, backend: str, h: float, fault: str | None, record) -> None:
@@ -238,7 +250,9 @@ def _check_spin(entry: _Entry, jet: _Jet, params: PhysicalParams, backend: str, 
         # isotropic unit-width Gaussian with spin up: grad(rho).s = -(hbar/2) z rho
         z = jet.grid.coords()[2]
         expected = -(params.hbar / 2.0) * z * jet.rho
-        err = float(np.max(np.abs(hest.grad_rho_dot_s.values - expected)))
+        gap = hest.grad_rho_dot_s.values - expected
+        err = float(np.max(np.abs(gap, out=gap)))
+        del gap
         detected = hest.dot_max >= DETECTION_FRACTION * float(np.max(np.abs(expected)))
         tol = tolerance("spin_constraint_violation_3d", backend, float(max(jet.grid.spacing)))
         record("spin_constraint_violation_3d", err, passed=(err <= tol and detected))

@@ -128,7 +128,6 @@ class TestSeriesAccess:
         series = free_gaussian_series
         assert len(series.states) == 201
         np.testing.assert_allclose(series.times, 0.01 * np.arange(201), atol=1e-14)
-        assert series.snapshot_dt == pytest.approx(0.01)
 
 
 class TestObservables:

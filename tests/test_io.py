@@ -38,9 +38,9 @@ from mzbw.fieldio import (
     read_json,
     read_snapshot_series,
     read_trajectories_binary,
+    stream_snapshot_series,
     write_field,
     write_json,
-    write_snapshot_series,
     write_trajectories_binary,
     write_trajectories_csv,
 )
@@ -163,7 +163,7 @@ class TestSnapshotSeries:
         grid = Grid((64,), (20.0,))
         series = propagate(gaussian(grid), EvolutionConfig(dt=1e-3, steps=20, snapshot_stride=10))
         out = tmp_path / "snaps"
-        write_snapshot_series(str(out), series, config_echo={"note": "test"})
+        list(stream_snapshot_series(str(out), series, config_echo={"note": "test"}))
         back = read_snapshot_series(str(out))
         np.testing.assert_array_equal(back.times, series.times)
         np.testing.assert_array_equal(back.norms, series.norms)
@@ -176,7 +176,7 @@ class TestSnapshotSeries:
         grid = Grid((64,), (20.0,))
         series = propagate(gaussian(grid), EvolutionConfig(dt=1e-3, steps=10, snapshot_stride=5))
         out = tmp_path / "snaps"
-        write_snapshot_series(str(out), series, config_echo={"grid": {"points": [64]}})
+        list(stream_snapshot_series(str(out), series, config_echo={"grid": {"points": [64]}}))
         manifest = read_json(str(out / "manifest.json"))
         assert manifest["format"] == "mzbw-snapshots"
         assert len(manifest["files"]) == 3
@@ -229,7 +229,7 @@ class TestSnapshotSeries:
         grid = Grid((16,), (12.0,))
         series = propagate(gaussian(grid), EvolutionConfig(dt=1e-3, steps=4, snapshot_stride=2))
         out = tmp_path / "snaps"
-        write_snapshot_series(str(out), series)
+        list(stream_snapshot_series(str(out), series))
         manifest = read_json(str(out / "manifest.json"))
         self._corrupt(manifest, key, change)
         write_json(str(out / "manifest.json"), manifest)
@@ -250,7 +250,7 @@ class TestSnapshotSeries:
         grid = Grid((16,), (12.0,))
         series = propagate(gaussian(grid), EvolutionConfig(dt=1e-3, steps=4, snapshot_stride=2))
         out = tmp_path / "snaps"
-        write_snapshot_series(str(out), series)
+        list(stream_snapshot_series(str(out), series))
         write_field(str(out / "psi_000001.mzbw"), gaussian(Grid((16,), (14.0,))))
         with pytest.raises(ValueError, match="grid"):
             read_snapshot_series(str(out))

@@ -136,19 +136,27 @@ class TestToleranceTable:
 class TestEntryMemory:
     """Traced peak of one entry's checks, in real fields of its grid (8
     bytes per point): the fd2 3D Gaussian at 32^3, the level whose 128^3
-    twin sets the battery's peak memory.
+    twin sets the battery's peak memory.  The entry's state is built before
+    tracing starts, so it is not counted.
 
-    At the peak, inside the Hestenes check at the end of `spin_split`, these
-    are alive:
-    * the scalar jet's density, safe density, grad(rho) and lap(rho), 6
-      fields (its state is the entry's, built before);
-    * the split's spin vector 3, spinor density 1 (an owned copy of the
-      complex einsum's real part), Pauli total 3, and drift, internal
-      velocity, their sum, momentum and curl(rho s)/m 15, so 22 fields;
-    * the check's grad(rho) 3 and rho s 3.
-    That is 34 fields and the masks, measured 34.3 (35.3 while the density
-    was the einsum's real view, which kept both halves).  Keeping every
-    section's arrays alive until the entry ends measured 65.7."""
+    `_check_entry` runs the two-form check, the stationary section and then
+    the spin section, and frees the scalar jet's current, grad(rho),
+    lap(rho) and safe density between the last two.  The spin section
+    starts with 1.14 fields alive: the jet's density and mask.  At the
+    peak, 28.04 fields, inside `divergence(curl(rho s)/m)` in `_check_spin`,
+    these are alive:
+    * the scalar jet's density and mask, 1.13;
+    * the split's spin vector 3, spinor density 1, Pauli total 3, drift,
+      internal velocity, their sum, momentum and curl(rho s)/m 15, and the
+      two Hestenes residuals 2, so 24 fields and the spinor's mask;
+    * the divergence's running sum and one axis derivative.
+    The Pauli current's assembly and the Hestenes check, both inside
+    `spin_split`, reach within 0.01 field of it.
+
+    Earlier layouts, at the same 32^3 entry: the spin section before the
+    stationary one, with the scalar jet's derivatives alive (6.13 fields at
+    its start), measured 34.29; keeping every section's arrays alive until
+    the entry ends measured 65.7."""
 
     def test_gaussian_3d_fd2_peak(self):
         entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
@@ -193,3 +201,62 @@ class TestEntryMemory:
             tracemalloc.stop()
         assert all(rec["passed"] for rec in records)
         assert peak <= 36.5 * 8 * entry.psi.grid.size
+
+    def test_gaussian_3d_fd2_peak_with_derivatives_freed_before_the_spin_pass(self):
+        """The stationary section runs before the spin section, so the
+        scalar jet's current, grad(rho), lap(rho) and safe density (8
+        fields) are freed before `spin_split`; `spin_split` and
+        `hestenes_residual` form their gaps and the flux divergence in
+        place, and `_check_spin` the violation gap.  The spin section
+        before the stationary one measured 34.29 fields, the section order
+        alone 29.29, and all of it 28.04 (see the class docstring for the
+        live set)."""
+        entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
+        records: list = []
+        tracemalloc.start()
+        try:
+            _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(rec["passed"] for rec in records)
+        assert peak <= 29.0 * 8 * entry.psi.grid.size
+
+
+_UNIFORM_SPIN = (
+    "zbw_curl_vs_cross",
+    "zbw_speed_vs_field",
+    "vsq_full_vs_reduced",
+    "vsq_full_vs_flux_square",
+    "internal_energy_two_forms",
+)
+
+
+def _expected_identities(entry, gated_states: set) -> list:
+    """An entry's identities in report order: the two-form check, the spin
+    section, the stationary section, `cross_square`."""
+    spin = ["current_decomposition", "spin_current_divergence"]
+    if entry.violation:
+        spin.append("spin_constraint_violation_3d")
+    elif entry.planar:
+        spin.append("spin_constraints_planar")
+    if entry.name not in gated_states:
+        spin.extend(_UNIFORM_SPIN)
+    stationary = ["spin_hj_vs_standard"]
+    if entry.plane_k is not None:
+        stationary += ["spin_dispersion", "spin_dispersion_vs_standard"]
+    return ["quantum_potential_two_forms", *spin, *stationary, "cross_square"]
+
+
+@pytest.mark.parametrize("report_name", ["spectral_report", "fd2_report"])
+def test_records_keep_the_identity_order_in_every_level(report_name, request):
+    """The stationary section runs before the spin section, but its records
+    follow the spin section's, so each state's records read in the order
+    the report has always had, and the states follow the entry order."""
+    report = request.getfixturevalue(report_name)
+    for level in report["levels"]:
+        entries = _battery_entries(report["backend"], level["refine"])
+        gated = {rec["state"] for rec in level["gated_out"]}
+        assert {"random_2d", "gaussian_3d"} <= gated
+        expected = [(e.name, identity) for e in entries for identity in _expected_identities(e, gated)]
+        assert [(rec["state"], rec["identity"]) for rec in level["checks"]] == expected
