@@ -20,11 +20,13 @@ Each file is written as its snapshot arrives and the manifest last.
 Trajectories: CSV with one row per (particle, time): particle, t, x, y, z,
 mode, frozen, every float as %.17g.  The writer formats one %-template of
 all kept rows per particle (times pre-formatted once) and writes each
-particle's block in one call.  `_format_g17` formats the live coordinates
-of a block of particles at once, in numpy, with the bytes of %.17g for
-finite 1e-4 <= |x| < 1e16 (no exponent): x * 10**(16 - X), X the decimal
-exponent, is formed exactly as a Dekker product hi + lo and rounded
-half-even to 17 digits as hi + rint(lo), hi being an even integer.  Zeros,
+particle's block in one call.  Both trajectory writers read the paths a
+block of particles at a time, whatever their memory layout, and never copy
+the whole set.  `_format_g17` formats the live coordinates of a block of
+particles at once, in numpy, with the bytes of %.17g for finite
+1e-4 <= |x| < 1e16 (no exponent): x * 10**(16 - X), X the decimal exponent,
+is formed exactly as a Dekker product hi + lo and rounded half-even to 17
+digits as hi + rint(lo), hi being an even integer.  Zeros,
 subnormals, non-finite and out-of-range values, and a rounding that carries
 into an 18th digit, go through b"%.17g" one by one.  The binary variant
 mirrors the field header idea: magic b"MZBWT", mode code (0 drift, 1 total),
@@ -308,25 +310,30 @@ def _format_g17(values: np.ndarray) -> list:
 
 def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 1) -> None:
     keep = _kept_times(len(traj.times), record_stride)
-    paths = np.ascontiguousarray(traj.paths, dtype=np.float64)
+    paths = np.asarray(traj.paths, dtype=np.float64)
     # a column that is +0.0 at every recorded time is written as the literal
     # "0" (what %.17g gives); the bit test reads each column in place
     bits = paths.view(np.uint64)
     cells = ["0" if not np.any(bits[:, :, c]) else "%s" for c in range(3)]
-    take = np.array([3 * i + c for i in keep for c in range(3) if cells[c] != "0"], dtype=np.intp)
     # one %-template per particle block for each frozen flag, row tails in
     # place; "\0" stands for the particle index, spliced in after formatting
     cols = ",".join(cells)
     heads = [f"\0,{traj.times[i]:.17g},{cols}" for i in keep]
     tails = [f",{traj.mode},{flag}\n".replace("%", "%%") for flag in (0, 1)]
     blocks = ["".join(head + tail for head in heads).encode() for tail in tails]
-    k = len(take)
+    live = [c for c in range(3) if cells[c] != "0"]
+    at = np.array(keep, dtype=np.intp)
+    k = len(keep) * len(live)
     step = max(1, _CSV_BLOCK_VALUES // max(k, 1))  # particles formatted together
     with open(path, "wb") as fh:
         fh.write(b"particle,t,x,y,z,mode,frozen\n")
         for first in range(0, len(paths), step):
             part = paths[first : first + step]
-            strs = _format_g17(part.reshape(len(part), -1).take(take, axis=1).ravel())
+            # the block's values, particle by particle and time by time, each
+            # gathered from its own column, so a view of per-coordinate
+            # planes is read in place and never copied whole
+            values = [np.take(part[:, :, c], at, axis=1) for c in live]
+            strs = _format_g17(np.stack(values, axis=-1).ravel()) if live else []
             for j in range(len(part)):
                 rows = blocks[int(traj.frozen[first + j])] % tuple(strs[j * k : (j + 1) * k])
                 fh.write(rows.replace(b"\0", b"%d" % (first + j)))
@@ -339,10 +346,12 @@ def write_trajectories_binary(path: str, traj: TrajectorySet, record_stride: int
     mode_code = 0 if traj.mode == "drift" else 1
     seed = -1 if traj.rng_seed is None else int(traj.rng_seed)
     header = struct.pack("<5sBIIq", TRAJ_MAGIC, mode_code, n, len(keep), seed)
+    step = max(1, _CSV_BLOCK_VALUES // (3 * len(keep)))  # particles copied and written together
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(traj.times[keep], dtype="<f8"))
-        fh.write(np.ascontiguousarray(traj.paths[:, keep], dtype="<f8"))
+        for first in range(0, n, step):
+            fh.write(np.ascontiguousarray(np.take(traj.paths[first : first + step], keep, axis=1), dtype="<f8"))
         fh.write(np.ascontiguousarray(traj.seeds, dtype="<f8"))
         fh.write(np.ascontiguousarray(traj.frozen, dtype="<u1"))
 

@@ -393,6 +393,12 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
     """RK4 transport of (n, 3) seeds through `table`; returns paths (n, nt, 3),
     the frozen flags (n,) and the largest accepted step per grid spacing.
 
+    The paths are a view of one zero-filled (n, nt) plane per coordinate,
+    not C-contiguous.  A plane is written only for a live column or for a
+    dead column whose seeds hold a nonzero bit pattern (-0.0 included); the
+    plane of a dead column of +0.0 seeds is never written, so its pages are
+    never faulted in.
+
     Positions live in rows, pos[c] for coordinate c.  Every substep steps the
     whole ensemble and keeps a new position only where the particle still
     moves; a step into the node region freezes the particle where it was,
@@ -413,9 +419,11 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
     dims = table.grid.dims
     live = table.live
     ws = table.workspace(n)
-    paths = np.empty((n, len(record_times), 3))
-    paths[:, 0] = seeds
     pos = seeds.T.copy()
+    store = np.zeros((3, n, len(record_times)))
+    written = [c for c in range(3) if c in live or np.any(pos[c].view(np.uint64))]
+    for c in written:
+        store[c, :, 0] = pos[c]
     # each substep's start time, then None for the end of the run
     starts = [t0 + i * h for t0, t1, nsub in intervals for h in [(t1 - t0) / nsub] for i in range(nsub)]
     starts.append(None)
@@ -484,15 +492,16 @@ def _transport(table: _VelocityTable, seeds: np.ndarray, record_times, intervals
                     for c, rows in negzero:
                         pos[c, rows] += zero
                     negzero = []
-        paths[:, rec] = pos.T
-    return paths, frozen, max_step
+        for c in written:
+            store[c, :, rec] = pos[c]
+    return store.transpose(1, 2, 0), frozen, max_step
 
 
 @dataclass
 class TrajectorySet:
     seeds: np.ndarray  # (n, 3)
     times: np.ndarray  # (nt,)
-    paths: np.ndarray  # (n, nt, 3), unwrapped
+    paths: np.ndarray  # (n, nt, 3), unwrapped; from advect, a view of (3, n, nt) planes, not C-contiguous
     mode: str
     frozen: np.ndarray  # (n,) True where the particle hit the node region
     rng_seed: int | None = None
@@ -522,7 +531,12 @@ def advect(
     times; a stream is read as the transport reaches each snapshot, so at
     most three of its snapshots are held at once.  A static ComplexField
     source (or its jet) needs `duration` and `rk_steps` and is recorded
-    after every step."""
+    after every step.
+
+    `paths` is an (n, nt, 3) view of one (n, nt) plane per coordinate, not
+    C-contiguous.  The planes of coordinates the transport cannot move and
+    whose seeds are +0.0 (y and z of a 1D drift run, z of a 2D one) are
+    never written, so they take no resident memory."""
     seeds = np.asarray(seeds, dtype=float)
     if seeds.ndim != 2 or seeds.shape[0] < 1 or not 1 <= seeds.shape[1] <= 3:
         raise ValueError(f"seeds must be an (n, k) array, n >= 1 and k = 1 to 3 columns; got shape {seeds.shape}")

@@ -10,6 +10,7 @@ import os
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -373,6 +374,40 @@ class TestCsvTemplateWriter:
         assert got.read_bytes() == want.read_bytes()
 
 
+def layouts(paths):
+    """The same (n, nt, 3) values C-contiguous, as a view of one plane per
+    coordinate (the layout `advect` returns) and Fortran-ordered."""
+    planes = np.ascontiguousarray(paths.transpose(2, 0, 1)).transpose(1, 2, 0)
+    return {"C": np.ascontiguousarray(paths), "planes": planes, "F": np.asfortranarray(paths)}
+
+
+class TestWriterLayouts:
+    @pytest.mark.parametrize("mode", ["drift", "total"])
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_bytes_do_not_depend_on_the_layout(self, mode, stride, tmp_path):
+        traj = awkward_trajectories(mode)
+        variants = layouts(traj.paths)
+        assert not variants["planes"].flags.c_contiguous and not variants["F"].flags.c_contiguous
+        outputs = {}
+        for name, paths in variants.items():
+            assert np.array_equal(paths, traj.paths, equal_nan=True)
+            variant = replace(traj, paths=paths)
+            csv, binary = tmp_path / f"{name}.csv", tmp_path / f"{name}.bin"
+            write_trajectories_csv(str(csv), variant, record_stride=stride)
+            write_trajectories_binary(str(binary), variant, record_stride=stride)
+            outputs[name] = (csv.read_bytes(), binary.read_bytes())
+        assert outputs["planes"] == outputs["C"] and outputs["F"] == outputs["C"]
+
+    def test_advected_set_writes_as_its_contiguous_copy(self, tmp_path):
+        grid = Grid((64,), (20.0,))
+        traj = advect(np.array([[0.5], [-0.25], [1.5]]), gaussian(grid, boost=0.3), duration=0.5, rk_steps=8)
+        assert not traj.paths.flags.c_contiguous
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectories_csv(str(got), traj, record_stride=3)
+        write_trajectories_csv(str(want), replace(traj, paths=np.ascontiguousarray(traj.paths)), record_stride=3)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def small_trajectory_file(tmp_path):
     grid = Grid((32,), (16.0,))
     traj = advect(np.array([[0.5], [-1.0]]), gaussian(grid), mode="drift", duration=0.2, rk_steps=2)
@@ -590,3 +625,42 @@ class TestCsvBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestBinaryBlocks:
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["block-1", "block", "block+1"])
+    def test_planes_around_a_block_match_the_references(self, stride, extra, tmp_path):
+        # three live columns: the binary and the CSV writer take the same
+        # number of particles a block
+        nt = 11
+        keep = _kept_times(nt, stride)
+        traj = block_trajectories(_CSV_BLOCK_VALUES // (3 * len(keep)) + extra, nt, 3)
+        planes = replace(traj, paths=layouts(traj.paths)["planes"])
+        path = tmp_path / "traj.bin"
+        write_trajectories_binary(str(path), planes, record_stride=stride)
+        assert read_trajectories_binary(str(path)).paths.tobytes() == traj.paths[:, keep].tobytes()
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectories_csv(str(got), planes, record_stride=stride)
+        row_csv_reference(str(want), traj, record_stride=stride)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_peak_memory_stays_within_a_few_blocks(self):
+        # 10^4 particles over 201 times, x moving, as in the README example,
+        # stored as per-coordinate planes: one copy of the set would be
+        # 48 MB, a block of particles under _CSV_BLOCK_VALUES values 32 KB
+        n, nt = 10**4, 201
+        store = np.zeros((3, n, nt))
+        store[0] = np.random.default_rng(6).standard_normal((n, nt))
+        traj = TrajectorySet(
+            seeds=store[:, :, 0].T.copy(), times=np.linspace(0.0, 2.0, nt), paths=store.transpose(1, 2, 0),
+            mode="drift", frozen=np.arange(n) % 5 == 0,
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_trajectories_binary(os.devnull, traj)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * _CSV_BLOCK_VALUES
