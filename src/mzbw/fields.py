@@ -82,9 +82,17 @@ class Grid:
         Each is a read-only broadcast view of its axis (stride 0 along the
         other axes), so a grid holds no dense meshes; arithmetic on them gives
         the same values as on `np.meshgrid(*axes, indexing="ij")`."""
-        return tuple(
-            np.broadcast_to(self._axis_shape(x, axis), self.shape) for axis, x in enumerate(self.axes)
-        )
+        return tuple(np.broadcast_to(x, self.shape) for x in self.sparse_coords())
+
+    def sparse_coords(self) -> tuple[np.ndarray, ...]:
+        """Read-only coordinate arrays, one per axis, each of length 1 along
+        the other axes, as `np.meshgrid(*axes, indexing="ij", sparse=True)`.
+        Arithmetic on one costs one pass over its axis; combining them
+        broadcasts to grid.shape."""
+        views = tuple(self._axis_shape(x, axis) for axis, x in enumerate(self.axes))
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     def wavenumbers(self) -> tuple[np.ndarray, ...]:
         if self._wavenumbers is None:

@@ -110,7 +110,7 @@ class _Jet:
     def divided(self, flux: np.ndarray) -> np.ndarray:
         """flux / rho for a (3, *grid) flux, zero on the node mask."""
         out = flux / self.safe
-        out[:, self.mask] = 0.0
+        np.copyto(out, 0.0, where=self.mask)
         return out
 
     @cached_property
@@ -120,14 +120,28 @@ class _Jet:
 
     @cached_property
     def current(self) -> np.ndarray:
-        """j_a = hbar Im(psi^dag d_a psi) = rho p_a, smooth through nodes."""
+        """j_a = hbar Im(psi^dag d_a psi) = rho p_a, smooth through nodes.
+
+        One conjugate per component; conj(c) d_a c is formed in the
+        derivative's buffer.  A spinor's row is hbar ((0 + up) + down), a
+        scalar's hbar times its one part, with no zero added (0 + -0.0
+        would be +0.0)."""
         spinor = isinstance(self.state, SpinorField)
         comps = self.state.values if spinor else (self.state.values,)
         out = np.zeros((3,) + self.grid.shape)
-        for axis in range(self.grid.dims):
-            parts = ((np.conj(c) * _axis_derivative(c, self.grid, axis, self.backend)).imag for c in comps)
-            # spinor components are summed onto zero, each as it is formed; a scalar's one part is used as is
-            out[axis] = self.params.hbar * (sum(parts) if spinor else next(parts))
+        rows = out[: self.grid.dims]
+        for c in comps:
+            conj = np.conj(c)
+            for axis, row in enumerate(rows):
+                d = _axis_derivative(c, self.grid, axis, self.backend)
+                part = np.multiply(conj, d, out=d).imag
+                if spinor:
+                    row += part
+                else:
+                    np.multiply(self.params.hbar, part, out=row)
+            del conj
+        if spinor:
+            rows *= self.params.hbar
         return out
 
     @cached_property
@@ -329,15 +343,19 @@ def hj_terms(
     return dphi_dt, kinetic, bracket, u, mask
 
 
-def _hj_residual(snapshots, dt, potential, params, backend, coeff: float) -> ResidualField:
-    """d(phi)/dt + kinetic + coeff * bracket + U, zero on the node mask."""
-    residual, kinetic, bracket, u, mask = hj_terms(snapshots, dt, potential, params, backend)
-    residual += kinetic  # the sum chained left to right in the phase rate's buffer
+def _hj_residual(terms: tuple, grid, coeff: float) -> ResidualField:
+    """d(phi)/dt + kinetic + coeff * bracket + U from the `hj_terms` of one
+    triple, zero on the node mask.  The sum is chained left to right in the
+    phase rate's buffer and the bracket is scaled in its own, so a caller
+    that builds a second residual from the same terms passes copies of
+    those two."""
+    residual, kinetic, bracket, u, mask = terms
+    residual += kinetic
     bracket *= coeff
     residual += bracket
     residual += u
     np.copyto(residual, 0.0, where=mask)
-    return ResidualField(values=RealField(snapshots[1].grid, residual), node_mask=mask)
+    return ResidualField(values=RealField(grid, residual), node_mask=mask)
 
 
 def hj_residual(
@@ -349,8 +367,8 @@ def hj_residual(
 ) -> ResidualField:
     """d(phi)/dt + (grad phi)^2/2m + Q + U at the middle snapshot, Q in the
     log-derivative form.  Zero (to discretization error) along solutions."""
-    coeff = (params.hbar * params.hbar) / (4.0 * params.mass)
-    return _hj_residual(snapshots, dt, potential, params, backend, coeff)
+    terms = hj_terms(snapshots, dt, potential, params, backend)
+    return _hj_residual(terms, snapshots[1].grid, (params.hbar * params.hbar) / (4.0 * params.mass))
 
 
 def continuity_residual(

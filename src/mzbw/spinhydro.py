@@ -36,7 +36,7 @@ from .fields import (
     cross,
     dot,
 )
-from .madelung import ResidualField, _hj_residual, _jet, _Jet
+from .madelung import ResidualField, _hj_residual, _jet, _Jet, hj_terms
 from .states import attach_spinor, spin_vector
 
 # max |div(rho s)| and |grad(rho).s| that count as zero: below it the Hestenes
@@ -156,7 +156,7 @@ def velocity_decomposition(
         if vector_potential.grid != grid:
             raise ValueError("vector potential must live on the wavefunction grid")
         drift = (momentum - params.charge * vector_potential.values) / params.mass
-        drift[:, mask] = 0.0
+        np.copyto(drift, 0.0, where=mask)
 
     zbw = jet.divided(jet.spin_current)
 
@@ -182,7 +182,7 @@ def zbw_velocity_uniform(
     jet = _jet(rho, params, backend)
     out = cross(jet.grad_rho, _uniform(jet.grid, s)).values
     out /= params.mass * jet.safe
-    out[:, jet.mask] = 0.0
+    np.copyto(out, 0.0, where=jet.mask)
     return VectorField(jet.grid, out)
 
 
@@ -334,7 +334,8 @@ def spin_hj_residual(
     the plain Madelung residual."""
     if s_mag is None:
         s_mag = params.hbar / 2.0
-    return _hj_residual(snapshots, dt, potential, params, backend, (s_mag * s_mag) / params.mass)
+    terms = hj_terms(snapshots, dt, potential, params, backend)
+    return _hj_residual(terms, snapshots[1].grid, (s_mag * s_mag) / params.mass)
 
 
 def rho_total_current(decomp: VelocityDecomposition, rho: RealField) -> VectorField:

@@ -1,4 +1,10 @@
-"""Built-in wavefunctions, spinors, and potentials used by the CLI and tests."""
+"""Built-in wavefunctions, spinors, and potentials used by the CLI and tests.
+
+The separable builders (plane wave, Gaussian, harmonic ground state and
+potential) evaluate each axis factor on its 1D axis (`Grid.sparse_coords`)
+and broadcast the product or sum, so only the last combination and what
+follows it run on the full grid.  Every elementwise operation is the one the
+broadcast-coordinate form does, in its order, so the bytes are the same."""
 
 from __future__ import annotations
 
@@ -21,8 +27,8 @@ def plane_wave(grid: Grid, k, params: PhysicalParams = DEFAULT_PARAMS) -> Comple
         n = ka * L / (2.0 * np.pi)
         if abs(n - round(n)) > 1e-9:
             raise ValueError(f"k component {ka} is not a lattice mode (k*L/2pi = {n})")
-    phase = np.zeros(grid.shape)
-    for ka, x in zip(kvec, grid.coords()):
+    phase = 0.0
+    for ka, x in zip(kvec, grid.sparse_coords()):
         phase = phase + ka * x
     volume = float(np.prod(grid.extents))
     return ComplexField(grid, np.exp(1j * phase) / np.sqrt(volume))
@@ -42,9 +48,8 @@ def gaussian(
     mom = _per_axis(boost, grid, "boost")
     if any(s <= 0 for s in sig):
         raise ValueError(f"sigma must be positive, got {sig}")
-    amp = np.ones(grid.shape)
-    phase = np.zeros(grid.shape)
-    for s, c, p, x in zip(sig, cen, mom, grid.coords()):
+    amp, phase = 1.0, 0.0
+    for s, c, p, x in zip(sig, cen, mom, grid.sparse_coords()):
         amp = amp * (2.0 * np.pi * s * s) ** (-0.25) * np.exp(-((x - c) ** 2) / (4.0 * s * s))
         phase = phase + p * x / params.hbar
     return ComplexField(grid, amp * np.exp(1j * phase))
@@ -57,8 +62,8 @@ def harmonic_ground(
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     a = params.mass * omega / params.hbar
-    amp = np.ones(grid.shape)
-    for x in grid.coords():
+    amp = 1.0
+    for x in grid.sparse_coords():
         amp = amp * (a / np.pi) ** 0.25 * np.exp(-a * x * x / 2.0)
     return ComplexField(grid, amp.astype(complex))
 
@@ -69,8 +74,8 @@ def harmonic_potential(
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega}")
     cen = _per_axis(center, grid, "center")
-    u = np.zeros(grid.shape)
-    for c, x in zip(cen, grid.coords()):
+    u = 0.0
+    for c, x in zip(cen, grid.sparse_coords()):
         u = u + 0.5 * params.mass * omega * omega * (x - c) ** 2
     return RealField(grid, u)
 

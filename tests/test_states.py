@@ -26,7 +26,7 @@ from mzbw.madelung import NODE_EPS
 
 
 def _coordinate_outputs(grid: Grid) -> list[bytes]:
-    """Bytes of every constructor and observable that reads grid.coords()."""
+    """Bytes of every constructor and observable that reads the grid's coordinates."""
     params = PhysicalParams(hbar=0.9, mass=1.3)
     k = tuple(2.0 * np.pi * (a + 1) / L for a, L in enumerate(grid.extents))
     psi = gaussian(grid, sigma=(0.9, 1.1, 0.7)[: grid.dims], center=0.3, boost=(0.5, -0.4, 0.2)[: grid.dims])
@@ -50,6 +50,93 @@ def test_coordinate_views_give_the_meshgrid_bytes(points, monkeypatch):
     views = _coordinate_outputs(grid)
     monkeypatch.setattr(Grid, "coords", lambda self: tuple(np.meshgrid(*self.axes, indexing="ij")))
     assert _coordinate_outputs(grid) == views
+
+
+# The separable builders as they were written on broadcast coordinates
+# (`grid.coords()`), kept as bitwise references for the per-axis forms.
+
+
+def ref_plane_wave(grid, k):
+    phase = np.zeros(grid.shape)
+    for ka, x in zip(k, grid.coords()):
+        phase = phase + ka * x
+    return np.exp(1j * phase) / np.sqrt(float(np.prod(grid.extents)))
+
+
+def ref_gaussian(grid, sigma, center, boost, params=PhysicalParams()):
+    amp = np.ones(grid.shape)
+    phase = np.zeros(grid.shape)
+    for s, c, p, x in zip(sigma, center, boost, grid.coords()):
+        amp = amp * (2.0 * np.pi * s * s) ** (-0.25) * np.exp(-((x - c) ** 2) / (4.0 * s * s))
+        phase = phase + p * x / params.hbar
+    return amp * np.exp(1j * phase)
+
+
+def ref_harmonic_ground(grid, omega, params=PhysicalParams()):
+    a = params.mass * omega / params.hbar
+    amp = np.ones(grid.shape)
+    for x in grid.coords():
+        amp = amp * (a / np.pi) ** 0.25 * np.exp(-a * x * x / 2.0)
+    return amp.astype(complex)
+
+
+def ref_harmonic_potential(grid, omega, center, params=PhysicalParams()):
+    u = np.zeros(grid.shape)
+    for c, x in zip(center, grid.coords()):
+        u = u + 0.5 * params.mass * omega * omega * (x - c) ** 2
+    return u
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@st.composite
+def separable_cases(draw):
+    dims = draw(st.integers(1, 3))
+    points = tuple(draw(st.sampled_from([2, 4, 6, 8, 12, 16])) for _ in range(dims))
+    extents = tuple(draw(st.floats(1.0, 30.0)) for _ in range(dims))
+
+    def per_axis(lo, hi):
+        return tuple(draw(st.floats(lo, hi)) for _ in range(dims))
+
+    modes = tuple(draw(st.integers(-4, 4)) for _ in range(dims))
+    return {
+        "grid": Grid(points, extents),
+        "params": PhysicalParams(hbar=draw(st.floats(0.3, 3.0)), mass=draw(st.floats(0.3, 3.0))),
+        "sigma": per_axis(0.05, 5.0),
+        "center": per_axis(-5.0, 5.0),
+        "boost": per_axis(-5.0, 5.0),
+        "omega": draw(st.floats(0.05, 5.0)),
+        "k": tuple(2.0 * np.pi * n / L for n, L in zip(modes, extents)),
+    }
+
+
+@given(case=separable_cases())
+@settings(max_examples=80, deadline=None)
+def test_per_axis_builders_match_the_broadcast_coordinate_bytes(case):
+    """Each separable builder evaluates its axis factors on the 1D axes;
+    its bits equal the broadcast-coordinate bodies above on random 1-3D
+    grids."""
+    grid, params = case["grid"], case["params"]
+    sigma, center, boost, omega = case["sigma"], case["center"], case["boost"], case["omega"]
+    pairs = [
+        (plane_wave(grid, case["k"], params), ref_plane_wave(grid, case["k"])),
+        (gaussian(grid, sigma, center, boost, params), ref_gaussian(grid, sigma, center, boost, params)),
+        (harmonic_ground(grid, omega, params), ref_harmonic_ground(grid, omega, params)),
+        (harmonic_potential(grid, omega, center, params), ref_harmonic_potential(grid, omega, center, params)),
+    ]
+    for field, want in pairs:
+        assert field.values.shape == grid.shape
+        assert np.array_equal(bits(field.values), bits(want))
+
+
+def test_sparse_coordinates_are_read_only_views_of_the_axes():
+    grid = Grid((4, 6, 8), (2.0, 3.0, 4.0))
+    for axis, x in enumerate(grid.sparse_coords()):
+        assert x.shape == tuple(n if a == axis else 1 for a, n in enumerate(grid.shape))
+        assert not x.flags.writeable and np.shares_memory(x, grid.axes[axis])
+        assert np.array_equal(np.broadcast_to(x, grid.shape), grid.coords()[axis])
 
 
 class TestScalarStates:

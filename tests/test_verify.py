@@ -7,9 +7,13 @@ position-dependent spin projection, and detect a deliberately injected fault.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from mzbw.fields import PhysicalParams
+from mzbw import madelung, verify
+from mzbw.fields import ComplexField, PhysicalParams
+from mzbw.madelung import _Jet, hj_residual
+from mzbw.spinhydro import spin_hj_residual
 from mzbw.verify import _battery_entries, _check_entry, format_report, run_battery, tolerance
 
 
@@ -134,83 +138,42 @@ class TestToleranceTable:
 
 
 class TestEntryMemory:
-    """Traced peak of one entry's checks, in real fields of its grid (8
-    bytes per point): the fd2 3D Gaussian at 32^3, the level whose 128^3
-    twin sets the battery's peak memory.  The entry's state is built before
-    tracing starts, so it is not counted.
-
-    `_check_entry` runs the two-form check, the stationary section and then
-    the spin section, and frees the scalar jet's current, grad(rho),
-    lap(rho) and safe density between the last two.  The spin section
-    starts with 1.14 fields alive: the jet's density and mask.  At the
-    peak, 28.04 fields, inside `divergence(curl(rho s)/m)` in `_check_spin`,
-    these are alive:
-    * the scalar jet's density and mask, 1.13;
-    * the split's spin vector 3, spinor density 1, Pauli total 3, drift,
-      internal velocity, their sum, momentum and curl(rho s)/m 15, and the
-      two Hestenes residuals 2, so 24 fields and the spinor's mask;
-    * the divergence's running sum and one axis derivative.
-    The Pauli current's assembly and the Hestenes check, both inside
-    `spin_split`, reach within 0.01 field of it.
-
-    Earlier layouts, at the same 32^3 entry: the spin section before the
-    stationary one, with the scalar jet's derivatives alive (6.13 fields at
-    its start), measured 34.29; keeping every section's arrays alive until
-    the entry ends measured 65.7."""
-
     def test_gaussian_3d_fd2_peak(self):
-        entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
-        records: list = []
-        tracemalloc.start()
-        try:
-            _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert all(rec["passed"] for rec in records)
-        assert peak <= 48 * 8 * entry.psi.grid.size
+        """Traced peak of one entry's checks, in real fields of its grid (8
+        bytes per point): the fd2 3D Gaussian at 32^3, the level whose
+        128^3 twin sets the battery's peak memory.  The entry's state is
+        built before tracing starts, so it is not counted.
 
-    def test_gaussian_3d_fd2_peak_without_dead_intermediates(self):
-        """The spinor jet's rho s (3 fields) is freed once curl(rho s) is
-        cached, and the scalar jet's lap(sqrt(rho)) (1) once the two-form
-        check is done, both before the velocity split.  Keeping them
-        measured 41.7 fields; freeing them 37.7."""
-        entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
-        records: list = []
-        tracemalloc.start()
-        try:
-            _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert all(rec["passed"] for rec in records)
-        assert peak <= 40 * 8 * entry.psi.grid.size
+        `_check_entry` runs the two-form check, the stationary section and
+        then the spin section, and frees the scalar jet's current,
+        grad(rho), lap(rho) and safe density between the last two.  Peaks
+        per section: two-form 12.89, stationary 26.03 (both HJ residuals
+        from one set of terms, with copies of the two buffers the assembly
+        writes; two separate calls measured 24.03), spin 28.04 and
+        cross-square 11.02 fields.  The spin section starts with 1.14
+        fields alive: the jet's density and mask.  At the peak, 28.04
+        fields, inside `divergence(curl(rho s)/m)` in `_check_spin`, these
+        are alive:
+        * the scalar jet's density and mask, 1.13;
+        * the split's spin vector 3, spinor density 1, Pauli total 3,
+          drift, internal velocity, their sum, momentum and curl(rho s)/m
+          15, and the two Hestenes residuals 2, so 24 fields and the
+          spinor's mask;
+        * the divergence's running sum and one axis derivative.
+        The Pauli current's assembly and the Hestenes check, both inside
+        `spin_split`, reach within 0.01 field of it.
 
-    def test_gaussian_3d_fd2_peak_with_one_spin_pass(self):
-        """`spin_split` also frees the spinor's state (4 fields) and current
-        (3) once the momentum is cached, so the velocity split no longer
-        sets the peak.  Calling the spin functions one by one measured 37.65
-        fields; the split 35.28."""
-        entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
-        records: list = []
-        tracemalloc.start()
-        try:
-            _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert all(rec["passed"] for rec in records)
-        assert peak <= 36.5 * 8 * entry.psi.grid.size
-
-    def test_gaussian_3d_fd2_peak_with_derivatives_freed_before_the_spin_pass(self):
-        """The stationary section runs before the spin section, so the
-        scalar jet's current, grad(rho), lap(rho) and safe density (8
-        fields) are freed before `spin_split`; `spin_split` and
-        `hestenes_residual` form their gaps and the flux divergence in
-        place, and `_check_spin` the violation gap.  The spin section
-        before the stationary one measured 34.29 fields, the section order
-        alone 29.29, and all of it 28.04 (see the class docstring for the
-        live set)."""
+        Earlier layouts of the same entry, each bound once a test of its
+        own: every section's arrays alive until the entry ends, 65.7
+        fields; the spinor jet's rho s and the scalar jet's lap(sqrt(rho))
+        kept through the velocity split, 41.7, and freed, 37.7 (bound 48
+        and 40); the spin functions called one by one, 37.65, and one
+        `spin_split` that frees the spinor's state and current once the
+        momentum is cached, 35.28 (bound 36.5); the spin section before the
+        stationary one, with the scalar jet's derivatives alive (6.13
+        fields at its start), 34.29; the section order alone 29.29; and
+        with the in-place gaps of `spin_split`, `hestenes_residual` and
+        `_check_spin` 28.04 (bound 29.0)."""
         entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
         records: list = []
         tracemalloc.start()
@@ -221,6 +184,52 @@ class TestEntryMemory:
             tracemalloc.stop()
         assert all(rec["passed"] for rec in records)
         assert peak <= 29.0 * 8 * entry.psi.grid.size
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd2"])
+@pytest.mark.parametrize("name", ["plane_wave_1d", "gaussian_3d"])
+def test_stationary_section_builds_both_residuals_from_one_set_of_terms(name, backend, monkeypatch):
+    """The section's spin and plain HJ residuals, assembled from one
+    `hj_terms` call, are bit-identical to separate `spin_hj_residual` and
+    `hj_residual` calls on the same triple, and their recorded difference
+    is exactly 0.0.  The fd2 entries (32^3 for the Gaussian) run on both
+    backends."""
+    entry = next(e for e in _battery_entries("fd2", 1) if e.name == name)
+    params = PhysicalParams()
+    built, records = [], []
+
+    def spy(terms, grid, coeff):
+        residual = madelung._hj_residual(terms, grid, coeff)
+        built.append(residual.values.values.copy())
+        return residual
+
+    monkeypatch.setattr(verify, "_hj_residual", spy)
+    verify._check_stationary(
+        entry, _Jet(entry.psi, params, backend), params, backend, lambda *rec, **kw: records.append(rec)
+    )
+    grid, dt = entry.psi.grid, 1e-3
+    phase = np.exp(-1j * 0.7 * dt / params.hbar)
+    triple = (ComplexField(grid, entry.psi.values / phase), entry.psi, ComplexField(grid, entry.psi.values * phase))
+    separate = (
+        spin_hj_residual(triple, dt, None, params, backend=backend).values.values,
+        hj_residual(triple, dt, None, params, backend).values.values,
+    )
+    assert len(built) == 2
+    for got, want in zip(built, separate):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert records[0] == ("spin_hj_vs_standard", 0.0)
+
+
+@pytest.mark.parametrize("report_name", ["spectral_report", "fd2_report"])
+def test_spin_hj_form_equals_the_standard_form_exactly(report_name, request):
+    """s^2/m at s = hbar/2 and hbar^2/4m scale one bracket to the same
+    bits, so every entry's `spin_hj_vs_standard` error is exactly 0.0."""
+    report = request.getfixturevalue(report_name)
+    errors = [
+        rec["error"] for level in report["levels"] for rec in level["checks"] if rec["identity"] == "spin_hj_vs_standard"
+    ]
+    assert len(errors) == 8 * len(report["levels"])
+    assert errors == [0.0] * len(errors)
 
 
 _UNIFORM_SPIN = (
