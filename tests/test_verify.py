@@ -137,8 +137,24 @@ class TestToleranceTable:
         assert tolerance("cross_square", "fd2", h=0.3) == 1e-12
 
 
+@pytest.fixture(scope="class")
+def gaussian_3d_fd2_trace():
+    """Records and traced peak, in real fields of the grid, of one
+    `_check_entry` call on the fd2 3D Gaussian at 32^3.  Traced once and
+    shared by the `TestEntryMemory` bounds."""
+    entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
+    records: list = []
+    tracemalloc.start()
+    try:
+        _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return records, peak / (8 * entry.psi.grid.size)
+
+
 class TestEntryMemory:
-    def test_gaussian_3d_fd2_peak(self):
+    def test_gaussian_3d_fd2_peak(self, gaussian_3d_fd2_trace):
         """Traced peak of one entry's checks, in real fields of its grid (8
         bytes per point): the fd2 3D Gaussian at 32^3, the level whose
         128^3 twin sets the battery's peak memory.  The entry's state is
@@ -163,27 +179,51 @@ class TestEntryMemory:
         The Pauli current's assembly and the Hestenes check, both inside
         `spin_split`, reach within 0.01 field of it.
 
-        Earlier layouts of the same entry, each bound once a test of its
-        own: every section's arrays alive until the entry ends, 65.7
-        fields; the spinor jet's rho s and the scalar jet's lap(sqrt(rho))
-        kept through the velocity split, 41.7, and freed, 37.7 (bound 48
-        and 40); the spin functions called one by one, 37.65, and one
+        Earlier layouts of the same entry: every section's arrays alive
+        until the entry ends, 65.7 fields; the spinor jet's rho s and the
+        scalar jet's lap(sqrt(rho)) kept through the velocity split, 41.7,
+        and freed, 37.7 (bound 48 and 40); the spin functions called one by one, 37.65, and one
         `spin_split` that frees the spinor's state and current once the
         momentum is cached, 35.28 (bound 36.5); the spin section before the
         stationary one, with the scalar jet's derivatives alive (6.13
         fields at its start), 34.29; the section order alone 29.29; and
         with the in-place gaps of `spin_split`, `hestenes_residual` and
         `_check_spin` 28.04 (bound 29.0)."""
-        entry = next(e for e in _battery_entries("fd2", 1) if e.name == "gaussian_3d")
-        records: list = []
-        tracemalloc.start()
-        try:
-            _check_entry(entry, PhysicalParams(), "fd2", None, records, [])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        records, peak_fields = gaussian_3d_fd2_trace
         assert all(rec["passed"] for rec in records)
-        assert peak <= 29.0 * 8 * entry.psi.grid.size
+        assert peak_fields <= 29.0
+
+    def test_gaussian_3d_fd2_peak_without_dead_intermediates(self, gaussian_3d_fd2_trace):
+        """The spinor jet's rho s (3 fields) is freed once curl(rho s) is
+        cached, and the scalar jet's lap(sqrt(rho)) (1) once the two-form
+        check is done, both before the velocity split.  Keeping them
+        measured 41.7 fields; freeing them 37.7."""
+        records, peak_fields = gaussian_3d_fd2_trace
+        assert all(rec["passed"] for rec in records)
+        assert peak_fields <= 40
+
+    def test_gaussian_3d_fd2_peak_with_one_spin_pass(self, gaussian_3d_fd2_trace):
+        """`spin_split` also frees the spinor's state (4 fields) and current
+        (3) once the momentum is cached, so the velocity split no longer
+        sets the peak.  Calling the spin functions one by one measured 37.65
+        fields; the split 35.28."""
+        records, peak_fields = gaussian_3d_fd2_trace
+        assert all(rec["passed"] for rec in records)
+        assert peak_fields <= 36.5
+
+    def test_gaussian_3d_fd2_peak_with_derivatives_freed_before_the_spin_pass(
+        self, gaussian_3d_fd2_trace
+    ):
+        """The stationary section runs before the spin section, so the
+        scalar jet's current, grad(rho), lap(rho) and safe density (8
+        fields) are freed before `spin_split`; `spin_split` and
+        `hestenes_residual` form their gaps and the flux divergence in
+        place, and `_check_spin` the violation gap.  The spin section
+        before the stationary one measured 34.29 fields, the section order
+        alone 29.29, and all of it 28.04."""
+        records, peak_fields = gaussian_3d_fd2_trace
+        assert all(rec["passed"] for rec in records)
+        assert peak_fields <= 29.0
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd2"])
