@@ -174,9 +174,9 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
     outputs = {
         "spin.mzbw": split.spin.s,
         "current.mzbw": split.current,
-        "drift.mzbw": split.velocity.drift,
-        "zbw.mzbw": split.velocity.zbw,
-        "total.mzbw": split.velocity.total,
+        "drift.mzbw": split.drift,
+        "zbw.mzbw": split.zbw,
+        "total.mzbw": split.total,
     }
 
     os.makedirs(out_dir, exist_ok=True)
@@ -198,7 +198,7 @@ def _cmd_spin(cfg: dict, out_dir: str, args) -> int:
                 "passed": bool(constraints_pass),
             },
             "current_consistency_max": split.consistency,
-            "masked_fraction": float(np.mean(split.velocity.node_mask)),
+            "masked_fraction": float(np.mean(split.spin.node_mask)),
             "outputs": sorted(outputs),
         },
     )

@@ -81,9 +81,15 @@ class HestenesResidual:
 
 @dataclass(frozen=True)
 class SpinSplit:
+    """What `spin_split` returns: the fields of `VelocityDecomposition`
+    except the momentum, whose node mask is the spin vector's."""
+
     spin: SpinVector
     current: VectorField  # the Pauli current's total
-    velocity: VelocityDecomposition
+    drift: VectorField  # (p - eA)/m
+    zbw: VectorField  # curl(rho s)/(m rho)
+    total: VectorField  # drift + zbw
+    spin_current: VectorField  # curl(rho s)/m
     consistency: float  # max |rho * total velocity - Pauli current|
     hestenes: HestenesResidual
 
@@ -123,12 +129,7 @@ def pauli_current(
     jet = _jet(psi, params, backend)
     grid = jet.grid
     convective = jet.current / params.mass
-    if vector_potential is None:
-        diamagnetic = _uniform(grid, (0.0, 0.0, 0.0))  # absent term: a read-only zero view
-    else:
-        if vector_potential.grid != grid:
-            raise ValueError("vector potential must live on the wavefunction grid")
-        diamagnetic = VectorField(grid, -(params.charge / params.mass) * vector_potential.values * jet.rho)
+    diamagnetic = _diamagnetic(jet, params, vector_potential)
     total = convective + diamagnetic.values + jet.spin_current
     return PauliCurrent(
         total=VectorField(grid, total),
@@ -148,26 +149,36 @@ def velocity_decomposition(
     curl(rho s)/(m rho).  rho * total reproduces the Pauli current."""
     jet = _jet(psi, params, backend).nonzero()
     grid = jet.grid
-    mask, momentum = jet.mask, jet.momentum
-
-    if vector_potential is None:
-        drift = momentum / params.mass
-    else:
-        if vector_potential.grid != grid:
-            raise ValueError("vector potential must live on the wavefunction grid")
-        drift = (momentum - params.charge * vector_potential.values) / params.mass
-        np.copyto(drift, 0.0, where=mask)
-
+    drift = _drift(jet, params, vector_potential)
     zbw = jet.divided(jet.spin_current)
-
     return VelocityDecomposition(
         drift=VectorField(grid, drift),
         zbw=VectorField(grid, zbw),
         total=VectorField(grid, drift + zbw),
-        momentum=VectorField(grid, momentum),
+        momentum=VectorField(grid, jet.momentum),
         spin_current=VectorField(grid, jet.spin_current),
-        node_mask=mask,
+        node_mask=jet.mask,
     )
+
+
+def _diamagnetic(jet: _Jet, params: PhysicalParams, vector_potential: VectorField | None) -> VectorField:
+    """-(e A / m) rho, or a read-only zero view when A is absent."""
+    if vector_potential is None:
+        return _uniform(jet.grid, (0.0, 0.0, 0.0))
+    if vector_potential.grid != jet.grid:
+        raise ValueError("vector potential must live on the wavefunction grid")
+    return VectorField(jet.grid, -(params.charge / params.mass) * vector_potential.values * jet.rho)
+
+
+def _drift(jet: _Jet, params: PhysicalParams, vector_potential: VectorField | None) -> np.ndarray:
+    """(p - eA)/m, zero on the node mask."""
+    if vector_potential is None:
+        return jet.momentum / params.mass
+    if vector_potential.grid != jet.grid:
+        raise ValueError("vector potential must live on the wavefunction grid")
+    drift = (jet.momentum - params.charge * vector_potential.values) / params.mass
+    np.copyto(drift, 0.0, where=jet.mask)
+    return drift
 
 
 def zbw_velocity_uniform(
@@ -352,20 +363,47 @@ def spin_split(
 ) -> SpinSplit:
     """The scalar state `psi` with the constant spinor `chi` attached, taken
     from the spin density and Pauli current through the velocity split to the
-    Hestenes constraints, in the arithmetic of those public calls.  One jet
-    holds the spinor; each of its intermediates is freed once nothing returned
-    reads it, the state and current once the momentum is cached."""
+    Hestenes constraints, in the arithmetic of those public calls.
+
+    One jet holds the spinor, and each of its intermediates is freed once
+    nothing returned reads it: rho s once curl(rho s)/m is cached, the state
+    once the current is, and the current and momentum once the drift is
+    formed.  The Pauli total is built in one buffer, current/m, then the
+    diamagnetic term and curl(rho s)/m added in place.  The Hestenes check
+    runs before the velocity split, while fewer fields are alive, and the
+    consistency gap rho * total - current is formed one component at a
+    time."""
     jet = _Jet(attach_spinor(psi, chi), params, backend)
     del psi  # freed here if the caller holds no other reference
     spin = spin_density(jet, params)
-    current = pauli_current(jet, params, vector_potential, backend).total
-    jet.drop("rho_s")  # curl(rho s) is cached by now
-    jet.momentum  # cached, so the current and state can go
-    jet.drop("current", "state")
-    velocity = velocity_decomposition(jet, params, vector_potential, backend)
+    jet.spin_current  # cached, so rho s can go
+    jet.drop("rho_s")
+    current = jet.current / params.mass
+    jet.drop("state")  # the jet's current is cached
+    current += _diamagnetic(jet, params, vector_potential).values
+    current += jet.spin_current
+    hestenes = hestenes_residual(spin.rho, spin.s, backend)
+    drift = _drift(jet, params, vector_potential)
+    jet.drop("current", "momentum")
+    zbw = jet.divided(jet.spin_current)
+    total = drift + zbw
+    spin_current = jet.spin_current
     del jet  # its safe density
-    gap = spin.rho.values * velocity.total.values  # rho * total velocity, less the Pauli current
-    gap -= current.values
-    consistency = float(np.max(np.abs(gap, out=gap)))
+    gap = np.empty(total.shape[1:])  # rho * total velocity, less the Pauli current
+    maxima = []
+    for total_c, current_c in zip(total, current):
+        np.multiply(spin.rho.values, total_c, out=gap)
+        gap -= current_c
+        maxima.append(np.max(np.abs(gap, out=gap)))
     del gap
-    return SpinSplit(spin, current, velocity, consistency, hestenes_residual(spin.rho, spin.s, backend))
+    grid = spin.rho.grid
+    return SpinSplit(
+        spin=spin,
+        current=VectorField(grid, current),
+        drift=VectorField(grid, drift),
+        zbw=VectorField(grid, zbw),
+        total=VectorField(grid, total),
+        spin_current=VectorField(grid, spin_current),
+        consistency=float(np.max(maxima)),
+        hestenes=hestenes,
+    )

@@ -180,8 +180,10 @@ def _check_entry(
     the spin section's, so the scalar jet's current, grad(rho), lap(rho) and
     safe density are freed before the spin pass: that section starts with
     only the density and mask alive, and a uniform-spin check that reads a
-    freed derivative computes it again.  The 128^3 fd2 level sets the
-    battery's peak memory."""
+    freed derivative computes it again.  Within the spin section only the
+    fields its checks read outlive `spin_split`.  The 128^3 fd2 level sets
+    the battery's peak memory, now inside the spinor current that
+    `spin_split` forms."""
     grid = entry.psi.grid
     h = float(max(grid.spacing))
 
@@ -239,29 +241,35 @@ def _check_two_forms(jet: _Jet, params: PhysicalParams, backend: str, h: float, 
 def _check_spin(entry: _Entry, jet: _Jet, params: PhysicalParams, backend: str, record, gated_out: list) -> None:
     """The Pauli current against rho * (drift + internal velocity), the
     Hestenes constraints and, where the measured max |grad(rho).s| passes
-    the gate, the uniform-spin route equalities."""
+    the gate, the uniform-spin route equalities.
+
+    Only what these checks read outlives the split: s, curl(rho s)/m, the
+    internal velocity, the consistency value and the grad(rho).s field and
+    maxima.  The Pauli total, drift, their sum, the spinor's density and
+    div(rho s) are freed before div(curl(rho s)/m) is formed."""
     split = spin_split(entry.psi, entry.chi, params, backend=backend)
-    spin_current, zbw = split.velocity.spin_current, split.velocity.zbw
+    s, spin_current, zbw, hest = split.spin.s, split.spin_current, split.zbw, split.hestenes
+    dot_field, div_max, dot_max = hest.grad_rho_dot_s.values, hest.div_max, hest.dot_max
     record("current_decomposition", split.consistency)
+    del split, hest
     record("spin_current_divergence", float(np.max(np.abs(divergence(spin_current, backend).values))))
-    hest = split.hestenes
     if entry.violation:
         # isotropic unit-width Gaussian with spin up: grad(rho).s = -(hbar/2) z rho
         z = jet.grid.coords()[2]
         expected = -(params.hbar / 2.0) * z * jet.rho
-        gap = hest.grad_rho_dot_s.values - expected
+        gap = dot_field - expected
         err = float(np.max(np.abs(gap, out=gap)))
         del gap
-        detected = hest.dot_max >= DETECTION_FRACTION * float(np.max(np.abs(expected)))
+        detected = dot_max >= DETECTION_FRACTION * float(np.max(np.abs(expected)))
         tol = tolerance("spin_constraint_violation_3d", backend, float(max(jet.grid.spacing)))
         record("spin_constraint_violation_3d", err, passed=(err <= tol and detected))
     elif entry.planar:
-        record("spin_constraints_planar", max(hest.div_max, hest.dot_max))
-    if hest.dot_max <= CONSTRAINT_TOL:
-        _check_uniform_spin(entry, jet, split.spin.s, spin_current, zbw, params, backend, record)
+        record("spin_constraints_planar", max(div_max, dot_max))
+    if dot_max <= CONSTRAINT_TOL:
+        _check_uniform_spin(entry, jet, s, spin_current, zbw, params, backend, record)
     else:
         for identity in _UNIFORM_SPIN_IDENTITIES:
-            gated_out.append({"state": entry.name, "identity": identity, "gate_residual": hest.dot_max})
+            gated_out.append({"state": entry.name, "identity": identity, "gate_residual": dot_max})
 
 
 def _check_uniform_spin(
@@ -322,8 +330,10 @@ def _check_stationary(entry: _Entry, jet: _Jet, params: PhysicalParams, backend:
     residuals come from one `hj_terms` call, each in the arithmetic of
     `spin_hj_residual` (s = hbar/2) and `hj_residual`; the first is
     assembled in copies of the phase rate and the bracket, the two buffers
-    the assembly writes."""
+    the assembly writes.  The scalar jet's current, which the kinetic term
+    reads, is formed before the triple's two outer states exist."""
     grid = jet.grid
+    jet.current
     # the phase rotates at e0, everything else frozen
     e0, dt = 0.7, 1e-3
     phase = np.exp(-1j * e0 * dt / params.hbar)

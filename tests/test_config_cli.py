@@ -228,6 +228,29 @@ class TestCliExitCodes:
         assert cli.main(["decompose", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "value", [(0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf)], ids=["im-nan", "re-inf", "im-neg-inf"]
+    )
+    @pytest.mark.parametrize("command", ["decompose", "spin"])
+    def test_non_finite_state_file_exits_2(self, tmp_path, capsys, command, value):
+        """A NaN or an infinity in either part of one point of a state file
+        is a numerical failure for every command that reads it."""
+        grid = Grid((16,), (4.0,))
+        path = tmp_path / "state.mzbw"
+        write_field(str(path), gaussian(grid))
+        raw = bytearray(path.read_bytes())
+        raw[-16:] = struct.pack("<2d", *value)  # the last point, (real, imag)
+        path.write_bytes(bytes(raw))
+        cfg_path = write_config(
+            tmp_path / "run.json",
+            {
+                "grid": {"points": [16], "extent": [4.0]},
+                "state": {"family": "file", "path": str(path)},
+            },
+        )
+        assert cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["decompose", "spin"])
     def test_zero_state_file_exits_2(self, tmp_path, capsys, command):
         grid = Grid((16,), (4.0,))

@@ -15,6 +15,7 @@ from mzbw import (
     ComplexField,
     Grid,
     RealField,
+    SpinorField,
     VectorField,
     cross,
     curl,
@@ -93,6 +94,53 @@ class TestFieldValidation:
         values[3] = np.nan
         with pytest.raises(ValueError, match="finite"):
             RealField(grid, values)
+
+    # (field type, leading shape, dtype, which part holds the bad value)
+    SCAN_CASES = [
+        (RealField, (), float, "real"),
+        (ComplexField, (), complex, "real"),
+        (ComplexField, (), complex, "imag"),
+        (VectorField, (3,), float, "real"),
+        (VectorField, (3,), complex, "real"),
+        (VectorField, (3,), complex, "imag"),
+        (SpinorField, (2,), complex, "real"),
+        (SpinorField, (2,), complex, "imag"),
+    ]
+    SCAN_IDS = ["real", "complex-re", "complex-im", "vector", "cvector-re", "cvector-im", "spinor-re", "spinor-im"]
+
+    @staticmethod
+    def scan_values(lead, dtype, part, bad, layout):
+        """Values of a 4x6 grid field, all 1 but the last point of the last
+        component: contiguous, a strided slice, or a stride-0 broadcast of
+        one point per component."""
+        grid = Grid((4, 6), (4.0, 6.0))
+        points = {"contiguous": grid.shape, "strided": (4, 12), "broadcast": (1, 1)}[layout]
+        values = np.ones(lead + points, dtype=dtype)
+        last = (-1,) * len(lead) + (-1, -2 if layout == "strided" else -1)  # kept by the ::2 slice
+        if dtype is float:
+            values[last] = bad
+        else:
+            values[last] = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
+        if layout == "strided":
+            values = values[..., ::2]
+        elif layout == "broadcast":
+            values = np.broadcast_to(values, lead + grid.shape)
+        return grid, values
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "broadcast"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("cls, lead, dtype, part", SCAN_CASES, ids=SCAN_IDS)
+    def test_non_finite_in_either_part_rejected(self, cls, lead, dtype, part, bad, layout):
+        grid, values = self.scan_values(lead, dtype, part, bad, layout)
+        with pytest.raises(ValueError, match="non-finite"):
+            cls(grid, values)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "broadcast"])
+    @pytest.mark.parametrize("cls, lead, dtype, part", SCAN_CASES, ids=SCAN_IDS)
+    def test_finite_values_accepted_in_every_layout(self, cls, lead, dtype, part, layout):
+        grid, values = self.scan_values(lead, dtype, part, 2.0, layout)
+        field = cls(grid, values)
+        assert field.values.shape == values.shape and np.array_equal(field.values, values)
 
     def test_vector_needs_three_components(self):
         grid = Grid((8,), (4.0,))

@@ -578,8 +578,10 @@ def test_spinor_quantities_match_reference(dims, backend, nodes, shared, with_a)
 @pytest.mark.parametrize("dims, backend, nodes", CASES)
 @pytest.mark.parametrize("with_a", [False, True], ids=["no-A", "uniform-A"])
 def test_spin_split_matches_the_separate_calls(dims, backend, nodes, with_a):
-    """`spin_split` frees intermediates as it goes; what it returns equals
-    the public calls made one by one, each on the spinor field itself."""
+    """`spin_split` frees intermediates as it goes, builds the Pauli total
+    in one buffer and the consistency gap one component at a time; what it
+    returns equals the public calls made one by one, each on the spinor
+    field itself."""
     psi = scalar_state(dims, nodes)
     chi = constant_spinor(0.8, 0.3)
     a = uniform_a(psi.grid) if with_a else None
@@ -593,11 +595,11 @@ def test_spin_split_matches_the_separate_calls(dims, backend, nodes, with_a):
     consistency = np.max(np.abs(rho_total_current(decomp, sv.rho).values - current.values))
 
     assert same(split.spin.s.values, sv.s.values) and same(split.spin.rho.values, sv.rho.values)
-    assert same(split.spin.node_mask, sv.node_mask) and same(split.velocity.node_mask, decomp.node_mask)
+    assert same(split.spin.node_mask, sv.node_mask) and same(split.spin.node_mask, decomp.node_mask)
     assert bool(np.any(decomp.node_mask)) == nodes
     assert same(split.current.values, current.values)
-    for name in ("drift", "zbw", "total", "momentum", "spin_current"):
-        assert same(getattr(split.velocity, name).values, getattr(decomp, name).values), name
+    for name in ("drift", "zbw", "total", "spin_current"):
+        assert same(getattr(split, name).values, getattr(decomp, name).values), name
     assert same(split.consistency, consistency)
     assert same(split.hestenes.div_rho_s.values, hest.div_rho_s.values)
     assert same(split.hestenes.grad_rho_dot_s.values, hest.grad_rho_dot_s.values)

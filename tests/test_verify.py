@@ -163,21 +163,24 @@ class TestEntryMemory:
         `_check_entry` runs the two-form check, the stationary section and
         then the spin section, and frees the scalar jet's current,
         grad(rho), lap(rho) and safe density between the last two.  Peaks
-        per section: two-form 12.89, stationary 26.03 (both HJ residuals
-        from one set of terms, with copies of the two buffers the assembly
-        writes; two separate calls measured 24.03), spin 28.04 and
-        cross-square 11.02 fields.  The spin section starts with 1.14
-        fields alive: the jet's density and mask.  At the peak, 28.04
-        fields, inside `divergence(curl(rho s)/m)` in `_check_spin`, these
-        are alive:
+        per section: two-form 12.90, stationary 21.53 (the scalar jet's
+        current formed before the triple's two outer states; both HJ
+        residuals from one set of terms, with copies of the two buffers
+        the assembly writes), spin 23.78 and cross-square 11.02 fields.
+        The spin section starts with 1.14 fields alive: the jet's density
+        and mask.  At the peak, 23.78 fields, inside the spinor jet's
+        current in `spin_split`, these are alive:
         * the scalar jet's density and mask, 1.13;
-        * the split's spin vector 3, spinor density 1, Pauli total 3,
-          drift, internal velocity, their sum, momentum and curl(rho s)/m
-          15, and the two Hestenes residuals 2, so 24 fields and the
-          spinor's mask;
-        * the divergence's running sum and one axis derivative.
-        The Pauli current's assembly and the Hestenes check, both inside
-        `spin_split`, reach within 0.01 field of it.
+        * the spinor's state 4, spin vector 3, density, mask and safe
+          density 2.13, and curl(rho s)/m 3;
+        * the current's output 3, one conjugate 2, two axis derivatives 4
+          and the fd2 last-axis stencil's temporary 1.5.
+        The velocity split and the consistency gap reach 23.27 and 23.28
+        (the split's 21 fields: spin vector, density, Pauli total, drift,
+        internal velocity, their sum, curl(rho s)/m and the two Hestenes
+        residuals), the Hestenes check 20.03, and
+        `divergence(curl(rho s)/m)` in `_check_spin`, after the split is
+        dropped, 13.90.
 
         Earlier layouts of the same entry: every section's arrays alive
         until the entry ends, 65.7 fields; the spinor jet's rho s and the
@@ -188,7 +191,8 @@ class TestEntryMemory:
         stationary one, with the scalar jet's derivatives alive (6.13
         fields at its start), 34.29; the section order alone 29.29; and
         with the in-place gaps of `spin_split`, `hestenes_residual` and
-        `_check_spin` 28.04 (bound 29.0)."""
+        `_check_spin` 28.04 (bound 29.0); with a split that holds only
+        what its readers use 23.78 (bound 25.5)."""
         records, peak_fields = gaussian_3d_fd2_trace
         assert all(rec["passed"] for rec in records)
         assert peak_fields <= 29.0
@@ -224,6 +228,22 @@ class TestEntryMemory:
         records, peak_fields = gaussian_3d_fd2_trace
         assert all(rec["passed"] for rec in records)
         assert peak_fields <= 29.0
+
+
+    def test_gaussian_3d_fd2_peak_with_a_split_that_holds_only_what_its_readers_use(
+        self, gaussian_3d_fd2_trace
+    ):
+        """`spin_split` holds no momentum, builds the Pauli total in one
+        buffer, forms the consistency gap one component at a time and runs
+        the Hestenes check before the velocity split; `_check_spin` drops
+        the split, all but s, curl(rho s)/m, the internal velocity and the
+        grad(rho).s field, before `divergence(curl(rho s)/m)`; the
+        stationary section forms the scalar jet's current before the
+        triple's outer states.  The split holding 24 fields measured 28.04,
+        and all of it 23.78."""
+        records, peak_fields = gaussian_3d_fd2_trace
+        assert all(rec["passed"] for rec in records)
+        assert peak_fields <= 25.5
 
 
 @pytest.mark.parametrize("backend", ["spectral", "fd2"])
