@@ -61,8 +61,9 @@ class _Jet:
     """A ComplexField, SpinorField or bare density RealField and its real
     intermediates, each computed on first use and kept (never complex grad psi).
     A window over a series may also set `phase_in`, the phase increment into
-    this state from the previous jet's, and `keep`, the region its residual
-    sups are taken over (see `residual_sups`)."""
+    this state from the previous jet's, `keep`, the region its residual sups
+    are taken over, and the three real fields its residuals read (see
+    `residual_sups` and `_own_work`)."""
 
     def __init__(self, state, params: PhysicalParams | None, backend: str | None):
         if backend is not None:
@@ -122,24 +123,21 @@ class _Jet:
     def current(self) -> np.ndarray:
         """j_a = hbar Im(psi^dag d_a psi) = rho p_a, smooth through nodes.
 
-        One conjugate per component; conj(c) d_a c is formed in the
-        derivative's buffer.  A spinor's row is hbar ((0 + up) + down), a
-        scalar's hbar times its one part, with no zero added (0 + -0.0
-        would be +0.0)."""
+        conj(c) d_a c is formed in the derivative's buffer slab by slab
+        (`_conj_product`), so no whole conjugate is held.  A spinor's row is
+        hbar ((0 + up) + down), a scalar's hbar times its one part, with no
+        zero added (0 + -0.0 would be +0.0)."""
         spinor = isinstance(self.state, SpinorField)
         comps = self.state.values if spinor else (self.state.values,)
         out = np.zeros((3,) + self.grid.shape)
         rows = out[: self.grid.dims]
         for c in comps:
-            conj = np.conj(c)
             for axis, row in enumerate(rows):
-                d = _axis_derivative(c, self.grid, axis, self.backend)
-                part = np.multiply(conj, d, out=d).imag
+                part = _conj_product(c, _axis_derivative(c, self.grid, axis, self.backend)).imag
                 if spinor:
                     row += part
                 else:
                     np.multiply(self.params.hbar, part, out=row)
-            del conj
         if spinor:
             rows *= self.params.hbar
         return out
@@ -178,6 +176,21 @@ class _Jet:
     def spin_current(self) -> np.ndarray:
         """curl(rho s)/m, the divergence-free magnetization current of a spinor."""
         return curl(VectorField(self.grid, self.rho_s), self.backend).values / self.params.mass
+
+
+def _conj_product(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """conj(c) * d written into d and returned: for 2D and 3D one slab along
+    axis 0 at a time, so that no whole conjugate is held, and in 1D whole.
+    The product goes through a buffer of its own, then into d: numpy's
+    in-place product of one element skips the vector loop and rounds
+    differently."""
+    slabs = zip(c, d) if c.ndim > 1 else ((c, d),)
+    shape = c.shape[1:] if c.ndim > 1 else c.shape
+    conj, prod = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for cs, ds in slabs:
+        np.multiply(np.conjugate(cs, out=conj), ds, out=prod)
+        ds[...] = prod
+    return d
 
 
 def _jet(state, params: PhysicalParams | None = None, backend: str | None = None) -> _Jet:
@@ -390,23 +403,24 @@ def continuity_residual(
 def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams, backend: str = "spectral"):
     """Sups of |phase residual| and |continuity residual| at each interior
     snapshot of a series, over the points where |psi|^2 >= REGION_EPS times
-    its maximum, so tail roundoff does not dominate.
+    its maximum, so tail roundoff does not dominate.  The sups are those of
+    `hj_residual` and `continuity_residual` on each triple, bit for bit.
 
     `snapshots` yields `Snapshot`s at a uniform spacing: a ValueError is
     raised when a spacing differs from the first by more than 1e-9 of it.
     One pass keeps a window of three jets, so each snapshot's density and
-    mask are computed once and the middle one's derivatives are shared by
-    both residuals.  A snapshot with a successor gets everything that
-    depends on it alone (mask, region, current, grad(rho), lap(rho)) as it
-    arrives, which on a stream overlaps the propagation of the next one.
-    Whether it has one is read from the series' `times` (a `SnapshotSeries`,
-    a `SnapshotStream` or `fieldio.stream_snapshot_series`); an iterable
-    without them gets that work for its last snapshot too, giving the same
-    sups.  The phase increment into each snapshot is computed once, as it
-    arrives, and its jet keeps it for the two triples that read it.  A
-    jet's state is freed once the increment out of it exists.  Returns two
-    lists with one entry per interior snapshot, empty for fewer than three
-    snapshots."""
+    mask are computed once.  A snapshot with a successor gets everything
+    that depends on it alone as it arrives, which on a stream overlaps the
+    propagation of the next one: its mask and, for an interior snapshot,
+    the region and the three real fields its residuals read (see
+    `_own_work`).  Whether it has one is read from the series' `times` (a
+    `SnapshotSeries`, a `SnapshotStream` or
+    `fieldio.stream_snapshot_series`); an iterable without them gets that
+    work for its last snapshot too, giving the same sups.  The phase
+    increment into each snapshot is computed once, as it arrives, and its
+    jet keeps it for the two triples that read it.  A jet's state is freed
+    once the increment out of it exists.  Returns two lists with one entry
+    per interior snapshot, empty for fewer than three snapshots."""
     count = len(snapshots.times) if hasattr(snapshots, "times") else None
     phase_sup, continuity_sup = [], []
     window, dt, last_time = [], None, None
@@ -430,7 +444,7 @@ def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams
             hj_sup, ct_sup = _sups(window, dt, potential, params, backend)
             phase_sup.append(hj_sup)
             continuity_sup.append(ct_sup)
-            window[1].drop("keep", "current")  # the next triples read only its density and mask
+            window[1].drop("keep", "div_flux")  # the next triples read only its density and mask
             window = window[1:]
         if count is None or index + 1 < count:
             _own_work(jet, middle=index > 0)
@@ -440,27 +454,73 @@ def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams
 def _own_work(jet: _Jet, middle: bool) -> None:
     """What the window needs of one snapshot alone, computed while its state
     is there: the mask and, for a middle snapshot, the region its sups are
-    taken over (`keep`), its current, grad(rho) and lap(rho)."""
+    taken over (`keep`) and the three real fields its residuals read, each
+    formed by the operations of `hj_terms` and `continuity_residual` in
+    their order:
+    * `bracket`, (1/2) sum_a (d_a rho/safe)^2 - lap(rho)/safe;
+    * `kinetic`, sum_a (j_a/safe)^2 / 2m;
+    * `div_flux`, sum_a d_a(j_a/m).
+    The density's derivatives come first, then one complex derivative of
+    psi and one j_a per axis, so no vector is held.  `safe` is the jet's
+    own, not the triple's union-mask one; the two differ only where the
+    union mask zeroes the phase residual.  Each d_a rho is scanned for
+    non-finite values and raises a ValueError, as the VectorField that
+    `hj_residual` builds of grad(rho) does."""
     jet.mask
-    if middle:
-        rho = np.abs(jet.state.values) ** 2  # not the jet's rho: it rounds differently, moving the region
-        jet.keep = rho >= REGION_EPS * rho.max()
-        del rho
-        jet.current, jet.grad_rho, jet.lap_rho
+    if not middle:
+        return
+    psi, grid, backend, params = jet.state.values, jet.grid, jet.backend, jet.params
+    rho = np.abs(psi) ** 2  # not the jet's rho: it rounds differently, moving the region
+    jet.keep = rho >= REGION_EPS * rho.max()
+    del rho
+    safe = np.where(jet.mask, 1.0, jet.rho)
+    bracket = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        d = _axis_derivative(jet.rho, grid, axis, backend)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("grad(rho) contains non-finite values")
+        d /= safe
+        bracket += np.square(d, out=d)
+    del d
+    bracket *= 0.5
+    lap = _laplacian_values(jet.rho, grid, backend)
+    lap /= safe
+    bracket -= lap
+    del lap
+    kinetic, div_flux = np.zeros(grid.shape), np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        j = np.multiply(params.hbar, _conj_product(psi, _axis_derivative(psi, grid, axis, backend)).imag)
+        div_flux += _axis_derivative(j / params.mass, grid, axis, backend)
+        j /= safe
+        kinetic += np.multiply(j, j, out=j)
+    kinetic /= 2.0 * params.mass
+    jet.bracket, jet.kinetic, jet.div_flux = bracket, kinetic, div_flux
 
 
 def _sups(window, dt, potential, params, backend) -> tuple[float, float]:
-    """The two residual sups of one (prev, mid, next) window, each taken as
-    soon as its residual exists; the continuity residual runs without the
-    bracket's derivatives."""
-    mid = window[1]
-    hj = _sup(hj_residual(window, dt, potential, params, backend), mid.keep)
-    mid.drop("grad_rho", "lap_rho")
-    return hj, _sup(continuity_residual(window, dt, params, backend), mid.keep)
+    """The two residual sups of one (prev, mid, next) window, assembled from
+    the middle jet's terms as `_hj_residual` and `continuity_residual` do,
+    each taken as soon as its residual exists; the continuity residual runs
+    without the HJ terms."""
+    prev, mid, nxt = _triple_jet(window, dt, params, backend)
+    mask = mid.mask | prev.mask | nxt.mask
+    terms = (
+        _phase_rate(prev, mid, nxt, dt, mask, params.hbar),
+        mid.kinetic,
+        mid.bracket,
+        np.zeros(mid.grid.shape) if potential is None else potential.values,
+        mask,
+    )
+    mid.drop("kinetic", "bracket")
+    hj = _sup(_hj_residual(terms, mid.grid, (params.hbar * params.hbar) / (4.0 * params.mass)).values, mid.keep)
+    del terms
+    drho_dt = (nxt.rho - prev.rho) / (2.0 * dt)
+    drho_dt += mid.div_flux
+    return hj, _sup(RealField(mid.grid, drho_dt), mid.keep)
 
 
-def _sup(residual: ResidualField, keep: np.ndarray) -> float:
-    values = residual.values.values
+def _sup(field: RealField, keep: np.ndarray) -> float:
+    values = field.values
     return float(np.max(np.abs(values, out=values), where=keep, initial=0.0))
 
 

@@ -18,6 +18,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mzbw import (
     ComplexField,
@@ -57,7 +59,7 @@ from mzbw import (
     zbw_velocity_uniform,
 )
 from mzbw.fields import _axis_derivative, _laplacian_values
-from mzbw.madelung import _Jet, node_mask
+from mzbw.madelung import _conj_product, _Jet, node_mask
 from mzbw.spinhydro import spin_split
 from mzbw.trajectories import _build_table, _VelocityTable
 
@@ -447,6 +449,43 @@ def test_complex_spectral_cores_match_reference(grid):
     for axis in range(grid.dims):
         assert same(_axis_derivative(values, grid, axis, "spectral"), ref_axis_derivative(values, grid, axis, "spectral"))
     assert same(_laplacian_values(values, grid, "spectral"), ref_laplacian(values, grid, "spectral"))
+
+
+def complex_layout(rng, shape, layout):
+    """Random complex values of `shape`, held as a contiguous array, as a view
+    with stride 2 along every axis, or as one component of a spinor array.
+    Magnitudes span many binades, so that a rounding difference would show."""
+
+    def draw(full):
+        scale = 2.0 ** rng.integers(-40, 40, full)
+        return scale * (rng.standard_normal(full) + 1j * rng.standard_normal(full))
+
+    if layout == "strided":
+        return draw(tuple(2 * n + 1 for n in shape))[tuple(slice(1, None, 2) for _ in shape)]
+    if layout == "spinor":
+        return draw((2,) + shape)[int(rng.integers(2))]
+    return draw(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 9), min_size=1, max_size=3).map(tuple),
+    c_layout=st.sampled_from(["contiguous", "strided", "spinor"]),
+    d_layout=st.sampled_from(["contiguous", "strided", "spinor"]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_conj_product_is_the_whole_array_product(shape, c_layout, d_layout, seed):
+    # slab by slab, conj(c) d must round as the whole-array product does,
+    # odd sizes and one-element slabs included: an in-place product of one
+    # element takes numpy's scalar loop, which rounds differently
+    rng = np.random.default_rng(seed)
+    c, d = complex_layout(rng, shape, c_layout), complex_layout(rng, shape, d_layout)
+    c_before = c.copy()
+    want = np.multiply(np.conj(c), d)
+    got = _conj_product(c, d)
+    assert got is d
+    assert same(np.ascontiguousarray(got), want)
+    assert same(c, c_before)
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +886,8 @@ def test_spin_command_peak(tmp_path, backend):
 
 
 def test_evolve_residual_triple_fft_count(tmp_path, fft_calls):
-    """One residual triple costs 20 transforms: the current (6), grad rho (6)
-    and lap rho (2) of the shared middle jet, and the flux divergence (6)."""
+    """One residual triple costs 20 transforms, all on the middle snapshot:
+    its current (6), grad rho (6), lap rho (2) and flux divergence (6)."""
     evolution = {"dt": 1e-3, "steps": 2, "snapshot_stride": 1}
     assert _run(tmp_path, "evolve", dict(BASE_3D, evolution=evolution), "plain") == 0
     plain = fft_calls["calls"]

@@ -36,6 +36,7 @@ from mzbw import (
     advect,
     cli,
     continuity_residual,
+    gaussian,
     harmonic_potential,
     hj_residual,
     iter_propagate,
@@ -43,7 +44,7 @@ from mzbw import (
     random_smooth_state,
     zbw_velocity_uniform,
 )
-from mzbw import evolve
+from mzbw import evolve, madelung
 from mzbw.evolve import SnapshotStream, observables
 from mzbw.fieldio import read_json, stream_snapshot_series
 from mzbw.fields import _laplacian_values
@@ -508,6 +509,82 @@ def test_residual_sups_reject_a_nonuniform_spacing():
         residual_sups(series, None, PARAMS)
 
 
+MOVING_MASK_GRIDS = {1: Grid((256,), (48.0,)), 2: Grid((64, 64), (24.0, 24.0)), 3: Grid((32, 32, 32), (14.0,) * 3)}
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+@pytest.mark.parametrize("backend", ["spectral", "fd2"])
+@pytest.mark.parametrize("potential", [False, True], ids=["free", "harmonic"])
+def test_window_sups_equal_the_public_residuals_where_the_masks_move(dims, backend, potential, monkeypatch):
+    # the window divides its terms by the middle jet's own safe density and
+    # `hj_residual` by the triple's union-mask one; a narrow boosted Gaussian
+    # in a wide box moves its node mask between snapshots, so the two differ
+    # at some points of every triple, and the union mask must zero them all.
+    # Those points lie outside the sups' region, so the whole residual
+    # fields the window takes its sups of are compared too
+    grid = MOVING_MASK_GRIDS[dims]
+    pot = harmonic_potential(grid, 0.4, params=PARAMS) if potential else None
+    psi = gaussian(grid, sigma=0.8, center=-1.0, boost=5.0, params=PARAMS)
+    series = propagate(psi, EvolutionConfig(dt=5e-3, steps=30, snapshot_stride=10, potential=pot, params=PARAMS))
+    masks = [_Jet(state, PARAMS, backend).mask for state in series.states]
+    for prev, mid, nxt in zip(masks, masks[1:], masks[2:]):
+        assert np.any((prev | nxt) & ~mid)
+
+    fields = []
+    sup = madelung._sup
+
+    def recording(field, keep):
+        fields.append(field.values.copy())
+        return sup(field, keep)
+
+    monkeypatch.setattr(madelung, "_sup", recording)
+    got = residual_sups(series, pot, PARAMS, backend)
+    assert len(got[0]) == 2
+    assert same(got, triple_loop_sups(series, pot, backend))
+    dt = float(series.times[1] - series.times[0])
+    states = series.states
+    for i in range(1, len(states) - 1):
+        triple = (states[i - 1], _Jet(states[i], PARAMS, backend), states[i + 1])
+        assert same(fields[2 * i - 2], hj_residual(triple, dt, pot, PARAMS, backend).values.values)
+        assert same(fields[2 * i - 1], continuity_residual(triple, dt, PARAMS, backend).values.values)
+
+
+def poison_density_derivative(monkeypatch):
+    """Make madelung's axis derivative of a real field, such as d_a rho,
+    return an infinity at its first point."""
+    derivative = madelung._axis_derivative
+
+    def poisoned(values, grid, axis, backend):
+        out = derivative(values, grid, axis, backend)
+        if not np.iscomplexobj(values):
+            out[(0,) * out.ndim] = np.inf
+        return out
+
+    monkeypatch.setattr(madelung, "_axis_derivative", poisoned)
+
+
+def test_window_rejects_a_non_finite_density_derivative(monkeypatch):
+    poison_density_derivative(monkeypatch)
+    psi, config = small_run(5, dims=2)
+    with pytest.raises(ValueError, match=r"grad\(rho\) contains non-finite values"):
+        residual_sups(iter_propagate(psi, config), None, PARAMS)
+
+
+def test_evolve_exits_2_on_a_non_finite_density_derivative(tmp_path, capsys, monkeypatch):
+    poison_density_derivative(monkeypatch)
+    cfg = {
+        "grid": {"points": [32, 32], "extent": [16.0, 16.0]},
+        "state": {"family": "gaussian", "sigma": 1.0},
+        "evolution": {"dt": 1e-3, "steps": 4, "residuals": True},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 2
+    assert "grad(rho) contains non-finite values" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_table_window_only_moves_forward():
     psi, config = small_run(6)
     table, times = _build_table(iter_propagate(psi, config), "drift", None, PARAMS, "spectral", 4)
@@ -579,17 +656,20 @@ class TestStreamMemory:
 
     Residual sups through the stream:
     * held, 1.5 S: the phase factor and |k|^2;
-    * the window at its heaviest step, the middle snapshot's phase residual,
-      7 S: the next state S (each state is freed once the phase increment
-      out of it exists, and an interior snapshot's density, mask, current
-      and derivatives were computed as it arrived), three densities 1.5 S,
-      the kept phase increments into the middle and next snapshots S, the
-      middle one's current, grad(rho) and lap(rho) 3.5 S;
+    * the window at its heaviest step, an interior snapshot's own work as
+      it arrives, 6 S: its state S (each state is freed once the phase
+      increment out of it exists), the previous density and the kept phase
+      increment into it S, its density and safe density S, the three real
+      fields its residuals read (kinetic term, bracket, flux divergence)
+      1.5 S, and one axis of its current with that axis's flux and the
+      flux's transform 1.5 S; no vector of the snapshot is held;
     * the read-ahead, 2.5 S, as above;
-    * one window's residual temporaries, 4 S, and a margin of 3 S.
-    Bound: 18 S; over 20 runs the traced peak read 12.4 to 14.4 S, and over
-    20 runs 12.4 to 14.9 S when the window worked on the middle snapshot
-    only once the next one had arrived.
+    * a margin of 8 S, since the bound was set when the window held the
+      middle snapshot's current, grad(rho) and lap(rho) (3.5 S).
+    Bound: 18 S.  Holding those three, the traced peak read 12.4 to 14.4 S
+    over 20 runs, and 12.4 to 14.9 S when the window worked on the middle
+    snapshot only once the next one had arrived; holding the three real
+    fields instead, 9.7 to 11.3 S over 18 runs.
 
     Both peaks also move with how the worker's and the reader's allocations
     interleave, not only with the inputs: identical runs spread over
@@ -628,6 +708,26 @@ class TestStreamMemory:
         assert peak <= 18 * self.S
 
 
+EVOLVE_48 = {
+    "grid": {"points": [48, 48, 48], "extent": [16.0, 16.0, 16.0]},
+    "state": {"family": "gaussian", "sigma": 1.5},
+    "potential": {"family": "harmonic", "omega": 0.5},
+    "evolution": {"dt": 1e-2, "steps": 40, "snapshot_stride": 4, "residuals": True},
+}
+
+
+def evolve_48_peak(tmp_path, monkeypatch, backend):
+    """Traced peak of the 48^3 `EVOLVE_48` command in real fields R of the
+    grid, with the read-ahead run inside `submit` (InlineExecutor)."""
+    monkeypatch.setattr(evolve, "ThreadPoolExecutor", InlineExecutor)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(EVOLVE_48))
+    argv = ["evolve", "--config", str(path), "--out", str(tmp_path / "out"), "--backend", backend]
+    code, peak = traced_peak(lambda: cli.main(argv))
+    assert code == 0
+    return peak / (8 * 48**3)
+
+
 def test_evolve_command_works_on_each_snapshot_as_it_arrives(tmp_path, monkeypatch):
     # a 48^3 evolve with residuals, in units of one real field R.  With the
     # worker thread the traced peak moved with the threads' interleaving:
@@ -637,20 +737,20 @@ def test_evolve_command_works_on_each_snapshot_as_it_arrives(tmp_path, monkeypat
     # snapshot arrives, and 29.7 and 30.0 R in 2 of 12 runs on a loaded
     # host.  The read-ahead now runs inside `submit` (InlineExecutor), so
     # the peak is the reader's heaviest step with the next snapshot held:
-    # 27.84 R in a fresh process, 27.68 R when a run before it warmed numpy
-    monkeypatch.setattr(evolve, "ThreadPoolExecutor", InlineExecutor)
-    cfg = {
-        "grid": {"points": [48, 48, 48], "extent": [16.0, 16.0, 16.0]},
-        "state": {"family": "gaussian", "sigma": 1.5},
-        "potential": {"family": "harmonic", "omega": 0.5},
-        "evolution": {"dt": 1e-2, "steps": 40, "snapshot_stride": 4, "residuals": True},
-    }
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
-    argv = ["evolve", "--config", str(path), "--out", str(tmp_path / "out")]
-    code, peak = traced_peak(lambda: cli.main(argv))
-    assert code == 0
-    assert peak <= 28.5 * 8 * 48**3
+    # 27.84 R in a fresh process, 27.68 R when a run before it warmed numpy.
+    # The window's own bound is in the test below
+    assert evolve_48_peak(tmp_path, monkeypatch, "spectral") <= 28.5
+
+
+@pytest.mark.parametrize("backend", ["spectral", "fd2"])
+def test_evolve_window_reduces_each_snapshot_to_its_residual_terms(tmp_path, monkeypatch, backend):
+    # the run above on both backends.  Holding the middle snapshot's current
+    # (3 R), grad(rho) (3 R) and lap(rho) (1 R) into its triple, the peak
+    # read 27.84 R on both, inside the triple's sups.  Reducing the snapshot
+    # to its three residual terms one axis at a time, as it arrives, moves
+    # the peak into that reduction: 21.63 R (spectral) and 21.59 R (fd2) in
+    # a fresh process
+    assert evolve_48_peak(tmp_path, monkeypatch, backend) <= 22.5
 
 
 def test_trajectories_command_frees_the_initial_state(tmp_path, monkeypatch):
