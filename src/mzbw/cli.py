@@ -131,8 +131,9 @@ def _cmd_decompose(cfg: dict, out_dir: str, args) -> int:
 
     jet = _Jet(psi, params, args.backend)
     md = decompose(jet, params, args.backend)
-    qp = quantum_potential(jet, params, args.backend)
+    # koenig_energy caches grad(rho), whose rows the quantum potential's bracket reads
     budget = koenig_energy(jet, potential, params, chi=cfgmod.build_spinor(cfg), backend=args.backend)
+    qp = quantum_potential(jet, params, args.backend)
 
     os.makedirs(out_dir, exist_ok=True)
     outputs = {

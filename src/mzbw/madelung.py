@@ -25,6 +25,10 @@ to computing each quantity alone.  The jet also owns the per-state rules:
 it checks the backend it is given, `nonzero()` rejects an identically zero
 density, and `divided(flux)` divides by rho and zeroes the node mask, which
 gives the momentum p = j / rho.
+
+The four terms the residuals and energies are built from, (grad rho/rho)^2,
+the log-form bracket, (j/rho)^2/2m and div(j/m), come from `_Jet.terms`, which
+reads the rows the jet holds and forms the others one axis at a time.
 """
 
 from __future__ import annotations
@@ -59,11 +63,11 @@ def node_mask(rho_values: np.ndarray) -> np.ndarray:
 
 class _Jet:
     """A ComplexField, SpinorField or bare density RealField and its real
-    intermediates, each computed on first use and kept (never complex grad psi).
+    intermediates, each computed on first use and kept (never complex grad
+    psi); `terms` reduces them to residual terms and keeps nothing it forms.
     A window over a series may also set `phase_in`, the phase increment into
     this state from the previous jet's, `keep`, the region its residual sups
-    are taken over, and the three real fields its residuals read (see
-    `residual_sups` and `_own_work`)."""
+    are taken over, and its `kinetic`, `bracket` and `div_flux` (`_own_work`)."""
 
     def __init__(self, state, params: PhysicalParams | None, backend: str | None):
         if backend is not None:
@@ -121,37 +125,92 @@ class _Jet:
 
     @cached_property
     def current(self) -> np.ndarray:
-        """j_a = hbar Im(psi^dag d_a psi) = rho p_a, smooth through nodes.
-
-        conj(c) d_a c is formed in the derivative's buffer slab by slab
-        (`_conj_product`), so no whole conjugate is held.  A spinor's row is
-        hbar ((0 + up) + down), a scalar's hbar times its one part, with no
-        zero added (0 + -0.0 would be +0.0)."""
-        spinor = isinstance(self.state, SpinorField)
-        comps = self.state.values if spinor else (self.state.values,)
+        """j_a = hbar Im(psi^dag d_a psi) = rho p_a, smooth through nodes."""
         out = np.zeros((3,) + self.grid.shape)
-        rows = out[: self.grid.dims]
-        for c in comps:
-            for axis, row in enumerate(rows):
-                part = _conj_product(c, _axis_derivative(c, self.grid, axis, self.backend)).imag
-                if spinor:
-                    row += part
-                else:
-                    np.multiply(self.params.hbar, part, out=row)
-        if spinor:
-            rows *= self.params.hbar
+        for axis, row in enumerate(out[: self.grid.dims]):
+            self._current_row(axis, row)
         return out
+
+    def _current_row(self, axis: int, row: np.ndarray) -> np.ndarray:
+        """j_a written into the zeroed `row`, conj(c) d_a c formed slab by slab
+        (`_conj_product`).  A spinor's row is hbar ((0 + up) + down), a
+        scalar's hbar times its one part, with no zero added (0 + -0.0
+        would be +0.0)."""
+        spinor = isinstance(self.state, SpinorField)
+        for c in self.state.values if spinor else (self.state.values,):
+            part = _conj_product(c, _axis_derivative(c, self.grid, axis, self.backend)).imag
+            if spinor:
+                row += part
+            else:
+                np.multiply(self.params.hbar, part, out=row)
+        if spinor:
+            row *= self.params.hbar
+        return row
 
     @cached_property
     def grad_rho(self) -> VectorField:
         return gradient(RealField(self.grid, self.rho), self.backend)
 
-    def grad_sq(self, safe: np.ndarray | None = None) -> np.ndarray:
-        """sum_a (d_a rho)^2, or sum_a (d_a rho / safe)^2, added axis by axis onto zero."""
+    def grad_sq(self) -> np.ndarray:
+        """sum_a (d_a rho)^2, added axis by axis onto zero."""
         total = np.zeros(self.grid.shape)
         for d in self.grad_rho.values[: self.grid.dims]:
-            total = total + (d * d if safe is None else (d / safe) ** 2)
+            total = total + d * d
         return total
+
+    def _row(self, name: str, axis: int = 0) -> np.ndarray:
+        """Row `axis` of "grad_rho", "current" or "lap_rho" (one row), in an
+        array of its own: a copy of the jet's row if it holds `name`, else
+        that row formed alone.  A d_a rho formed here is scanned for
+        non-finite values, as the VectorField of a held grad(rho) is."""
+        held = self.__dict__.get(name)
+        if held is not None:
+            row = held if name == "lap_rho" else (held.values if name == "grad_rho" else held)[axis]
+            return row.copy()
+        if name == "current":
+            return self._current_row(axis, np.zeros(self.grid.shape))
+        if name == "lap_rho":
+            return _laplacian_values(self.rho, self.grid, self.backend)
+        d = _axis_derivative(self.rho, self.grid, axis, self.backend)
+        if not np.all(np.isfinite(d)):
+            raise ValueError("grad(rho) contains non-finite values")
+        return d
+
+    def terms(self, *names: str) -> tuple:
+        """The named terms, in the order named, each added one axis at a
+        time onto zero and divided by this jet's safe density:
+        * "grad_sq", sum_a (d_a rho/safe)^2;
+        * "bracket", (1/2) grad_sq - lap(rho)/safe, the log-form bracket;
+        * "kinetic", sum_a (j_a/safe)^2 / 2m;
+        * "div_flux", sum_a d_a(j_a/m), the one term not divided.
+        Each row comes from `_row` and is freed before the next: the
+        density's derivatives, lap(rho), then one j_a at a time."""
+        grid, safe, found = self.grid, self.safe, {}
+        if "grad_sq" in names or "bracket" in names:
+            found["grad_sq"] = total = np.zeros(grid.shape)
+            for axis in range(grid.dims):
+                d = self._row("grad_rho", axis)
+                d /= safe
+                total += np.square(d, out=d)
+                del d
+        if "bracket" in names:
+            found["bracket"] = bracket = np.multiply(0.5, total, out=None if "grad_sq" in names else total)
+            lap = self._row("lap_rho")
+            bracket -= np.divide(lap, safe, out=lap)
+            del lap
+        flux = {name: np.zeros(grid.shape) for name in ("kinetic", "div_flux") if name in names}
+        for axis in range(grid.dims if flux else 0):
+            j = self._row("current", axis)
+            if "div_flux" in flux:
+                flux["div_flux"] += _axis_derivative(j / self.params.mass, grid, axis, self.backend)
+            if "kinetic" in flux:
+                j /= safe
+                flux["kinetic"] += np.multiply(j, j, out=j)
+            del j
+        if "kinetic" in flux:
+            flux["kinetic"] /= 2.0 * self.params.mass
+        found.update(flux)
+        return tuple(found[name] for name in names)
 
     @cached_property
     def lap_rho(self) -> np.ndarray:
@@ -247,26 +306,15 @@ def quantum_potential(
     if np.min(jet.rho) < 0.0:
         raise ValueError("density must be non-negative")
     jet.nonzero()
-
     safe_sqrt = np.where(jet.mask, 1.0, np.sqrt(jet.rho))
-    q_sqrt = np.where(
-        jet.mask, 0.0, -(params.hbar**2 / (2.0 * params.mass)) * jet.lap_sqrt_rho / safe_sqrt
-    )
-
-    bracket = _log_form_bracket(jet, jet.safe)
+    q_sqrt = np.where(jet.mask, 0.0, -(params.hbar**2 / (2.0 * params.mass)) * jet.lap_sqrt_rho / safe_sqrt)
     coeff = (params.hbar * params.hbar) / (4.0 * params.mass)
-    q_log = np.where(jet.mask, 0.0, coeff * bracket)
-
+    q_log = np.where(jet.mask, 0.0, coeff * jet.terms("bracket")[0])
     return QuantumPotential(
         q=RealField(jet.grid, q_sqrt),
         q_log_form=RealField(jet.grid, q_log),
         node_mask=jet.mask,
     )
-
-
-def _log_form_bracket(jet: _Jet, safe_rho: np.ndarray) -> np.ndarray:
-    """(grad rho / rho)^2 / 2 - lap(rho)/rho, with safe division."""
-    return 0.5 * jet.grad_sq(safe_rho) - jet.lap_rho / safe_rho
 
 
 def internal_kinetic_density(
@@ -276,7 +324,7 @@ def internal_kinetic_density(
     internal (Zitterbewegung) motion.  Equal to m * zbw_speed^2 / 2 pointwise."""
     jet = _jet(rho, params, backend)
     coeff = params.hbar * params.hbar / (8.0 * params.mass)
-    return RealField(jet.grid, np.where(jet.mask, 0.0, coeff * jet.grad_sq(jet.safe)))
+    return RealField(jet.grid, np.where(jet.mask, 0.0, coeff * jet.terms("grad_sq")[0]))
 
 
 def zbw_speed(rho: RealField, params: PhysicalParams, backend: str = "spectral") -> RealField:
@@ -329,6 +377,13 @@ def _triple_jet(snapshots, dt: float, params: PhysicalParams, backend: str) -> t
     return _jet(prev), _jet(mid, params, backend), _jet(nxt)
 
 
+def _rate(snapshots, dt: float, params: PhysicalParams, backend: str) -> tuple:
+    """(middle jet, d(phi)/dt, union node mask) of a triple."""
+    prev, mid, nxt = _triple_jet(snapshots, dt, params, backend)
+    mask = mid.mask | prev.mask | nxt.mask
+    return mid, _phase_rate(prev, mid, nxt, dt, mask, params.hbar), mask
+
+
 def hj_terms(
     snapshots,
     dt: float,
@@ -338,20 +393,12 @@ def hj_terms(
 ):
     """Shared pieces of the phase-evolution residual: (dphi_dt, kinetic,
     bracket, u, mask) evaluated at the middle snapshot.  The bracket is the
-    log-derivative quantum-potential form without its hbar^2/4m coefficient."""
-    prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
-    mask = jet.mask | prev.mask | nxt.mask
-    safe = np.where(mask, 1.0, jet.rho)
-
-    dphi_dt = _phase_rate(prev, jet, nxt, dt, mask, params.hbar)
-
-    kinetic = np.zeros(jet.grid.shape)
-    for j_axis in jet.current[: jet.grid.dims]:
-        p_axis = j_axis / safe
-        kinetic += np.multiply(p_axis, p_axis, out=p_axis)
-    kinetic /= 2.0 * params.mass
-
-    bracket = _log_form_bracket(jet, safe)
+    log-derivative quantum-potential form without its hbar^2/4m coefficient.
+    The kinetic term and the bracket are the middle jet's `terms`, over its
+    own safe density, which differs from the union mask's only where every
+    reader zeroes its result."""
+    jet, dphi_dt, mask = _rate(snapshots, dt, params, backend)
+    kinetic, bracket = jet.terms("kinetic", "bracket")
     u = np.zeros(jet.grid.shape) if potential is None else potential.values
     return dphi_dt, kinetic, bracket, u, mask
 
@@ -391,13 +438,8 @@ def continuity_residual(
     probability current hbar Im(conj(psi) grad psi)/m, which is smooth through
     nodes, so the residual carries no masked-out points."""
     prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
-    grid = jet.grid
-    drho_dt = (nxt.rho - prev.rho) / (2.0 * dt)
-    div_flux = np.zeros(grid.shape)  # div(j / m), one axis of the flux at a time
-    for axis in range(grid.dims):
-        div_flux = div_flux + _axis_derivative(jet.current[axis] / params.mass, grid, axis, backend)
-    values = RealField(grid, drho_dt + div_flux)
-    return ResidualField(values=values, node_mask=np.zeros(grid.shape, dtype=bool))
+    values = RealField(jet.grid, (nxt.rho - prev.rho) / (2.0 * dt) + jet.terms("div_flux")[0])
+    return ResidualField(values=values, node_mask=np.zeros(jet.grid.shape, dtype=bool))
 
 
 def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams, backend: str = "spectral"):
@@ -412,11 +454,10 @@ def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams
     mask are computed once.  A snapshot with a successor gets everything
     that depends on it alone as it arrives, which on a stream overlaps the
     propagation of the next one: its mask and, for an interior snapshot,
-    the region and the three real fields its residuals read (see
-    `_own_work`).  Whether it has one is read from the series' `times` (a
-    `SnapshotSeries`, a `SnapshotStream` or
-    `fieldio.stream_snapshot_series`); an iterable without them gets that
-    work for its last snapshot too, giving the same sups.  The phase
+    the region and the three `_Jet.terms` its residuals read (`_own_work`).
+    Whether it has one is read from the series' `times` (a `SnapshotSeries`,
+    a `SnapshotStream` or `fieldio.stream_snapshot_series`); an iterable
+    without them gets that work for its last snapshot too.  The phase
     increment into each snapshot is computed once, as it arrives, and its
     jet keeps it for the two triples that read it.  A jet's state is freed
     once the increment out of it exists.  Returns two lists with one entry
@@ -454,47 +495,15 @@ def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams
 def _own_work(jet: _Jet, middle: bool) -> None:
     """What the window needs of one snapshot alone, computed while its state
     is there: the mask and, for a middle snapshot, the region its sups are
-    taken over (`keep`) and the three real fields its residuals read, each
-    formed by the operations of `hj_terms` and `continuity_residual` in
-    their order:
-    * `bracket`, (1/2) sum_a (d_a rho/safe)^2 - lap(rho)/safe;
-    * `kinetic`, sum_a (j_a/safe)^2 / 2m;
-    * `div_flux`, sum_a d_a(j_a/m).
-    The density's derivatives come first, then one complex derivative of
-    psi and one j_a per axis, so no vector is held.  `safe` is the jet's
-    own, not the triple's union-mask one; the two differ only where the
-    union mask zeroes the phase residual.  Each d_a rho is scanned for
-    non-finite values and raises a ValueError, as the VectorField that
-    `hj_residual` builds of grad(rho) does."""
+    taken over (`keep`) and the jet's three `terms` its residuals read."""
     jet.mask
     if not middle:
         return
-    psi, grid, backend, params = jet.state.values, jet.grid, jet.backend, jet.params
-    rho = np.abs(psi) ** 2  # not the jet's rho: it rounds differently, moving the region
+    rho = np.abs(jet.state.values) ** 2  # not the jet's rho: it rounds differently, moving the region
     jet.keep = rho >= REGION_EPS * rho.max()
     del rho
-    safe = np.where(jet.mask, 1.0, jet.rho)
-    bracket = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        d = _axis_derivative(jet.rho, grid, axis, backend)
-        if not np.all(np.isfinite(d)):
-            raise ValueError("grad(rho) contains non-finite values")
-        d /= safe
-        bracket += np.square(d, out=d)
-    del d
-    bracket *= 0.5
-    lap = _laplacian_values(jet.rho, grid, backend)
-    lap /= safe
-    bracket -= lap
-    del lap
-    kinetic, div_flux = np.zeros(grid.shape), np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        j = np.multiply(params.hbar, _conj_product(psi, _axis_derivative(psi, grid, axis, backend)).imag)
-        div_flux += _axis_derivative(j / params.mass, grid, axis, backend)
-        j /= safe
-        kinetic += np.multiply(j, j, out=j)
-    kinetic /= 2.0 * params.mass
-    jet.bracket, jet.kinetic, jet.div_flux = bracket, kinetic, div_flux
+    jet.kinetic, jet.bracket, jet.div_flux = jet.terms("kinetic", "bracket", "div_flux")
+    jet.drop("safe")  # the window reads only the mask
 
 
 def _sups(window, dt, potential, params, backend) -> tuple[float, float]:
@@ -502,19 +511,13 @@ def _sups(window, dt, potential, params, backend) -> tuple[float, float]:
     the middle jet's terms as `_hj_residual` and `continuity_residual` do,
     each taken as soon as its residual exists; the continuity residual runs
     without the HJ terms."""
-    prev, mid, nxt = _triple_jet(window, dt, params, backend)
-    mask = mid.mask | prev.mask | nxt.mask
-    terms = (
-        _phase_rate(prev, mid, nxt, dt, mask, params.hbar),
-        mid.kinetic,
-        mid.bracket,
-        np.zeros(mid.grid.shape) if potential is None else potential.values,
-        mask,
-    )
+    mid, dphi_dt, mask = _rate(window, dt, params, backend)
+    u = np.zeros(mid.grid.shape) if potential is None else potential.values
+    terms = (dphi_dt, mid.kinetic, mid.bracket, u, mask)
     mid.drop("kinetic", "bracket")
     hj = _sup(_hj_residual(terms, mid.grid, (params.hbar * params.hbar) / (4.0 * params.mass)).values, mid.keep)
-    del terms
-    drho_dt = (nxt.rho - prev.rho) / (2.0 * dt)
+    del terms, dphi_dt, u
+    drho_dt = (window[2].rho - window[0].rho) / (2.0 * dt)
     drho_dt += mid.div_flux
     return hj, _sup(RealField(mid.grid, drho_dt), mid.keep)
 
@@ -542,18 +545,15 @@ def lagrangian_density(
     forms.  Vanishes pointwise for on-shell plane waves; for general on-shell
     states only its integral vanishes (the internal term differs from Q by a
     total divergence)."""
-    prev, jet, nxt = _triple_jet(snapshots, dt, params, backend)
-    dphi_dt, kinetic, bracket, u, mask = hj_terms((prev, jet, nxt), dt, potential, params, backend)
-    rho = jet.rho
-    grad_sq = jet.grad_sq(np.where(mask, 1.0, rho))
+    jet, dphi_dt, mask = _rate(snapshots, dt, params, backend)
+    kinetic, grad_sq = jet.terms("kinetic", "grad_sq")
+    u = np.zeros(jet.grid.shape) if potential is None else potential.values
     internal = (params.hbar * params.hbar / (8.0 * params.mass)) * grad_sq
-
     speed = 0.5 * params.hbar * np.sqrt(grad_sq) / params.mass
     internal_koenig = 0.5 * params.mass * speed * speed
-
     common = dphi_dt + kinetic + u
-    base = np.where(mask, 0.0, -(common + internal) * rho)
-    koenig = np.where(mask, 0.0, -(common + internal_koenig) * rho)
+    base = np.where(mask, 0.0, -(common + internal) * jet.rho)
+    koenig = np.where(mask, 0.0, -(common + internal_koenig) * jet.rho)
     return LagrangianDensity(
         density=RealField(jet.grid, base),
         density_koenig=RealField(jet.grid, koenig),

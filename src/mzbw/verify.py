@@ -210,7 +210,7 @@ def _check_entry(
     jet.drop("lap_sqrt_rho")  # only the two-form check reads it; the stationary triple reads lap(rho)
     stationary: list = []
     _check_stationary(entry, jet, params, backend, recorder(stationary))
-    jet.drop("current", "grad_rho", "lap_rho", "safe")
+    jet.drop("grad_rho", "lap_rho", "safe")
     _check_spin(entry, jet, params, backend, recorder(records), gated_out)
     del jet
     records.extend(stationary)
@@ -220,8 +220,10 @@ def _check_entry(
 def _check_two_forms(jet: _Jet, params: PhysicalParams, backend: str, h: float, fault: str | None, record) -> None:
     grid = jet.grid
     rho = jet.nonzero().rho
-    qp = quantum_potential(jet, params, backend)
     region = rho >= REGION_EPS * float(np.max(rho))
+    k_edge = float(np.max(magnitude(jet.grad_rho).values[region] / rho[region]))
+    jet.lap_rho  # held with grad(rho) before the bracket reads both, here and in the stationary triple
+    qp = quantum_potential(jet, params, backend)
 
     q_vals = qp.q.values
     if fault == "flip_q_sign":
@@ -230,7 +232,6 @@ def _check_two_forms(jet: _Jet, params: PhysicalParams, backend: str, h: float, 
         float(np.max(np.abs(qp.q_log_form.values[region]))),
         params.hbar**2 / (2.0 * params.mass * max(grid.extents) ** 2),
     )
-    k_edge = float(np.max(magnitude(jet.grad_rho).values[region] / rho[region]))
     record(
         "quantum_potential_two_forms",
         float(np.max(np.abs(q_vals - qp.q_log_form.values)[region])) / q_scale,
@@ -327,13 +328,11 @@ def _check_uniform_spin(
 def _check_stationary(entry: _Entry, jet: _Jet, params: PhysicalParams, backend: str, record) -> None:
     """The spin and plain HJ residuals of an analytic stationary triple and,
     for a plane wave, the spin and plain dispersion residuals.  Both HJ
-    residuals come from one `hj_terms` call, each in the arithmetic of
-    `spin_hj_residual` (s = hbar/2) and `hj_residual`; the first is
-    assembled in copies of the phase rate and the bracket, the two buffers
-    the assembly writes.  The scalar jet's current, which the kinetic term
-    reads, is formed before the triple's two outer states exist."""
+    residuals come from one `hj_terms` call (the jet's current formed one
+    row at a time), each in the arithmetic of `spin_hj_residual` (s =
+    hbar/2) and `hj_residual`; the first is assembled in copies of the
+    phase rate and the bracket, the two buffers the assembly writes."""
     grid = jet.grid
-    jet.current
     # the phase rotates at e0, everything else frozen
     e0, dt = 0.7, 1e-3
     phase = np.exp(-1j * e0 * dt / params.hbar)

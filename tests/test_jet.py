@@ -686,6 +686,37 @@ def test_dropped_state_leaves_the_cached_intermediates():
         jet.spin_current  # needs rho s, which needs the state
 
 
+TERM_NAMES = ("grad_sq", "bracket", "kinetic", "div_flux")
+
+
+@pytest.mark.parametrize("dims, backend, nodes", CASES)
+@pytest.mark.parametrize("kind", ["scalar", "spinor"])
+def test_terms_read_held_rows_and_form_the_others_alike(dims, backend, nodes, kind, fft_calls):
+    # every term from a jet holding grad(rho), the current and lap(rho)
+    # equals, bit for bit, the term a fresh jet forms one row at a time,
+    # asked alone or with the others.  The held rows are read without a
+    # transform (only the flux divergence differentiates) and not written,
+    # and a fresh jet keeps none of the rows it forms
+    psi = scalar_state(dims, nodes) if kind == "scalar" else spinor_state(dims, nodes)
+    held = _Jet(psi, PARAMS, backend)
+    held.grad_rho, held.current, held.lap_rho
+    rows = (held.grad_rho.values.copy(), held.current.copy(), held.lap_rho.copy())
+    fresh_all = _Jet(psi, PARAMS, backend).terms(*TERM_NAMES)
+    for name, want in zip(TERM_NAMES, fresh_all):
+        fft_calls["calls"] = 0
+        (got,) = held.terms(name)
+        flux_transforms = 2 * dims if name == "div_flux" and backend == "spectral" else 0
+        assert fft_calls["calls"] == flux_transforms, name
+        assert same(got, want), name
+        assert same(_Jet(psi, PARAMS, backend).terms(name)[0], want), name
+    for got, want in zip(held.terms(*TERM_NAMES), fresh_all):
+        assert same(got, want)
+    assert same(held.grad_rho.values, rows[0]) and same(held.current, rows[1]) and same(held.lap_rho, rows[2])
+    fresh = _Jet(psi, PARAMS, backend)
+    fresh.terms(*TERM_NAMES)
+    assert not {"grad_rho", "current", "lap_rho"} & vars(fresh).keys()
+
+
 # ---------------------------------------------------------------------------
 # per-state rules: backend check, zero-density guard, trajectory table
 

@@ -39,8 +39,11 @@ from mzbw import (
     gaussian,
     harmonic_potential,
     hj_residual,
+    internal_kinetic_density,
     iter_propagate,
+    lagrangian_density,
     propagate,
+    quantum_potential,
     random_smooth_state,
     zbw_velocity_uniform,
 )
@@ -568,6 +571,27 @@ def test_window_rejects_a_non_finite_density_derivative(monkeypatch):
     psi, config = small_run(5, dims=2)
     with pytest.raises(ValueError, match=r"grad\(rho\) contains non-finite values"):
         residual_sups(iter_propagate(psi, config), None, PARAMS)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda t, rho, u: hj_residual(t, 1e-3, u, PARAMS),
+        lambda t, rho, u: quantum_potential(rho, PARAMS),
+        lambda t, rho, u: lagrangian_density(t, 1e-3, u, PARAMS),
+        lambda t, rho, u: internal_kinetic_density(rho, PARAMS),
+    ],
+    ids=["hj_residual", "quantum_potential", "lagrangian_density", "internal_kinetic_density"],
+)
+def test_every_reader_rejects_a_non_finite_density_derivative(reader, monkeypatch):
+    # each reader forms d_a rho through the jet's terms, which scan it
+    poison_density_derivative(monkeypatch)
+    psi, _ = small_run(2, dims=2)
+    triple = (psi, psi, psi)
+    rho = RealField(psi.grid, np.abs(psi.values) ** 2)
+    u = RealField(psi.grid, np.zeros(psi.grid.shape))
+    with pytest.raises(ValueError, match=r"grad\(rho\) contains non-finite values"):
+        reader(triple, rho, u)
 
 
 def test_evolve_exits_2_on_a_non_finite_density_derivative(tmp_path, capsys, monkeypatch):

@@ -161,26 +161,30 @@ class TestEntryMemory:
         built before tracing starts, so it is not counted.
 
         `_check_entry` runs the two-form check, the stationary section and
-        then the spin section, and frees the scalar jet's current,
-        grad(rho), lap(rho) and safe density between the last two.  Peaks
-        per section: two-form 12.90, stationary 21.53 (the scalar jet's
-        current formed before the triple's two outer states; both HJ
+        then the spin section, and frees the scalar jet's grad(rho),
+        lap(rho) and safe density between the last two.  Peaks per
+        section: two-form 11.27, stationary 17.77 (the kinetic term and
+        the bracket formed one row at a time by `_Jet.terms`, which reads
+        the grad(rho) and lap(rho) the two-form check holds; both HJ
         residuals from one set of terms, with copies of the two buffers
-        the assembly writes), spin 23.78 and cross-square 11.02 fields.
+        the assembly writes), spin 23.28 and cross-square 11.02 fields.
+        With the scalar jet's whole current formed before the triple's
+        outer states, and grad(rho) formed inside the quantum potential,
+        the stationary section read 21.53 and the two-form check 12.90.
         The spin section starts with 1.14 fields alive: the jet's density
-        and mask.  At the peak, 23.78 fields, inside the spinor jet's
-        current in `spin_split`, these are alive:
+        and mask.  Its peak, 23.28 fields, is the consistency gap; the
+        velocity split reaches 23.27 (the split's 21 fields: spin vector,
+        density, Pauli total, drift, internal velocity, their sum,
+        curl(rho s)/m and the two Hestenes residuals), the Hestenes check
+        20.03, and `divergence(curl(rho s)/m)` in `_check_spin`, after the
+        split is dropped, 13.90.  The spinor jet's current in `spin_split`
+        reaches 21.78; with a whole conjugate (2 fields) held it set the
+        peak at 23.78:
         * the scalar jet's density and mask, 1.13;
         * the spinor's state 4, spin vector 3, density, mask and safe
           density 2.13, and curl(rho s)/m 3;
         * the current's output 3, one conjugate 2, two axis derivatives 4
           and the fd2 last-axis stencil's temporary 1.5.
-        The velocity split and the consistency gap reach 23.27 and 23.28
-        (the split's 21 fields: spin vector, density, Pauli total, drift,
-        internal velocity, their sum, curl(rho s)/m and the two Hestenes
-        residuals), the Hestenes check 20.03, and
-        `divergence(curl(rho s)/m)` in `_check_spin`, after the split is
-        dropped, 13.90.
 
         Earlier layouts of the same entry: every section's arrays alive
         until the entry ends, 65.7 fields; the spinor jet's rho s and the
@@ -219,8 +223,8 @@ class TestEntryMemory:
         self, gaussian_3d_fd2_trace
     ):
         """The stationary section runs before the spin section, so the
-        scalar jet's current, grad(rho), lap(rho) and safe density (8
-        fields) are freed before `spin_split`; `spin_split` and
+        scalar jet's grad(rho), lap(rho) and safe density (5 fields) are
+        freed before `spin_split` (its current is never held); `spin_split` and
         `hestenes_residual` form their gaps and the flux divergence in
         place, and `_check_spin` the violation gap.  The spin section
         before the stationary one measured 34.29 fields, the section order
@@ -238,9 +242,10 @@ class TestEntryMemory:
         the Hestenes check before the velocity split; `_check_spin` drops
         the split, all but s, curl(rho s)/m, the internal velocity and the
         grad(rho).s field, before `divergence(curl(rho s)/m)`; the
-        stationary section forms the scalar jet's current before the
-        triple's outer states.  The split holding 24 fields measured 28.04,
-        and all of it 23.78."""
+        stationary section forms the scalar jet's current one row at a
+        time.  The split holding 24 fields measured 28.04, and all of it
+        23.78 (23.28 once `_conj_product` freed the spinor current of a
+        whole conjugate)."""
         records, peak_fields = gaussian_3d_fd2_trace
         assert all(rec["passed"] for rec in records)
         assert peak_fields <= 25.5
