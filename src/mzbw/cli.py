@@ -4,7 +4,7 @@
     mzbw trajectories --config run.json [--out DIR] [--backend ...] [--seed N]
 
 Commands: decompose, spin, evolve, trajectories, verify.  The MZBW_OUT
-environment variable overrides --out.  --seed, a non-negative integer and a
+environment variable overrides --out.  --seed, an integer in [0, 2^63) and a
 flag of `trajectories` only, overrides the trajectory seed from the config.
 
 Exit codes: 0 success, 1 config or usage error (including config values that
@@ -45,8 +45,8 @@ from .states import spin_vector
 
 def _seed(text: str) -> int:
     value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    if not 0 <= value < fieldio.SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2^63), got {value}")
     return value
 
 

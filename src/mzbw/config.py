@@ -120,12 +120,14 @@ def _numbers(
     raise ConfigError(f"{where}.{key} must have 1 or {dims} entries, got {len(out)}")
 
 
-def _integer(section: dict, key: str, where: str, default=None, minimum: int | None = None) -> int:
+def _integer(section: dict, key: str, where: str, default=None, minimum: int | None = None, limit=None) -> int:
     value = _get(section, key, where, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key} must be an integer")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {value}")
+    if limit is not None and value >= limit:
+        raise ConfigError(f"{where}.{key} must be < {limit}, got {value}")
     return value
 
 
@@ -280,7 +282,7 @@ def read_trajectories(cfg: dict) -> dict | None:
         "n": _integer(traj, "n", where, minimum=1),
         "mode": _choice(traj, "mode", where, MODES, "drift"),
         "source": _choice(traj, "source", where, ("evolve", "static"), "static"),
-        "seed": _integer(traj, "seed", where, 0, minimum=0),
+        "seed": _integer(traj, "seed", where, 0, minimum=0, limit=fieldio.SEED_LIMIT),
         "record_stride": _integer(traj, "record_stride", where, 1, minimum=1),
         "format": _choice(traj, "format", where, ("csv", "binary"), "csv"),
         "equivariance": _flag(traj, "equivariance", where),

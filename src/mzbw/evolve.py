@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import ComplexField, PhysicalParams, RealField, laplacian, overlap
+from .fields import ComplexField, PhysicalParams, RealField, laplacian
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,6 @@ class EvolutionConfig:
             raise ValueError(
                 f"snapshot_stride {self.snapshot_stride} must divide steps {self.steps}"
             )
-
-
-@dataclass(frozen=True)
-class Observables:
-    norm: float
-    energy: float
-    mean: np.ndarray  # per axis
-    width: np.ndarray  # per axis
 
 
 @dataclass(frozen=True)
@@ -124,25 +116,6 @@ class SnapshotStream:
                 snapshots.close()
 
 
-def observables(
-    psi: ComplexField, potential: RealField | None, params: PhysicalParams
-) -> Observables:
-    """Norm and energy expectation, those of each snapshot, and per-axis
-    centroid and width."""
-    grid = psi.grid
-    if potential is not None and potential.grid != grid:
-        raise ValueError("potential must live on the wavefunction grid")
-    norm, energy = _norm_energy(psi, potential, params)
-    rho = psi.values.real**2 + psi.values.imag**2
-    mean = np.empty(grid.dims)
-    width = np.empty(grid.dims)
-    for axis, x in enumerate(grid.coords()):
-        mean[axis] = float(np.sum(x * rho) * grid.cell_volume) / norm
-        second = float(np.sum((x - mean[axis]) ** 2 * rho) * grid.cell_volume) / norm
-        width[axis] = np.sqrt(second)
-    return Observables(norm=norm, energy=energy, mean=mean, width=width)
-
-
 def iter_propagate(psi0: ComplexField, config: EvolutionConfig) -> SnapshotStream:
     """The split-step run as a stream of snapshots, each with its norm and energy.
 
@@ -207,9 +180,9 @@ def _snapshots(psi0, config, times, half_kick, kinetic_factor) -> Generator[Snap
 
 
 def _norm_energy(psi: ComplexField, potential: RealField | None, params: PhysicalParams) -> tuple[float, float]:
-    """The norm and energy expectation of a state, the one definition behind
-    each snapshot and `observables`.  The energy is kinetic plus potential,
-    the kinetic part by Parseval from one forward transform:
+    """The norm and energy expectation of a state, as each snapshot records
+    them.  The energy is kinetic plus potential, the kinetic part by
+    Parseval from one forward transform:
 
         (hbar^2/2m) (dV/N) sum_k |k|^2 |psi_k|^2  +  dV sum_x U |psi|^2"""
     grid, values = psi.grid, psi.values
@@ -257,20 +230,12 @@ def _stationary_residual(psi: ComplexField, energy: float, coeff: float, backend
     return RealField(psi.grid, np.abs(res))
 
 
-def fidelity(a: ComplexField, b: ComplexField) -> float:
-    """|<a|b>|, using the grid quadrature."""
-    return abs(overlap(a, b))
-
-
 __all__ = [
     "EvolutionConfig",
-    "Observables",
     "Snapshot",
     "SnapshotSeries",
     "SnapshotStream",
     "iter_propagate",
-    "observables",
     "propagate",
     "stationary_residual",
-    "fidelity",
 ]

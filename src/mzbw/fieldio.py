@@ -31,9 +31,9 @@ subnormals, non-finite and out-of-range values, and a rounding that carries
 into an 18th digit, go through b"%.17g" one by one.  The binary variant
 mirrors the field header idea: magic b"MZBWT", mode code (0 drift, 1 total),
 n, nt and seed, then times, paths, seeds and frozen flags; like field files
-it is rejected on a bad header, an unknown mode code, a wrong size or
-trailing bytes.  All JSON is dumped with sorted keys so reruns are
-byte-identical.
+it is rejected on a bad header, an unknown mode code, a wrong size,
+trailing bytes, non-finite values or times that do not increase.  All JSON
+is dumped with sorted keys so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from .trajectories import TrajectorySet
 
 MAGIC = b"MZBW1"
 TRAJ_MAGIC = b"MZBWT"
+SEED_LIMIT = 1 << 63  # trajectory seeds are stored in the binary header's int64
 _TRAJ_MODES = {0: "drift", 1: "total"}
 
 _KIND_REAL, _KIND_COMPLEX, _KIND_VECTOR, _KIND_SPINOR = 0, 1, 2, 3
@@ -383,6 +384,8 @@ def read_trajectories_binary(path: str) -> TrajectorySet:
     frozen = np.frombuffer(raw, dtype="<u1", count=n, offset=offset)
     if np.any(frozen > 1):
         raise ValueError(f"{path}: frozen flags must be 0 or 1")
+    if not (all(np.all(np.isfinite(a)) for a in (times, paths, seeds)) and np.all(np.diff(times) > 0)):
+        raise ValueError(f"{path}: times, paths and seeds must be finite, and the times increasing")
     return TrajectorySet(
         seeds=seeds,
         times=times,

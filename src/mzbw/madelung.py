@@ -317,16 +317,6 @@ def quantum_potential(
     )
 
 
-def internal_kinetic_density(
-    rho: RealField, params: PhysicalParams, backend: str = "spectral"
-) -> RealField:
-    """(hbar^2 / 8m) (grad rho / rho)^2, the kinetic energy density of the
-    internal (Zitterbewegung) motion.  Equal to m * zbw_speed^2 / 2 pointwise."""
-    jet = _jet(rho, params, backend)
-    coeff = params.hbar * params.hbar / (8.0 * params.mass)
-    return RealField(jet.grid, np.where(jet.mask, 0.0, coeff * jet.terms("grad_sq")[0]))
-
-
 def zbw_speed(rho: RealField, params: PhysicalParams, backend: str = "spectral") -> RealField:
     """|V| = (hbar/2) |grad rho| / (m rho)."""
     jet = _jet(rho, params, backend)
@@ -392,15 +382,15 @@ def hj_terms(
     backend: str = "spectral",
 ):
     """Shared pieces of the phase-evolution residual: (dphi_dt, kinetic,
-    bracket, u, mask) evaluated at the middle snapshot.  The bracket is the
-    log-derivative quantum-potential form without its hbar^2/4m coefficient.
+    bracket, u, mask) evaluated at the middle snapshot, u None when there is
+    no potential.  The bracket is the log-derivative quantum-potential form
+    without its hbar^2/4m coefficient.
     The kinetic term and the bracket are the middle jet's `terms`, over its
     own safe density, which differs from the union mask's only where every
     reader zeroes its result."""
     jet, dphi_dt, mask = _rate(snapshots, dt, params, backend)
     kinetic, bracket = jet.terms("kinetic", "bracket")
-    u = np.zeros(jet.grid.shape) if potential is None else potential.values
-    return dphi_dt, kinetic, bracket, u, mask
+    return dphi_dt, kinetic, bracket, None if potential is None else potential.values, mask
 
 
 def _hj_residual(terms: tuple, grid, coeff: float) -> ResidualField:
@@ -408,12 +398,15 @@ def _hj_residual(terms: tuple, grid, coeff: float) -> ResidualField:
     triple, zero on the node mask.  The sum is chained left to right in the
     phase rate's buffer and the bracket is scaled in its own, so a caller
     that builds a second residual from the same terms passes copies of
-    those two."""
+    those two.  An absent U (None) adds nothing, which is what adding zeros
+    would give: a sum is -0.0 only where both addends are, and the kinetic
+    term is >= +0.0, so no partial sum is -0.0 for a +0.0 to change."""
     residual, kinetic, bracket, u, mask = terms
     residual += kinetic
     bracket *= coeff
     residual += bracket
-    residual += u
+    if u is not None:
+        residual += u
     np.copyto(residual, 0.0, where=mask)
     return ResidualField(values=RealField(grid, residual), node_mask=mask)
 
@@ -512,11 +505,10 @@ def _sups(window, dt, potential, params, backend) -> tuple[float, float]:
     each taken as soon as its residual exists; the continuity residual runs
     without the HJ terms."""
     mid, dphi_dt, mask = _rate(window, dt, params, backend)
-    u = np.zeros(mid.grid.shape) if potential is None else potential.values
-    terms = (dphi_dt, mid.kinetic, mid.bracket, u, mask)
+    terms = (dphi_dt, mid.kinetic, mid.bracket, None if potential is None else potential.values, mask)
     mid.drop("kinetic", "bracket")
     hj = _sup(_hj_residual(terms, mid.grid, (params.hbar * params.hbar) / (4.0 * params.mass)).values, mid.keep)
-    del terms, dphi_dt, u
+    del terms, dphi_dt
     drho_dt = (window[2].rho - window[0].rho) / (2.0 * dt)
     drho_dt += mid.div_flux
     return hj, _sup(RealField(mid.grid, drho_dt), mid.keep)
@@ -547,11 +539,12 @@ def lagrangian_density(
     total divergence)."""
     jet, dphi_dt, mask = _rate(snapshots, dt, params, backend)
     kinetic, grad_sq = jet.terms("kinetic", "grad_sq")
-    u = np.zeros(jet.grid.shape) if potential is None else potential.values
     internal = (params.hbar * params.hbar / (8.0 * params.mass)) * grad_sq
     speed = 0.5 * params.hbar * np.sqrt(grad_sq) / params.mass
     internal_koenig = 0.5 * params.mass * speed * speed
-    common = dphi_dt + kinetic + u
+    common = dphi_dt + kinetic  # never -0.0, so an absent U needs no zeros added (`_hj_residual`)
+    if potential is not None:
+        common += potential.values
     base = np.where(mask, 0.0, -(common + internal) * jet.rho)
     koenig = np.where(mask, 0.0, -(common + internal_koenig) * jet.rho)
     return LagrangianDensity(

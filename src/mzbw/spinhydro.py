@@ -15,7 +15,9 @@ Quadratic identities, constraint residuals, and the kinetic-energy split are
 provided as measured fields so each one can be gated and reported.  They read
 the spinor's density, current hbar Im(psi^dag grad psi), rho s and curl(rho s)
 from the jet of `madelung`, so `pauli_current` and `velocity_decomposition`
-given one jet compute those once, in the same arithmetic order as alone.
+given one jet compute those once, in the same arithmetic order as alone.  The
+constant-spin flux grad(rho) x s is formed in one place, `_uniform_flux`, for
+`zbw_velocity_uniform`, `koenig_energy` and the identity battery.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .fields import (
     dot,
 )
 from .madelung import ResidualField, _hj_residual, _jet, _Jet, hj_terms
-from .states import attach_spinor, spin_vector
+from .states import attach_spinor, constant_spinor, spin_vector
 
 # max |div(rho s)| and |grad(rho).s| that count as zero: below it the Hestenes
 # constraints hold and the uniform-spin identities apply
@@ -181,6 +183,11 @@ def _drift(jet: _Jet, params: PhysicalParams, vector_potential: VectorField | No
     return drift
 
 
+def _uniform_flux(jet: _Jet, s) -> np.ndarray:
+    """grad(rho) x s = curl(rho s) for the constant spin vector s, in a new array."""
+    return cross(jet.grad_rho, _uniform(jet.grid, s)).values
+
+
 def zbw_velocity_uniform(
     rho: RealField, s, params: PhysicalParams, backend: str = "spectral"
 ) -> VectorField:
@@ -191,7 +198,7 @@ def zbw_velocity_uniform(
     if s.shape != (3,):
         raise ValueError(f"constant spin vector must have shape (3,), got {s.shape}")
     jet = _jet(rho, params, backend)
-    out = cross(jet.grad_rho, _uniform(jet.grid, s)).values
+    out = _uniform_flux(jet, s)
     out /= params.mass * jet.safe
     np.copyto(out, 0.0, where=jet.mask)
     return VectorField(jet.grid, out)
@@ -246,20 +253,19 @@ def vsq_from_spin(
     if rho.grid != s.grid:
         raise ValueError("rho and s must share a grid")
     jet = _jet(rho, params, backend)
-    mask = jet.mask
-    grad_sq = dot(jet.grad_rho, jet.grad_rho).values
+    grad_sq = jet.grad_sq()
     s_sq = dot(s, s).values
     dot_term = dot(jet.grad_rho, s).values
     denom = (params.mass * jet.safe) ** 2
-    full = np.where(mask, 0.0, (grad_sq * s_sq - dot_term**2) / denom)
-    reduced = np.where(mask, 0.0, s_sq * grad_sq / denom)
+    full = np.where(jet.mask, 0.0, (grad_sq * s_sq - dot_term**2) / denom)
+    reduced = np.where(jet.mask, 0.0, s_sq * grad_sq / denom)
     gate = float(np.max(np.abs(dot_term)))
     return VsqForms(
         full=RealField(jet.grid, full),
         reduced=RealField(jet.grid, reduced),
         reduced_valid=bool(gate <= CONSTRAINT_TOL),
         gate_residual=gate,
-        node_mask=mask,
+        node_mask=jet.mask,
     )
 
 
@@ -274,37 +280,29 @@ def koenig_energy(
 
     translational integrates rho p^2 / 2m, internal integrates
     (hbar^2/8m)(grad rho)^2/rho.  internal_zbw recomputes the internal part as
-    integral of rho m V^2 / 2; for a scalar psi the velocity V comes from the
-    constant spinor chi (default spin-up) via the uniform-s form, for a full
-    spinor field from curl(rho s)/(m rho)."""
+    integral of rho m V^2 / 2, through the flux rho V: for a scalar psi that
+    is `_uniform_flux` of the constant spinor chi's spin (default spin-up)
+    over m, for a full spinor field curl(rho s)/m."""
     jet = _jet(psi, params, backend).nonzero()
     grid = jet.grid
     if isinstance(jet.state, SpinorField):
         spin_cur = jet.spin_current
     else:
-        if chi is None:
-            s_const = np.array([0.0, 0.0, params.hbar / 2.0])
-        else:
-            s_const = spin_vector(np.asarray(chi), params)
-        spin_cur = cross(jet.grad_rho, _uniform(grid, s_const)).values / params.mass
+        s_const = spin_vector(constant_spinor(0.0) if chi is None else np.asarray(chi), params)
+        spin_cur = _uniform_flux(jet, s_const) / params.mass
 
-    mask, safe = jet.mask, jet.safe
     vol = grid.cell_volume
 
-    p_sq_rho = np.einsum("c...,c...->...", jet.current, jet.current) / safe
-    translational = float(np.sum(np.where(mask, 0.0, p_sq_rho)) * vol / (2.0 * params.mass))
+    def weighted(flux_sq: np.ndarray) -> np.float64:
+        """The integral of flux_sq / rho, the node mask left out."""
+        return np.sum(np.where(jet.mask, 0.0, flux_sq / jet.safe)) * vol
 
-    internal_density = np.where(mask, 0.0, jet.grad_sq() / safe)
-    internal = float(
-        np.sum(internal_density) * vol * params.hbar * params.hbar / (8.0 * params.mass)
-    )
+    translational = float(weighted(np.einsum("c...,c...->...", jet.current, jet.current)) / (2.0 * params.mass))
+    internal = float(weighted(jet.grad_sq()) * params.hbar * params.hbar / (8.0 * params.mass))
+    internal_zbw = float(weighted(np.einsum("c...,c...->...", spin_cur, spin_cur)) * params.mass / 2.0)
 
-    zbw_density = np.einsum("c...,c...->...", spin_cur, spin_cur) / safe
-    internal_zbw = float(np.sum(np.where(mask, 0.0, zbw_density)) * vol * params.mass / 2.0)
-
-    if potential is None:
-        pot = 0.0
-    else:
+    pot = 0.0
+    if potential is not None:
         if potential.grid != grid:
             raise ValueError("potential must live on the wavefunction grid")
         pot = float(np.sum(jet.rho * potential.values) * vol)

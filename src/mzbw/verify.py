@@ -44,7 +44,6 @@ from .fields import (
     Grid,
     PhysicalParams,
     VectorField,
-    _uniform,
     cross,
     divergence,
     dot,
@@ -53,6 +52,7 @@ from .fields import (
 from .madelung import REGION_EPS, _hj_residual, _Jet, hj_terms, quantum_potential, zbw_speed
 from .spinhydro import (
     CONSTRAINT_TOL,
+    _uniform_flux,
     koenig_energy,
     spin_schrodinger_residual,
     spin_split,
@@ -279,13 +279,12 @@ def _check_uniform_spin(
     """Route equalities that hold only for a position-independent spin."""
     grid = jet.grid
     rho = jet.rho
-    grad_rho = jet.grad_rho
     s_const = states.spin_vector(entry.chi, params)
     s_mag = float(np.sqrt(np.sum(s_const * s_const)))
     # smallest resolvable flux: density of this size varying on the box scale
     flux_floor = s_mag * float(np.max(rho)) / (max(grid.extents) * params.mass)
 
-    flux_cross = cross(grad_rho, _uniform(grid, s_const)).values / params.mass
+    flux_cross = _uniform_flux(jet, s_const) / params.mass
     flux_scale = max(float(np.max(np.abs(flux_cross))), flux_floor)
     record(
         "zbw_curl_vs_cross",
@@ -301,19 +300,16 @@ def _check_uniform_spin(
     )
 
     vsq = vsq_from_spin(jet, s, params, backend)
-    grad_sq = dot(grad_rho, grad_rho).values
-    dot_term = dot(grad_rho, s).values
-    reduced_flux_sq = dot(s, s).values * grad_sq / params.mass**2
+    reduced_flux_sq = dot(s, s).values * jet.grad_sq() / params.mass**2
     flux_sq_scale = max(float(np.max(reduced_flux_sq)), flux_floor**2)
     if vsq.reduced_valid:
-        # full - reduced is exactly the dropped (grad rho . s)^2 term
+        # full - reduced is exactly the dropped (grad rho . s)^2 term, whose max is the gate's square
         record(
             "vsq_full_vs_reduced",
-            float(np.max(dot_term**2)) / params.mass**2 / flux_sq_scale,
+            vsq.gate_residual**2 / params.mass**2 / flux_sq_scale,
         )
     flux_sq = np.einsum("c...,c...->...", spin_current.values, spin_current.values)
-    safe = np.where(vsq.node_mask, 1.0, rho)
-    full_flux_sq = np.where(vsq.node_mask, 0.0, vsq.full.values * (params.mass * safe) ** 2)
+    full_flux_sq = np.where(vsq.node_mask, 0.0, vsq.full.values * (params.mass * jet.safe) ** 2)
     flux_sq = np.where(vsq.node_mask, 0.0, flux_sq)
     record(
         "vsq_full_vs_flux_square",

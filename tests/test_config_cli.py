@@ -428,7 +428,9 @@ class TestCliBehavior:
         assert code == 0
         assert read_json(str(out / "manifest.json"))["seed"] == 11
 
-    @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed=-7"], ["--seed", "x"]])
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "-1"], ["--seed=-7"], ["--seed", "x"], ["--seed", str(2**63)], ["--seed", str(2**64)]]
+    )
     def test_bad_seed_flag_exits_1_before_reading_config(self, tmp_path, capsys, monkeypatch, flag):
         def unreachable(path):
             raise AssertionError("config loaded despite a bad --seed")
@@ -438,6 +440,33 @@ class TestCliBehavior:
         assert cli.main(["trajectories", "--config", "run.json", "--out", str(out)] + flag) == 1
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64], ids=["2^63", "2^64"])
+    def test_config_seed_beyond_int64_is_a_config_error(self, tmp_path, capsys, monkeypatch, seed):
+        # the binary container stores the seed in a signed 64-bit field, and
+        # the CSV manifest records the same seed, so the bound holds for both
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sampled despite an out-of-range seed")
+
+        monkeypatch.setattr(cli.trajectories, "sample_initial", unreachable)
+        cfg = dict(BASE, trajectories={"n": 10, "time": 0.5, "rk_steps": 5, "seed": seed})
+        cfg_path, out = write_config(tmp_path / "run.json", cfg), tmp_path / "out"
+        assert cli.main(["trajectories", "--config", cfg_path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: trajectories.seed must be < {2**63}, got {seed}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_largest_seed_round_trips_through_the_binary_header(self, tmp_path, where):
+        seed = 2**63 - 1
+        traj = {"n": 10, "time": 0.5, "rk_steps": 5, "format": "binary"}
+        if where == "config":
+            traj["seed"] = seed
+        cfg_path = write_config(tmp_path / "run.json", dict(BASE, trajectories=traj))
+        out = tmp_path / "out"
+        flag = ["--seed", str(seed)] if where == "flag" else []
+        assert cli.main(["trajectories", "--config", cfg_path, "--out", str(out)] + flag) == 0
+        assert read_json(str(out / "manifest.json"))["seed"] == seed
+        assert read_trajectories_binary(str(out / "trajectories.bin")).rng_seed == seed
 
     @pytest.mark.parametrize("command", ["decompose", "spin", "evolve", "verify"])
     def test_seed_flag_rejected_outside_trajectories(self, tmp_path, capsys, command):

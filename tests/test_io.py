@@ -453,6 +453,33 @@ class TestTrajectoryBinaryValidation:
         with pytest.raises(ValueError, match=re.escape(f"{path}: no recorded times")):
             read_trajectories_binary(str(path))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("block", ["times", "paths", "seeds"])
+    def test_non_finite_values_rejected(self, block, value, tmp_path):
+        path = small_trajectory_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        _, _, n, nt, _ = struct.unpack_from("<5sBIIq", raw)
+        # the last float64 of the block
+        last = {"times": nt, "paths": nt + 3 * n * nt, "seeds": nt + 3 * n * nt + 3 * n}[block] - 1
+        struct.pack_into("<d", raw, struct.calcsize("<5sBIIq") + 8 * last, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: times, paths and seeds must be finite")):
+            read_trajectories_binary(str(path))
+
+    @pytest.mark.parametrize("step", [-0.05, 0.0], ids=["decreasing", "repeated"])
+    def test_times_that_do_not_increase_rejected(self, step, tmp_path):
+        path = small_trajectory_file(tmp_path)
+        raw = bytearray(path.read_bytes())
+        head = struct.calcsize("<5sBIIq")
+        nt = struct.unpack_from("<5sBIIq", raw)[3]
+        times = np.frombuffer(bytes(raw), dtype="<f8", count=nt, offset=head).copy()
+        times[-1] = times[-2] + step
+        raw[head : head + 8 * nt] = times.tobytes()
+        path.write_bytes(bytes(raw))
+        message = f"{path}: times, paths and seeds must be finite, and the times increasing"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_trajectories_binary(str(path))
+
     @pytest.mark.parametrize("write", [write_trajectories_csv, write_trajectories_binary])
     def test_writers_reject_a_set_without_times(self, write, tmp_path):
         traj = TrajectorySet(
@@ -639,7 +666,11 @@ class TestBinaryBlocks:
         planes = replace(traj, paths=layouts(traj.paths)["planes"])
         path = tmp_path / "traj.bin"
         write_trajectories_binary(str(path), planes, record_stride=stride)
-        assert read_trajectories_binary(str(path)).paths.tobytes() == traj.paths[:, keep].tobytes()
+        # the paths block read straight from the file: the set holds nan,
+        # which `read_trajectories_binary` rejects
+        start = struct.calcsize("<5sBIIq") + 8 * len(keep)
+        want_paths = traj.paths[:, keep].tobytes()
+        assert path.read_bytes()[start : start + len(want_paths)] == want_paths
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_trajectories_csv(str(got), planes, record_stride=stride)
         row_csv_reference(str(want), traj, record_stride=stride)

@@ -39,7 +39,6 @@ from mzbw import (
     dot,
     hestenes_residual,
     hj_residual,
-    internal_kinetic_density,
     koenig_energy,
     lagrangian_density,
     pauli_current,
@@ -147,17 +146,6 @@ def ref_quantum_potential(rho, p, backend):
     coeff = (p.hbar * p.hbar) / (4.0 * p.mass)
     q_log = np.where(mask, 0.0, coeff * ref_bracket(rho.values, safe, grid, backend))
     return q_sqrt, q_log
-
-
-def ref_internal_kinetic_density(rho, p, backend):
-    grid = rho.grid
-    mask = node_mask(rho.values)
-    safe = np.where(mask, 1.0, rho.values)
-    grad_sq = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        d = ref_axis_derivative(rho.values, grid, axis, backend)
-        grad_sq = grad_sq + (d / safe) ** 2
-    return np.where(mask, 0.0, p.hbar * p.hbar / (8.0 * p.mass) * grad_sq)
 
 
 def ref_zbw_speed(rho, p, backend):
@@ -511,10 +499,6 @@ def test_scalar_quantities_match_reference(dims, backend, nodes, shared):
     assert same(qp.q.values, q_sqrt) and same(qp.q_log_form.values, q_log)
 
     ref_rho = RealField(psi.grid, rho)
-    assert same(
-        internal_kinetic_density(rho_arg, PARAMS, backend).values,
-        ref_internal_kinetic_density(ref_rho, PARAMS, backend),
-    )
     assert same(zbw_speed(rho_arg, PARAMS, backend).values, ref_zbw_speed(ref_rho, PARAMS, backend))
     assert same(
         zbw_velocity_uniform(rho_arg, S_CONST, PARAMS, backend).values,
@@ -818,7 +802,6 @@ def test_every_backend_taking_function_checks_it():
     calls = [
         lambda b: decompose(psi, PARAMS, b),
         lambda b: quantum_potential(rho, PARAMS, b),
-        lambda b: internal_kinetic_density(rho, PARAMS, b),
         lambda b: zbw_speed(rho, PARAMS, b),
         lambda b: hj_residual(triple_of(psi), 0.01, None, PARAMS, b),
         lambda b: continuity_residual(triple_of(psi), 0.01, PARAMS, b),

@@ -15,32 +15,30 @@ from mzbw import (
     harmonic_ground,
     harmonic_potential,
     integrate,
-    observables,
     plane_wave,
     random_smooth_state,
     random_spinor_field,
     spin_vector,
 )
+from mzbw.evolve import _norm_energy
 from mzbw.fields import RealField
 from mzbw.madelung import NODE_EPS
 
 
 def _coordinate_outputs(grid: Grid) -> list[bytes]:
-    """Bytes of every constructor and observable that reads the grid's coordinates."""
+    """Bytes of every constructor that reads the grid's coordinates, and of
+    the norm and energy of a state in a potential built from them."""
     params = PhysicalParams(hbar=0.9, mass=1.3)
     k = tuple(2.0 * np.pi * (a + 1) / L for a, L in enumerate(grid.extents))
     psi = gaussian(grid, sigma=(0.9, 1.1, 0.7)[: grid.dims], center=0.3, boost=(0.5, -0.4, 0.2)[: grid.dims])
     pot = harmonic_potential(grid, omega=1.7, center=(-0.2, 0.1, 0.4)[: grid.dims], params=params)
-    obs = observables(psi, pot, params)
     return [
         plane_wave(grid, k).values.tobytes(),
         psi.values.tobytes(),
         harmonic_ground(grid, omega=0.8, params=params).values.tobytes(),
         random_smooth_state(grid, seed=5, params=params).values.tobytes(),
         pot.values.tobytes(),
-        np.array([obs.norm, obs.energy]).tobytes(),
-        obs.mean.tobytes(),
-        obs.width.tobytes(),
+        np.array(_norm_energy(psi, pot, params)).tobytes(),
     ]
 
 
@@ -154,11 +152,13 @@ class TestScalarStates:
     def test_gaussian_norm_and_moments(self):
         grid = Grid((256,), (40.0,))
         psi = gaussian(grid, sigma=1.5, center=2.0)
-        obs = observables(psi, None, PhysicalParams())
-        assert obs.norm == pytest.approx(1.0, abs=1e-12)
-        assert obs.mean[0] == pytest.approx(2.0, abs=1e-10)
+        rho, x = np.abs(psi.values) ** 2, grid.axes[0]
+        norm = integrate(RealField(grid, rho))
+        mean = integrate(RealField(grid, x * rho)) / norm
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert mean == pytest.approx(2.0, abs=1e-10)
         # sigma parametrizes the density standard deviation
-        assert obs.width[0] == pytest.approx(1.5, abs=1e-10)
+        assert np.sqrt(integrate(RealField(grid, (x - mean) ** 2 * rho)) / norm) == pytest.approx(1.5, abs=1e-10)
 
     def test_gaussian_rejects_bad_sigma(self):
         grid = Grid((32,), (8.0,))
@@ -169,17 +169,16 @@ class TestScalarStates:
         grid = Grid((256,), (40.0,))
         psi = harmonic_ground(grid, omega=1.0)
         pot = harmonic_potential(grid, omega=1.0)
-        obs = observables(psi, pot, PhysicalParams())
-        assert obs.norm == pytest.approx(1.0, abs=1e-12)
-        assert obs.energy == pytest.approx(0.5, abs=1e-10)
+        norm, energy = _norm_energy(psi, pot, PhysicalParams())
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert energy == pytest.approx(0.5, abs=1e-10)
 
     def test_harmonic_ground_energy_scales_with_dims(self):
         grid = Grid((48, 48), (16.0, 16.0))
         psi = harmonic_ground(grid, omega=2.0)
         pot = harmonic_potential(grid, omega=2.0)
-        obs = observables(psi, pot, PhysicalParams())
         # dims * hbar * omega / 2
-        assert obs.energy == pytest.approx(2.0, abs=1e-8)
+        assert _norm_energy(psi, pot, PhysicalParams())[1] == pytest.approx(2.0, abs=1e-8)
 
     def test_harmonic_potential_closed_form(self):
         grid = Grid((64,), (16.0,))

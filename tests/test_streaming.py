@@ -39,7 +39,6 @@ from mzbw import (
     gaussian,
     harmonic_potential,
     hj_residual,
-    internal_kinetic_density,
     iter_propagate,
     lagrangian_density,
     propagate,
@@ -48,7 +47,7 @@ from mzbw import (
     zbw_velocity_uniform,
 )
 from mzbw import evolve, madelung
-from mzbw.evolve import SnapshotStream, observables
+from mzbw.evolve import SnapshotStream
 from mzbw.fieldio import read_json, stream_snapshot_series
 from mzbw.fields import _laplacian_values
 from mzbw.madelung import NODE_EPS, REGION_EPS, _Jet, residual_sups
@@ -454,16 +453,6 @@ def test_a_worker_failure_leaves_no_snapshot_in_a_reference_cycle(monkeypatch):
 ENERGY_GRIDS = [(256,), (128, 128), (48, 40, 36)]
 
 
-@pytest.mark.parametrize("points", ENERGY_GRIDS)
-@pytest.mark.parametrize("potential", [False, True])
-def test_snapshot_norm_and_energy_are_those_of_observables(points, potential):
-    grid = Grid(points, (10.0,) * len(points))
-    psi = random_smooth_state(grid, 4, params=PARAMS)
-    pot = harmonic_potential(grid, 0.7, params=PARAMS) if potential else None
-    obs = observables(psi, pot, PARAMS)
-    assert same(evolve._norm_energy(psi, pot, PARAMS), (obs.norm, obs.energy))
-
-
 def laplacian_form_energy(psi, potential, params):
     """dV Re sum conj(psi) (-(hbar^2/2m) lap(psi) + U psi), the snapshot
     energy with the spectral Laplacian, as it was before Parseval."""
@@ -579,9 +568,8 @@ def test_window_rejects_a_non_finite_density_derivative(monkeypatch):
         lambda t, rho, u: hj_residual(t, 1e-3, u, PARAMS),
         lambda t, rho, u: quantum_potential(rho, PARAMS),
         lambda t, rho, u: lagrangian_density(t, 1e-3, u, PARAMS),
-        lambda t, rho, u: internal_kinetic_density(rho, PARAMS),
     ],
-    ids=["hj_residual", "quantum_potential", "lagrangian_density", "internal_kinetic_density"],
+    ids=["hj_residual", "quantum_potential", "lagrangian_density"],
 )
 def test_every_reader_rejects_a_non_finite_density_derivative(reader, monkeypatch):
     # each reader forms d_a rho through the jet's terms, which scan it
