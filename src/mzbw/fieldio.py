@@ -143,7 +143,7 @@ def read_json(path: str) -> dict:
 
 
 class _Passing:
-    """An iterator over snapshots that carries their series' `times`."""
+    """The writer's snapshots as they pass, with their series' `times` known before the first."""
 
     def __init__(self, times, snapshots):
         self.times = times
@@ -160,8 +160,8 @@ def stream_snapshot_series(directory: str, series, config_echo: dict | None = No
     """Write each snapshot of `series` (a SnapshotSeries or SnapshotStream)
     as it passes through, yielding it on; the manifest is written after the
     last one, so a series cut short by an error has no manifest.  The
-    returned iterator has the series' `times`, so a reader such as
-    `residual_sups` knows the count up front."""
+    returned iterator has the series' `times`, so `residual_sups` checks
+    their spacing before any snapshot is written."""
     return _Passing(series.times, _write_each(directory, series, config_echo))
 
 
@@ -341,20 +341,31 @@ def write_trajectories_csv(path: str, traj: TrajectorySet, record_stride: int = 
 
 
 def write_trajectories_binary(path: str, traj: TrajectorySet, record_stride: int = 1) -> None:
-    """The binary container of `traj` at the recorded times the CSV writer keeps."""
+    """The binary container of `traj` at the recorded times the CSV writer
+    keeps.  A set its reader would reject, with non-finite times, paths or
+    seeds, kept times that do not increase, or an `rng_seed` outside
+    [0, SEED_LIMIT), raises a ValueError naming `path` before the file is
+    created; the paths are scanned a block of particles at a time."""
     keep = _kept_times(len(traj.times), record_stride)
     n = traj.paths.shape[0]
-    mode_code = 0 if traj.mode == "drift" else 1
+    step = max(1, _CSV_BLOCK_VALUES // (3 * len(keep)))  # particles copied, scanned and written together
+    blocks = lambda: (np.take(traj.paths[first : first + step], keep, axis=1) for first in range(0, n, step))
+    times = traj.times[keep]
+    finite = all(np.isfinite(a).all() for a in (times, traj.seeds)) and all(np.isfinite(b).all() for b in blocks())
+    if not (finite and np.all(np.diff(times) > 0)):
+        raise ValueError(f"{path}: times, paths and seeds must be finite, and the times increasing")
     seed = -1 if traj.rng_seed is None else int(traj.rng_seed)
+    if traj.rng_seed is not None and not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"{path}: the seed must be in [0, 2^63), got {seed}")
+    mode_code = 0 if traj.mode == "drift" else 1
     header = struct.pack("<5sBIIq", TRAJ_MAGIC, mode_code, n, len(keep), seed)
-    step = max(1, _CSV_BLOCK_VALUES // (3 * len(keep)))  # particles copied and written together
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(traj.times[keep], dtype="<f8"))
-        for first in range(0, n, step):
-            fh.write(np.ascontiguousarray(np.take(traj.paths[first : first + step], keep, axis=1), dtype="<f8"))
+        fh.write(np.ascontiguousarray(times, dtype="<f8"))
+        for block in blocks():
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
         fh.write(np.ascontiguousarray(traj.seeds, dtype="<f8"))
-        fh.write(np.ascontiguousarray(traj.frozen, dtype="<u1"))
+        fh.write(np.ascontiguousarray(traj.frozen, dtype=bool))  # one byte, 0 or 1, whatever the flags' dtype
 
 
 def read_trajectories_binary(path: str) -> TrajectorySet:

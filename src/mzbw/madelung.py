@@ -28,7 +28,8 @@ gives the momentum p = j / rho.
 
 The four terms the residuals and energies are built from, (grad rho/rho)^2,
 the log-form bracket, (j/rho)^2/2m and div(j/m), come from `_Jet.terms`, which
-reads the rows the jet holds and forms the others one axis at a time.
+reads the rows the jet holds and forms the others one axis at a time; a jet
+holds nothing else, and `residual_sups` keeps its terms in a window record.
 """
 
 from __future__ import annotations
@@ -64,10 +65,7 @@ def node_mask(rho_values: np.ndarray) -> np.ndarray:
 class _Jet:
     """A ComplexField, SpinorField or bare density RealField and its real
     intermediates, each computed on first use and kept (never complex grad
-    psi); `terms` reduces them to residual terms and keeps nothing it forms.
-    A window over a series may also set `phase_in`, the phase increment into
-    this state from the previous jet's, `keep`, the region its residual sups
-    are taken over, and its `kinetic`, `bracket` and `div_flux` (`_own_work`)."""
+    psi); `terms` reduces them to residual terms and keeps nothing it forms."""
 
     def __init__(self, state, params: PhysicalParams | None, backend: str | None):
         if backend is not None:
@@ -328,15 +326,13 @@ def zbw_speed(rho: RealField, params: PhysicalParams, backend: str = "spectral")
 # snapshot-based residuals
 
 
-def _phase_rate(prev: _Jet, mid: _Jet, nxt: _Jet, dt: float, mask: np.ndarray, hbar: float) -> np.ndarray:
-    """Central-difference d(phi)/dt from phase increments between snapshots.
+def _phase_rate(d_minus: np.ndarray, d_plus: np.ndarray, mask: np.ndarray, dt: float, hbar: float) -> np.ndarray:
+    """Central-difference d(phi)/dt from the phase increments into and out of
+    the middle snapshot (`_phase_increment`).
 
     Increments are principal args of ratio bilinears, so no global unwrapping
     is needed; a pointwise increment at the +/-pi boundary means the snapshot
     spacing aliases the phase evolution and the input is rejected."""
-    d_minus = _phase_increment(prev, mid)
-    mid.drop("phase_in")  # a kept increment into the middle snapshot serves this triple only
-    d_plus = _phase_increment(mid, nxt)
     live = ~mask
     jump = max(np.max(np.abs(d), where=live, initial=0.0) for d in (d_plus, d_minus))
     if jump >= np.pi * (1.0 - 1e-9):
@@ -347,11 +343,7 @@ def _phase_rate(prev: _Jet, mid: _Jet, nxt: _Jet, dt: float, mask: np.ndarray, h
 
 
 def _phase_increment(earlier: _Jet, later: _Jet) -> np.ndarray:
-    """angle(psi_later conj(psi_earlier)), or the increment `later` keeps as
-    `phase_in` = (earlier, increment) for this pair (see `residual_sups`)."""
-    kept = later.__dict__.get("phase_in")
-    if kept is not None and kept[0] is earlier:
-        return kept[1]
+    """angle(psi_later conj(psi_earlier))."""
     return np.angle(later.state.values * np.conj(earlier.state.values))
 
 
@@ -371,7 +363,7 @@ def _rate(snapshots, dt: float, params: PhysicalParams, backend: str) -> tuple:
     """(middle jet, d(phi)/dt, union node mask) of a triple."""
     prev, mid, nxt = _triple_jet(snapshots, dt, params, backend)
     mask = mid.mask | prev.mask | nxt.mask
-    return mid, _phase_rate(prev, mid, nxt, dt, mask, params.hbar), mask
+    return mid, _phase_rate(_phase_increment(prev, mid), _phase_increment(mid, nxt), mask, dt, params.hbar), mask
 
 
 def hj_terms(
@@ -441,77 +433,77 @@ def residual_sups(snapshots, potential: RealField | None, params: PhysicalParams
     its maximum, so tail roundoff does not dominate.  The sups are those of
     `hj_residual` and `continuity_residual` on each triple, bit for bit.
 
-    `snapshots` yields `Snapshot`s at a uniform spacing: a ValueError is
-    raised when a spacing differs from the first by more than 1e-9 of it.
-    One pass keeps a window of three jets, so each snapshot's density and
-    mask are computed once.  A snapshot with a successor gets everything
-    that depends on it alone as it arrives, which on a stream overlaps the
-    propagation of the next one: its mask and, for an interior snapshot,
-    the region and the three `_Jet.terms` its residuals read (`_own_work`).
-    Whether it has one is read from the series' `times` (a `SnapshotSeries`,
-    a `SnapshotStream` or `fieldio.stream_snapshot_series`); an iterable
-    without them gets that work for its last snapshot too.  The phase
-    increment into each snapshot is computed once, as it arrives, and its
-    jet keeps it for the two triples that read it.  A jet's state is freed
-    once the increment out of it exists.  Returns two lists with one entry
-    per interior snapshot, empty for fewer than three snapshots."""
-    count = len(snapshots.times) if hasattr(snapshots, "times") else None
-    phase_sup, continuity_sup = [], []
-    window, dt, last_time = [], None, None
+    `snapshots` is a `SnapshotSeries`, a `SnapshotStream` or what
+    `fieldio.stream_snapshot_series` returns: its `times` must be uniformly
+    spaced, and a ValueError is raised, before any snapshot is read, when a
+    spacing differs from the first by more than 1e-9 of it.
+    One pass keeps a window of three records, one per snapshot, so each
+    snapshot's density and mask are computed once.  A record holds the
+    snapshot's jet, the phase increment into it, computed once as the
+    snapshot arrives and read by the two triples around it, and what
+    `_own_work` finds of the snapshot alone: every snapshot but the last gets
+    that work as it arrives, which on a stream overlaps the propagation of
+    the next one.  A jet's state is freed once the increment out of it
+    exists.  Returns two lists with one entry per interior snapshot, empty
+    for fewer than three snapshots."""
+    times = snapshots.times
+    dt = float(times[1] - times[0]) if len(times) > 1 else None
+    for before, time in zip(times, times[1:]):
+        spacing = float(time - before)
+        if abs(spacing - dt) > 1e-9 * abs(dt):
+            raise ValueError(f"snapshot spacing {spacing!r} at time {time!r} differs from the first, {dt!r}")
+    phase_sup, continuity_sup, window = [], [], []
     for index, snap in enumerate(snapshots):
-        if last_time is not None:
-            spacing = float(snap.time - last_time)
-            if dt is None:
-                dt = spacing
-            elif abs(spacing - dt) > 1e-9 * abs(dt):
-                raise ValueError(
-                    f"snapshot spacing {spacing!r} at time {snap.time!r} differs from the first, {dt!r}"
-                )
-        last_time = snap.time
-        jet = _Jet(snap.state, params, backend)
+        record = {"jet": _Jet(snap.state, params, backend)}
         if window:
-            prev = window[-1]
-            jet.phase_in = (prev, _phase_increment(prev, jet))
+            prev = window[-1]["jet"]
+            record["phase_in"] = _phase_increment(prev, record["jet"])
             prev.drop("state")
-        window.append(jet)
+        window.append(record)
         if len(window) == 3:
             hj_sup, ct_sup = _sups(window, dt, potential, params, backend)
             phase_sup.append(hj_sup)
             continuity_sup.append(ct_sup)
-            window[1].drop("keep", "div_flux")  # the next triples read only its density and mask
             window = window[1:]
-        if count is None or index + 1 < count:
-            _own_work(jet, middle=index > 0)
+        if index + 1 < len(times):
+            record.update(_own_work(record["jet"], middle=index > 0))
     return phase_sup, continuity_sup
 
 
-def _own_work(jet: _Jet, middle: bool) -> None:
+def _own_work(jet: _Jet, middle: bool) -> dict:
     """What the window needs of one snapshot alone, computed while its state
-    is there: the mask and, for a middle snapshot, the region its sups are
-    taken over (`keep`) and the jet's three `terms` its residuals read."""
+    is there: the jet's mask and, for a middle snapshot, the record entries
+    its sups read: `keep`, the region they are taken over, and the jet's
+    `kinetic`, `bracket` and `div_flux` terms."""
     jet.mask
     if not middle:
-        return
+        return {}
     rho = np.abs(jet.state.values) ** 2  # not the jet's rho: it rounds differently, moving the region
-    jet.keep = rho >= REGION_EPS * rho.max()
+    keep = rho >= REGION_EPS * rho.max()
     del rho
-    jet.kinetic, jet.bracket, jet.div_flux = jet.terms("kinetic", "bracket", "div_flux")
+    kinetic, bracket, div_flux = jet.terms("kinetic", "bracket", "div_flux")
     jet.drop("safe")  # the window reads only the mask
+    return {"keep": keep, "kinetic": kinetic, "bracket": bracket, "div_flux": div_flux}
 
 
 def _sups(window, dt, potential, params, backend) -> tuple[float, float]:
-    """The two residual sups of one (prev, mid, next) window, assembled from
-    the middle jet's terms as `_hj_residual` and `continuity_residual` do,
-    each taken as soon as its residual exists; the continuity residual runs
-    without the HJ terms."""
-    mid, dphi_dt, mask = _rate(window, dt, params, backend)
-    terms = (dphi_dt, mid.kinetic, mid.bracket, None if potential is None else potential.values, mask)
-    mid.drop("kinetic", "bracket")
-    hj = _sup(_hj_residual(terms, mid.grid, (params.hbar * params.hbar) / (4.0 * params.mass)).values, mid.keep)
+    """The two residual sups of one (prev, mid, next) window of records,
+    assembled from the middle record's terms as `_hj_residual` and
+    `continuity_residual` do, each taken as soon as its residual exists.
+    Every entry of the middle record but its jet is taken out of it, for
+    the later triples read only the jet's density and mask; the continuity
+    residual runs without the HJ terms."""
+    prev, mid, nxt = _triple_jet([record["jet"] for record in window], dt, params, backend)
+    own = window[1]
+    keep, div_flux = own.pop("keep"), own.pop("div_flux")
+    mask = mid.mask | prev.mask | nxt.mask
+    dphi_dt = _phase_rate(own.pop("phase_in"), window[2]["phase_in"], mask, dt, params.hbar)
+    terms = (dphi_dt, own.pop("kinetic"), own.pop("bracket"), None if potential is None else potential.values, mask)
+    hj = _sup(_hj_residual(terms, mid.grid, (params.hbar * params.hbar) / (4.0 * params.mass)).values, keep)
     del terms, dphi_dt
-    drho_dt = (window[2].rho - window[0].rho) / (2.0 * dt)
-    drho_dt += mid.div_flux
-    return hj, _sup(RealField(mid.grid, drho_dt), mid.keep)
+    drho_dt = (nxt.rho - prev.rho) / (2.0 * dt)
+    drho_dt += div_flux
+    return hj, _sup(RealField(mid.grid, drho_dt), keep)
 
 
 def _sup(field: RealField, keep: np.ndarray) -> float:

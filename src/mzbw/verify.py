@@ -405,20 +405,17 @@ def run_battery(
             _check_entry(entry, params, backend, fault, records, gated_out)
         level_reports.append({"refine": refine, "checks": records, "gated_out": gated_out})
 
+    # an identity keeps its worst record by error / tolerance, or by error
+    # where its tolerance is 0 (no identity mixes the two kinds)
+    score = lambda error, tolerance: error / tolerance if tolerance > 0 else error
     identities: dict[str, dict] = {}
     for level in level_reports:
         for rec in level["checks"]:
-            name = rec["identity"]
             info = identities.setdefault(
-                name, {"passed": True, "max_error": 0.0, "tolerance": rec["tolerance"]}
+                rec["identity"], {"passed": True, "max_error": 0.0, "tolerance": rec["tolerance"]}
             )
             info["passed"] = info["passed"] and rec["passed"]
-            ratio = rec["error"] / rec["tolerance"] if rec["tolerance"] > 0 else None
-            best = info["max_error"] / info["tolerance"] if info["tolerance"] > 0 else None
-            if ratio is None:
-                if rec["error"] >= info["max_error"]:
-                    info["max_error"], info["tolerance"] = rec["error"], rec["tolerance"]
-            elif best is None or ratio >= best:
+            if score(rec["error"], rec["tolerance"]) >= score(info["max_error"], info["tolerance"]):
                 info["max_error"], info["tolerance"] = rec["error"], rec["tolerance"]
 
     # Convergence is judged per state: the coarsest 3D level is preasymptotic

@@ -374,6 +374,15 @@ class TestCsvTemplateWriter:
         assert got.read_bytes() == want.read_bytes()
 
 
+def finite_copy(traj):
+    """`traj` with its non-finite values made finite (np.nan_to_num) and its
+    times sorted: a set the binary container takes."""
+    return replace(traj, times=np.sort(traj.times), paths=np.nan_to_num(traj.paths), seeds=np.nan_to_num(traj.seeds))
+
+
+BINARY_REJECTS = "times, paths and seeds must be finite, and the times increasing"
+
+
 def layouts(paths):
     """The same (n, nt, 3) values C-contiguous, as a view of one plane per
     coordinate (the layout `advect` returns) and Fortran-ordered."""
@@ -385,8 +394,11 @@ class TestWriterLayouts:
     @pytest.mark.parametrize("mode", ["drift", "total"])
     @pytest.mark.parametrize("stride", [1, 4])
     def test_bytes_do_not_depend_on_the_layout(self, mode, stride, tmp_path):
+        # the binary writer rejects the awkward set's non-finite values and
+        # takes its finite copy
         traj = awkward_trajectories(mode)
-        variants = layouts(traj.paths)
+        finite = finite_copy(traj)
+        variants, finite_variants = layouts(traj.paths), layouts(finite.paths)
         assert not variants["planes"].flags.c_contiguous and not variants["F"].flags.c_contiguous
         outputs = {}
         for name, paths in variants.items():
@@ -394,7 +406,9 @@ class TestWriterLayouts:
             variant = replace(traj, paths=paths)
             csv, binary = tmp_path / f"{name}.csv", tmp_path / f"{name}.bin"
             write_trajectories_csv(str(csv), variant, record_stride=stride)
-            write_trajectories_binary(str(binary), variant, record_stride=stride)
+            with pytest.raises(ValueError, match=BINARY_REJECTS):
+                write_trajectories_binary(str(binary), variant, record_stride=stride)
+            write_trajectories_binary(str(binary), replace(finite, paths=finite_variants[name]), record_stride=stride)
             outputs[name] = (csv.read_bytes(), binary.read_bytes())
         assert outputs["planes"] == outputs["C"] and outputs["F"] == outputs["C"]
 
@@ -408,11 +422,13 @@ class TestWriterLayouts:
         assert got.read_bytes() == want.read_bytes()
 
 
+def small_trajectories(rk_steps=2):
+    return advect(np.array([[0.5], [-1.0]]), gaussian(Grid((32,), (16.0,))), mode="drift", duration=0.2, rk_steps=rk_steps)
+
+
 def small_trajectory_file(tmp_path):
-    grid = Grid((32,), (16.0,))
-    traj = advect(np.array([[0.5], [-1.0]]), gaussian(grid), mode="drift", duration=0.2, rk_steps=2)
     path = tmp_path / "traj.bin"
-    write_trajectories_binary(str(path), traj)
+    write_trajectories_binary(str(path), small_trajectories())
     return path
 
 
@@ -479,6 +495,54 @@ class TestTrajectoryBinaryValidation:
         message = f"{path}: times, paths and seeds must be finite, and the times increasing"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_trajectories_binary(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("block", ["times", "paths", "seeds"])
+    def test_writer_rejects_non_finite_values(self, block, value, tmp_path):
+        traj = small_trajectories()
+        bad = getattr(traj, block).copy()
+        bad.flat[-1] = value
+        path = tmp_path / "traj.bin"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {BINARY_REJECTS}")):
+            write_trajectories_binary(str(path), replace(traj, **{block: bad}))
+        assert not path.exists()
+
+    def test_writer_scans_only_the_kept_times(self, tmp_path):
+        traj = small_trajectories(rk_steps=4)
+        times, paths = traj.times.copy(), traj.paths.copy()
+        times[1], paths[:, 1] = times[0], np.nan  # neither is kept at stride 2
+        path = tmp_path / "traj.bin"
+        write_trajectories_binary(str(path), replace(traj, times=times, paths=paths), record_stride=2)
+        assert read_trajectories_binary(str(path)).paths.tobytes() == traj.paths[:, ::2].tobytes()
+        times[2] = times[0]
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {BINARY_REJECTS}")):
+            write_trajectories_binary(str(path), replace(traj, times=times), record_stride=2)
+
+    @pytest.mark.parametrize("step", [-0.05, 0.0], ids=["decreasing", "repeated"])
+    def test_writer_rejects_times_that_do_not_increase(self, step, tmp_path):
+        traj = small_trajectories()
+        times = traj.times.copy()
+        times[-1] = times[-2] + step
+        path = tmp_path / "traj.bin"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {BINARY_REJECTS}")):
+            write_trajectories_binary(str(path), replace(traj, times=times))
+        assert not path.exists()
+
+    def test_writer_stores_frozen_flags_as_0_or_1(self, tmp_path):
+        traj = small_trajectories()
+        path = tmp_path / "traj.bin"
+        write_trajectories_binary(str(path), replace(traj, frozen=np.array([2, 0])))
+        assert read_trajectories_binary(str(path)).frozen.tolist() == [True, False]
+
+    @pytest.mark.parametrize("seed", [-1, -5, 2**63, 2**64])
+    def test_writer_rejects_a_seed_outside_the_header(self, seed, tmp_path):
+        traj = small_trajectories()
+        path = tmp_path / "traj.bin"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: the seed must be in [0, 2^63), got {seed}")):
+            write_trajectories_binary(str(path), replace(traj, rng_seed=seed))
+        assert not path.exists()
+        write_trajectories_binary(str(path), replace(traj, rng_seed=2**63 - 1))
+        assert read_trajectories_binary(str(path)).rng_seed == 2**63 - 1
 
     @pytest.mark.parametrize("write", [write_trajectories_csv, write_trajectories_binary])
     def test_writers_reject_a_set_without_times(self, write, tmp_path):
@@ -665,12 +729,14 @@ class TestBinaryBlocks:
         traj = block_trajectories(_CSV_BLOCK_VALUES // (3 * len(keep)) + extra, nt, 3)
         planes = replace(traj, paths=layouts(traj.paths)["planes"])
         path = tmp_path / "traj.bin"
-        write_trajectories_binary(str(path), planes, record_stride=stride)
-        # the paths block read straight from the file: the set holds nan,
-        # which `read_trajectories_binary` rejects
-        start = struct.calcsize("<5sBIIq") + 8 * len(keep)
-        want_paths = traj.paths[:, keep].tobytes()
-        assert path.read_bytes()[start : start + len(want_paths)] == want_paths
+        # the set holds nan for the CSV kernel, which the binary writer
+        # rejects; the paths block is checked on its finite copy
+        with pytest.raises(ValueError, match=BINARY_REJECTS):
+            write_trajectories_binary(str(path), planes, record_stride=stride)
+        assert not path.exists()
+        finite = finite_copy(traj)
+        write_trajectories_binary(str(path), replace(finite, paths=layouts(finite.paths)["planes"]), record_stride=stride)
+        assert read_trajectories_binary(str(path)).paths.tobytes() == finite.paths[:, keep].tobytes()
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         write_trajectories_csv(str(got), planes, record_stride=stride)
         row_csv_reference(str(want), traj, record_stride=stride)

@@ -475,23 +475,19 @@ def test_parseval_energy_matches_the_laplacian_form(points, potential):
 
 @pytest.mark.parametrize("backend", ["spectral", "fd2"])
 def test_residual_sups_are_the_same_from_every_source(tmp_path, backend):
-    # a stream, a series and the writer's iterator have `times`, so the
-    # last snapshot is not worked on; a plain generator has none, and its
-    # last snapshot gets the same work as the others
     psi, config = small_run(7, dims=2)
     series = propagate(psi, config)
     want = residual_sups(series, None, PARAMS, backend)
     assert len(want[0]) == 5
     sources = [
         iter_propagate(psi, config),
-        (snap for snap in iter_propagate(psi, config)),
         stream_snapshot_series(str(tmp_path / "snaps"), iter_propagate(psi, config)),
     ]
     for source in sources:
         assert same(residual_sups(source, None, PARAMS, backend), want)
 
 
-def test_residual_sups_reject_a_nonuniform_spacing():
+def test_residual_sups_reject_a_nonuniform_spacing(tmp_path):
     psi, config = small_run(5)
     series = propagate(psi, config)
     assert same(series.times, [0.0, 0.002, 0.004, 0.006, 0.008])
@@ -499,6 +495,11 @@ def test_residual_sups_reject_a_nonuniform_spacing():
     series.times = np.array([0.0, 0.002, 0.004, 0.010, 0.012])
     with pytest.raises(ValueError, match="spacing 0.006.* differs from the first, 0.002"):
         residual_sups(series, None, PARAMS)
+    # the spacing is read from the times, before the writer's iterator has
+    # written a single snapshot
+    with pytest.raises(ValueError, match="spacing 0.006.* differs from the first, 0.002"):
+        residual_sups(stream_snapshot_series(str(tmp_path / "snaps"), series), None, PARAMS)
+    assert not list(tmp_path.glob("**/psi_*.mzbw"))
 
 
 MOVING_MASK_GRIDS = {1: Grid((256,), (48.0,)), 2: Grid((64, 64), (24.0, 24.0)), 3: Grid((32, 32, 32), (14.0,) * 3)}
